@@ -3,11 +3,13 @@
     python3 perfbench/run.py --workload triage|train|select --seed N --seconds S --trace 0|1
 
 Run from the root of a source checkout; the library is imported from its
-``src/`` directory. Set-up runs five times and reports the median. The
-timed phase then repeats whole rounds of the workload until ``--seconds``
-is used up and reports its wall time per round. With ``--trace 1`` the
-rounds alternate untraced and traced, and the per-layer metrics come from
-the spans of the traced set-up and the first traced round.
+``src/`` directory. The timed phase repeats whole rounds of the workload
+until ``--seconds`` of rounds are used up and reports its wall time per
+round. Set-up runs seven times, once before the first round and the
+others spread between the rounds, and reports the fastest. With
+``--trace 1`` the rounds alternate untraced and traced, and the
+per-layer metrics come from the spans of the last set-up, which is
+traced, and of the first traced round.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 BLAS_THREADS = "1"  # one thread: BLAS calls here are small and threads add run-to-run noise
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 
 
 def _import_library():
@@ -41,23 +43,32 @@ def _import_library():
         raise SystemExit(f"error: imported opdense from {opdense.__file__}, not from {ROOT / 'src'}")
 
 
-def _rounds(workload, seconds: float, tracer=None):
-    """Run whole rounds until ``seconds`` is about used up; returns the
-    round times (untraced, traced), the counts, and the last good output."""
+def _rounds(workload, seconds: float, tracer, before_round):
+    """Run whole rounds until ``seconds`` is about used up, checking each
+    round that runs to its end. ``before_round(elapsed)`` is called before
+    each round; its time does not count. Returns the round times
+    (untraced, traced), the counts, the problems the checks found, and the
+    results of the last round that ran to its end (None if none did)."""
     untraced, traced = [], []
     attempted = failed = 0
+    problems: list[str] = []
+    results = None
     start = time.perf_counter()
+    paused = 0.0
     while True:
+        t0 = time.perf_counter()
+        before_round(t0 - start - paused)
+        paused += time.perf_counter() - t0
         use_trace = tracer is not None and len(traced) <= len(untraced)
         if use_trace:
             tracer.run = len(traced) + 1
             tracer.install()
         workload.done = 0
-        last = None  # drop the previous round's outputs before the next one
+        out = None  # drop the previous round's outputs before the next one
         gc.collect()
         t0 = time.perf_counter()
         try:
-            last = workload.run_round()
+            out = workload.run_round()
         except Exception:  # a failing library call fails the rest of its round
             traceback.print_exc(file=sys.stderr)
             failed += workload.ops_per_round - workload.done
@@ -72,10 +83,13 @@ def _rounds(workload, seconds: float, tracer=None):
         print(f"round {len(untraced) + len(traced)}{' traced' if use_trace else ''}: {elapsed:.4f} s",
               file=sys.stderr)
         attempted += workload.ops_per_round
+        if out is not None:
+            problems += [p for p in workload.check(out) if p not in problems]
+            results = workload.results(out)
         rounds = untraced + traced
-        total = time.perf_counter() - start
+        total = time.perf_counter() - start - paused
         if total + 0.5 * statistics.median(rounds) >= seconds and untraced and (tracer is None or traced):
-            return untraced, traced, attempted, failed, last
+            return untraced, traced, attempted, failed, problems, results
 
 
 def run(name: str, seed: int, seconds: float, trace: bool, size=None, work: Path | None = None) -> dict:
@@ -89,20 +103,34 @@ def run(name: str, seed: int, seconds: float, trace: bool, size=None, work: Path
     tracer = Tracer() if trace else None
     try:
         setups = []
-        for i in range(SETUP_REPEATS):
-            last_setup = tracer is not None and i == SETUP_REPEATS - 1
+
+        def set_up():
+            last_setup = tracer is not None and len(setups) == SETUP_REPEATS - 1
             if last_setup:
                 tracer.run = 0
                 tracer.install()
             t0 = time.perf_counter()
             try:
-                workload.setup(work / f"setup-{i}")
+                workload.setup(work / "setup")
             finally:
                 setups.append(time.perf_counter() - t0)
+                print(f"set-up {len(setups)}: {setups[-1]:.4f} s", file=sys.stderr)
                 if last_setup:
                     tracer.uninstall()
-        untraced, traced, attempted, failed, out = _rounds(workload, seconds, tracer)
-        problems = [] if out is None else workload.check(out)
+
+        def before_round(elapsed):
+            # spread the set-ups over the run: the reference machine's CPU
+            # speed drifts over tens of seconds, so set-ups made in one burst
+            # all sample the same moment
+            while len(setups) < SETUP_REPEATS and elapsed >= len(setups) * seconds / SETUP_REPEATS:
+                set_up()
+
+        set_up()
+        untraced, traced, attempted, failed, problems, results = _rounds(workload, seconds, tracer, before_round)
+        while len(setups) < SETUP_REPEATS:
+            set_up()
+        if results is None:
+            problems.append("no round ran to its end, so no output could be checked")
         for problem in problems:
             print(f"check failed: {problem}", file=sys.stderr)
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -113,15 +141,16 @@ def run(name: str, seed: int, seconds: float, trace: bool, size=None, work: Path
             metrics["trace.spans"] = len(tracer.spans)
             tracer.write(work.parent / f"trace-{name}-seed{seed}.jsonl")
         else:
-            # the mean round, not the median: on a shared virtual CPU that
-            # switches between full and about half speed every few seconds, a
-            # one-second round sits in one state, so the median round jumps
-            # between the two while the mean follows the mix
-            metrics = {"setup_s": statistics.median(setups), "run_s": statistics.fmean(untraced),
+            # on a shared virtual CPU that switches between full and about half
+            # speed every few seconds, a round or a set-up of up to a few seconds
+            # sits in one state, so a median over them jumps with the share of
+            # slow ones. The mean round follows that share smoothly; the fastest
+            # set-up does not depend on it at all.
+            metrics = {"setup_s": min(setups), "run_s": statistics.fmean(untraced),
                        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
-            if out is not None:
-                metrics.update(workload.results(out))
-        if out is not None and set(metrics) != {m["name"] for m in declared}:
+            if results is not None:
+                metrics.update(results)
+        if results is not None and set(metrics) != {m["name"] for m in declared}:
             raise RuntimeError(f"metrics {sorted(metrics)} do not match BENCHMARK.json")
         return {"correct": not problems, "attempted": attempted, "failed": failed,
                 "metrics": {m["name"]: {"value": metrics[m["name"]], "unit": m["unit"]}

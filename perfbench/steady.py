@@ -29,9 +29,9 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def collect(workloads: list[str], seeds: list[int], out: Path) -> dict:
-    results: dict[str, list[dict]] = {w: [] for w in workloads}
-    for workload in workloads:
+def collect(seeds: list[int], out: Path) -> dict:
+    results: dict[str, list[dict]] = {w["name"]: [] for w in SPEC["workloads"]}
+    for workload in results:
         for seed in seeds:
             cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
                                      "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
@@ -75,8 +75,7 @@ def print_summary(summary: dict) -> bool:
         print(f"  {'metric':<18}{'median':>14}{'q1':>14}{'q3':>14}{'spread':>9}{'bound':>7}")
         for name, row in s["metrics"].items():
             flag = "" if row["spread"] <= row["bound"] / 3 else (" > bound/3" if row["spread"] <= row["bound"] else " > BOUND")
-            if name != "setup_s" and row["spread"] > row["bound"]:
-                ok = False
+            ok &= row["spread"] <= row["bound"]
             print(f"  {name:<18}{row['median']:>14.6g}{row['q1']:>14.6g}{row['q3']:>14.6g}"
                   f"{row['spread']:>9.4f}{row['bound']:>7}{flag}")
     return ok
@@ -104,7 +103,6 @@ def compare(first: dict, second: dict) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="steadiness of the opdense benchmark")
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in SPEC["workloads"]))
     parser.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 1-10")
     parser.add_argument("--out", type=Path, default=ROOT / ".perfbench" / "steady.json")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("FIRST", "SECOND"))
@@ -112,7 +110,7 @@ def main(argv=None) -> int:
     if args.compare:
         first, second = (json.loads(p.read_text(encoding="utf-8")) for p in args.compare)
         return 0 if compare(first, second) else 1
-    results = collect(args.workloads.split(","), _seeds(args.seeds), args.out)
+    results = collect(_seeds(args.seeds), args.out)
     return 0 if print_summary(summarize(results)) else 1
 
 

@@ -5,6 +5,7 @@ no failed operation."""
 
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
 
 import checks  # noqa: E402
 import run  # noqa: E402
+import workloads  # noqa: E402
 from opdense import featsel, pe, svm, x86  # noqa: E402
 from opdense.dataset import Dataset  # noqa: E402
 from opdense.kernels import KernelSpec  # noqa: E402
@@ -129,3 +131,48 @@ def test_tiny_run_is_correct_with_no_failed_operation(name, trace, tmp_path):
     assert list(result["metrics"]) == [m["name"] for m in declared]
     if trace:
         assert (tmp_path / f"trace-{name}-seed7.jsonl").is_file()
+
+
+class _PlantedFailure(workloads.Workload):
+    """Two calls a round; the second raises in every round from round
+    ``size`` on."""
+
+    ops_per_round = 2
+
+    def __init__(self, seed, size):
+        super().__init__(seed, size)
+        self.rounds = 0
+
+    def setup(self, work):
+        self.new_work_dir(work)
+
+    def run_round(self):
+        self.rounds += 1
+        self.call(time.sleep, 0.002)
+        self.call(self._step)
+        return {}
+
+    def _step(self):
+        if self.rounds >= self.size:
+            raise RuntimeError("planted failure")
+
+    def check(self, out):
+        return []
+
+    def results(self, out):
+        return {"holdout_precision": 1.0, "attributes_kept": 3, "model_bytes": 100}
+
+
+def test_run_whose_every_round_fails_is_not_correct(monkeypatch, tmp_path):
+    monkeypatch.setitem(workloads.WORKLOADS, "planted", (_PlantedFailure, 1))
+    result = run.run("planted", seed=1, seconds=0.05, trace=False, work=tmp_path / "work")
+    assert not result["correct"]
+    assert result["failed"] * 2 == result["attempted"] > 0
+
+
+def test_failing_last_round_keeps_the_checked_results_of_an_earlier_one(monkeypatch, tmp_path):
+    monkeypatch.setitem(workloads.WORKLOADS, "planted", (_PlantedFailure, 2))
+    result = run.run("planted", seed=1, seconds=0.05, trace=False, work=tmp_path / "work")
+    assert result["correct"]
+    assert 0 < result["failed"] < result["attempted"]
+    assert list(result["metrics"]) == [m["name"] for m in SPEC["end_to_end"]]

@@ -9,6 +9,8 @@ seed or the run length.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +29,8 @@ CONFIG = TrainerConfig()
 SPLIT_PERCENT = 30.0
 CV_FOLDS = 10
 RANK_EVALUATORS = ("info_gain", "gain_ratio", "symm_uncert", "correlation", "one_r", "relieff")
+RANDOM_EVERY = 3  # every third triage file gets a random executable section
+SELECT_INFORMATIVE = 3  # with 3 the sweep keeps 3 attributes on every seed; with 5, 3 or 4
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,6 @@ class TriageSize:
     train_per_class: int = 16
     batch_per_class: int = 40
     instructions: tuple[int, int] = (2500, 5000)
-    random_every: int = 3  # every third file gets a random executable section
     random_bytes: tuple[int, int] = (512, 1024)
 
 
@@ -46,14 +49,15 @@ class TrainSize:
 @dataclass(frozen=True)
 class SelectSize:
     n_per_class: int = 30
-    informative: int = 3
 
 
 class Workload:
     """Subclasses fill in ``setup``, ``run_round``, ``check`` and ``results``.
 
-    Each set-up writes into a new directory, so no set-up pays for
-    deleting the files of the one before."""
+    Every set-up of a run writes the same files into the same directory,
+    so after the first it overwrites them in place: creating and deleting
+    thousands of files slows file creation on the reference machine for
+    a while after, so set-up time would drift over a series of runs."""
 
     ops_per_round = 0
 
@@ -69,27 +73,32 @@ class Workload:
         return result
 
     def new_work_dir(self, work: Path) -> None:
-        work.mkdir(parents=True)
+        work.mkdir(parents=True, exist_ok=True)
         self.work = work
 
 
-def decoder_vocabulary() -> list[str]:
+@functools.cache
+def decoder_vocabulary() -> tuple[str, ...]:
     """Every mnemonic the decoder can name, found by decoding each opcode
     (one-byte, 0F under each mandatory prefix, 0F 38, 0F 3A, fused wait)
-    with each ModRM reg field in memory form and each register-form byte."""
+    with each ModRM reg field in memory form and each register-form byte.
+
+    A probe of the benchmark's own, not a step of the CLI: it does not
+    depend on the seed, so it runs once per process, before the timed
+    set-ups, and streams its candidates rather than holding them."""
     modrms = [reg << 3 for reg in range(8)] + list(range(0xC0, 0x100))
     pad = bytes(10)
-    candidates = [bytes([op, m]) for op in range(256) for m in modrms]
-    candidates += [p + bytes([0x0F, op, m]) for p in (b"", b"\x66", b"\xf2", b"\xf3")
-                   for op in range(256) for m in modrms]
-    candidates += [bytes([0x0F, esc, op, 0]) for esc in (0x38, 0x3A) for op in range(256)]
-    candidates += [bytes([0x9B, esc, m]) for esc in (0xD9, 0xDB, 0xDD, 0xDF) for m in modrms]
+    candidates = itertools.chain(
+        (bytes([op, m]) for op in range(256) for m in modrms),
+        (p + bytes([0x0F, op, m]) for p in (b"", b"\x66", b"\xf2", b"\xf3") for op in range(256) for m in modrms),
+        (bytes([0x0F, esc, op, 0]) for esc in (0x38, 0x3A) for op in range(256)),
+        (bytes([0x9B, esc, m]) for esc in (0xD9, 0xDB, 0xDD, 0xDF) for m in modrms))
     names = set()
     for code in candidates:
         decoded = x86.decode_one(code + pad, 0)
         if decoded is not None:
             names.add(decoded.mnemonic)
-    return sorted(names)
+    return tuple(sorted(names))
 
 
 def _histogram(sample_id: str, counted) -> reports.OpcodeHistogram:
@@ -105,6 +114,7 @@ class Triage(Workload):
     def __init__(self, seed, size=TriageSize()):
         super().__init__(seed, size)
         self.ops_per_round = 5 * 2 * size.batch_per_class + 4
+        self.vocabulary = decoder_vocabulary()
 
     def _samples(self, gen: PeGenerator, prefix: str, per_class: int):
         out = []
@@ -114,7 +124,7 @@ class Triage(Workload):
             # about the same number of bytes
             step = (i // 2) % 8 / 7
             n = n_lo + round((n_hi - n_lo) * step)
-            extra = r_lo + round((r_hi - r_lo) * step) if i % self.size.random_every == 0 else 0
+            extra = r_lo + round((r_hi - r_lo) * step) if i % RANDOM_EVERY == 0 else 0
             out.append(gen.sample(f"{prefix}_{i:04d}", ("good", "malware")[i % 2], n, extra))
         return out
 
@@ -124,7 +134,7 @@ class Triage(Workload):
         training = self._samples(gen, "train", self.size.train_per_class)
         self.batch = self._samples(gen, "batch", self.size.batch_per_class)
         batch_dir = self.work / "batch"
-        batch_dir.mkdir()
+        batch_dir.mkdir(exist_ok=True)
         for sample in self.batch:
             (batch_dir / f"{sample.sample_id}.exe").write_bytes(sample.data)
         labeled = []
@@ -134,7 +144,7 @@ class Triage(Workload):
                                                     ClassLabel(LabelScheme.binary, sample.label)))
         # the model spans the decoder's whole vocabulary, so any decoded batch
         # assembles over its attributes
-        ds = dataset.assemble(labeled, decoder_vocabulary())
+        ds = dataset.assemble(labeled, self.vocabulary)
         scaled, _ = dataset.minmax_scale(ds)
         self.model = svm.train_multiclass(scaled, KERNEL, CONFIG)
         (self.work / "model.json").write_text(svm.save_model(self.model), encoding="utf-8")
@@ -247,7 +257,7 @@ class Select(Workload):
         self.new_work_dir(work)
         corpus = self.work / "corpus"
         synth.generate_corpus(corpus, classes=6, n_per_class=self.size.n_per_class,
-                              informative=self.size.informative, seed=self.seed)
+                              informative=SELECT_INFORMATIVE, seed=self.seed)
         scan = reports.scan_directory(corpus)
         ds = dataset.assemble(scan.histograms, dataset.build_master_list(scan.histograms))
         scaled, _ = dataset.minmax_scale(dataset.sort_attributes_by_mean_density(ds))
