@@ -4,9 +4,9 @@
 
 Run from the root of a source checkout; the library is imported from its
 ``src/`` directory. The timed phase repeats whole rounds of the workload
-until ``--seconds`` of rounds are used up and reports its wall time per
-round. Set-up runs seven times, once before the first round and the
-others spread between the rounds, and reports the fastest. With
+until ``--seconds`` of rounds are used up and reports the wall time of
+its fastest round. Set-up runs seven times, once before the first round
+and the others spread between the rounds, and reports the fastest. With
 ``--trace 1`` the rounds alternate untraced and traced, and the
 per-layer metrics come from the spans of the last set-up, which is
 traced, and of the first traced round.
@@ -137,16 +137,16 @@ def run(name: str, seed: int, seconds: float, trace: bool, size=None, work: Path
         declared = spec["per_layer"] if trace else spec["end_to_end"]
         if trace:
             metrics = layer_metrics(tracer.spans, {0, 1})
-            metrics["trace.overhead_s"] = statistics.fmean(traced) - statistics.fmean(untraced)
+            metrics["trace.overhead_s"] = min(traced) - min(untraced)
             metrics["trace.spans"] = len(tracer.spans)
             tracer.write(work.parent / f"trace-{name}-seed{seed}.jsonl")
         else:
-            # on a shared virtual CPU that switches between full and about half
-            # speed every few seconds, a round or a set-up of up to a few seconds
-            # sits in one state, so a median over them jumps with the share of
-            # slow ones. The mean round follows that share smoothly; the fastest
-            # set-up does not depend on it at all.
-            metrics = {"setup_s": min(setups), "run_s": statistics.fmean(untraced),
+            # the shared virtual CPU runs two to three times slower for
+            # stretches of seconds to minutes, and a round or a set-up sits in
+            # one state, so their median and mean jump with the share of slow
+            # ones. The slowdown only ever adds time, so the fastest round and
+            # the fastest set-up are the ones that measure the program.
+            metrics = {"setup_s": min(setups), "run_s": min(untraced),
                        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
             if results is not None:
                 metrics.update(results)

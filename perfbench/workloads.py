@@ -43,7 +43,7 @@ class TriageSize:
 
 @dataclass(frozen=True)
 class TrainSize:
-    n_per_class: int = 300
+    n_per_class: int = 150  # rounds of about a second, so a run holds tens of them
 
 
 @dataclass(frozen=True)
