@@ -3,10 +3,14 @@
 Both formats are byte-exact: values are written with 8 fixed decimals,
 UTF-8, LF line endings, class column last. write -> read -> write is
 byte identical.
+
+Also the checked reading of the JSON documents (model and selection
+files): every malformed document raises ``SchemaMismatch``.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -139,3 +143,52 @@ def read_dataset(data: bytes, fmt: str) -> Dataset:
 def format_for_path(path) -> str:
     suffix = str(path).rsplit(".", 1)[-1].lower()
     return "arff" if suffix == "arff" else "csv"
+
+
+# --- JSON documents -------------------------------------------------------------
+
+NUMBER = (int, float)
+
+
+def json_object(text: str, what: str) -> dict:
+    """``text`` parsed as a JSON object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatch(f"{what} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaMismatch(f"{what} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def json_field(doc, key: str, kinds, what: str):
+    """``doc[key]``, which must be an instance of ``kinds``; a bool is no number."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise SchemaMismatch(f"{what} is not a JSON object with {key!r}")
+    value = doc[key]
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise SchemaMismatch(f"{what}: {key!r} must not be {type(value).__name__}")
+    return value
+
+
+def json_strings(doc, key: str, what: str) -> tuple[str, ...]:
+    values = json_field(doc, key, list, what)
+    if not all(isinstance(v, str) for v in values):
+        raise SchemaMismatch(f"{what}: {key!r} must be a list of strings")
+    return tuple(values)
+
+
+def json_floats(doc, key: str, what: str, ndim: int = 1) -> np.ndarray:
+    """``doc[key]``, a list (of lists, for ``ndim=2``) of finite numbers."""
+    values = json_field(doc, key, list, what)
+    try:
+        arr = np.array(values)
+    except ValueError as exc:  # ragged rows
+        raise SchemaMismatch(f"{what}: {key!r}: {exc}") from None
+    if values and (arr.dtype.kind not in "iuf" or arr.ndim != ndim):
+        raise SchemaMismatch(f"{what}: {key!r} must be a list{' of lists' * (ndim - 1)} of numbers")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise SchemaMismatch(f"{what}: {key!r} holds a non-finite number")
+    return arr

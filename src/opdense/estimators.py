@@ -11,11 +11,11 @@ import numpy as np
 
 from .base import ParamsMixin, check_fitted, check_matrix, check_X_y
 from .errors import SchemaMismatch, SingleClass
-from .featsel.evaluators import relieff_scores
+from .featsel.evaluators import score_attributes
 from .featsel.search import ranker_select
 from .kernels import KernelSpec
-from .smo import TrainerConfig, fit_sigmoid_scaling
-from .svm import BinarySvmModel, MulticlassSvmModel, predict_matrix, train_binary_arrays
+from .smo import TrainerConfig
+from .svm import MulticlassSvmModel, predict_matrix, train_pairwise
 
 
 class SmoSvmClassifier(ParamsMixin):
@@ -73,23 +73,13 @@ class SmoSvmClassifier(ParamsMixin):
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
-        classes = sorted({str(v) for v in y})
+        classes = tuple(sorted({str(v) for v in y}))
         if len(classes) < 2:
             raise SingleClass(f"need two classes, found {classes}")
         spec = self._spec()
-        config = self._config()
         labels = np.array([str(v) for v in y], dtype=object)
-        machines: list[BinarySvmModel] = []
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                neg, pos = classes[i], classes[j]
-                mask = (labels == neg) | (labels == pos)
-                pair_y = np.where(labels[mask] == pos, 1.0, -1.0)
-                model = train_binary_arrays(X[mask], pair_y, spec, config, (neg, pos))
-                if config.calibrate:
-                    model.sigmoid = fit_sigmoid_scaling(model.decision_function(X[mask]), pair_y)
-                machines.append(model)
-        self.classes_ = tuple(classes)
+        machines, warnings = train_pairwise(X, labels, classes, spec, self._config())
+        self.classes_ = classes
         self.n_features_in_ = X.shape[1]
         self.model_ = MulticlassSvmModel(
             machines=machines,
@@ -98,6 +88,7 @@ class SmoSvmClassifier(ParamsMixin):
             scheme=None,  # array API carries no label scheme
             kernel=spec,
             scaling=None,
+            warnings=warnings,
         )
         return self
 
@@ -170,32 +161,10 @@ class RankedAttributeSelector(ParamsMixin):
         self.seed = seed
 
     def fit(self, X, y):
-        from .featsel.evaluators import (
-            correlation_eval,
-            discretize_equal_frequency,
-            gain_ratio,
-            info_gain,
-            one_r_eval,
-            symm_uncert,
-        )
-        from .featsel.selection import AttributeScore
-
         X, y = check_X_y(X, y)
         names = [f"x{j:04d}" for j in range(X.shape[1])]
-        if self.evaluator == "relieff":
-            scores = relieff_scores(X, y, names, k=self.relieff_k, seed=self.seed)
-        else:
-            fns = {
-                "info_gain": lambda col: info_gain(discretize_equal_frequency(col, self.bins), y),
-                "gain_ratio": lambda col: gain_ratio(discretize_equal_frequency(col, self.bins), y),
-                "symm_uncert": lambda col: symm_uncert(discretize_equal_frequency(col, self.bins), y),
-                "correlation": lambda col: correlation_eval(col, y),
-                "one_r": lambda col: one_r_eval(col, y, min_bucket=self.min_bucket),
-            }
-            if self.evaluator not in fns:
-                raise SchemaMismatch(f"unknown ranking evaluator {self.evaluator!r}")
-            scorer = fns[self.evaluator]
-            scores = [AttributeScore(names[j], float(scorer(X[:, j]))) for j in range(X.shape[1])]
+        scores = score_attributes(X, y, names, self.evaluator, bins=self.bins, min_bucket=self.min_bucket,
+                                  relieff_k=self.relieff_k, seed=self.seed)
         self.selection_ = ranker_select(scores, self.threshold, self.num_to_select,
                                         evaluator=self.evaluator)
         retained = set(self.selection_.retained)

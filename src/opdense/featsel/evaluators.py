@@ -346,6 +346,38 @@ def cfs_merit(subset, ds: Dataset, bins: int = 10) -> float:
     return CfsMeritScorer(ds, bins=bins).merit(subset)
 
 
+_DISCRETIZED_RANKERS = {"info_gain": info_gain, "gain_ratio": gain_ratio, "symm_uncert": symm_uncert}
+_RANKERS = (*_DISCRETIZED_RANKERS, "correlation", "one_r", "relieff")
+
+
+def score_attributes(
+    X: np.ndarray,
+    labels,
+    names,
+    evaluator: str,
+    bins: int = 10,
+    min_bucket: int = 6,
+    relieff_k: int = 10,
+    relieff_sample: int | None = None,
+    seed: int = 42,
+) -> list[AttributeScore]:
+    """Per-attribute scores of the columns of X, named by ``names``, for
+    the ranker search."""
+    if evaluator not in _RANKERS:
+        raise SchemaMismatch(f"evaluator {evaluator!r} does not produce a per-attribute ranking")
+    if evaluator == "relieff":
+        return relieff_scores(X, labels, names, k=relieff_k, sample=relieff_sample, seed=seed)
+
+    def score(col: np.ndarray) -> float:
+        if evaluator in _DISCRETIZED_RANKERS:
+            return _DISCRETIZED_RANKERS[evaluator](discretize_equal_frequency(col, bins), labels)
+        if evaluator == "correlation":
+            return correlation_eval(col, labels)
+        return one_r_eval(col, labels, min_bucket=min_bucket)
+
+    return [AttributeScore(name, float(score(X[:, j]))) for j, name in enumerate(names)]
+
+
 def rank_attributes(
     ds: Dataset,
     evaluator: str,
@@ -355,24 +387,6 @@ def rank_attributes(
     relieff_sample: int | None = None,
     seed: int = 42,
 ) -> list[AttributeScore]:
-    """Per-attribute scores for the ranker search."""
-    if evaluator == "relieff":
-        return relieff_scores(ds.X, ds.labels, ds.attributes,
-                              k=relieff_k, sample=relieff_sample, seed=seed)
-    scores = []
-    for j, name in enumerate(ds.attributes):
-        col = ds.X[:, j]
-        if evaluator == "info_gain":
-            s = info_gain(discretize_equal_frequency(col, bins), ds.labels)
-        elif evaluator == "gain_ratio":
-            s = gain_ratio(discretize_equal_frequency(col, bins), ds.labels)
-        elif evaluator == "symm_uncert":
-            s = symm_uncert(discretize_equal_frequency(col, bins), ds.labels)
-        elif evaluator == "correlation":
-            s = correlation_eval(col, ds.labels)
-        elif evaluator == "one_r":
-            s = one_r_eval(col, ds.labels, min_bucket=min_bucket)
-        else:
-            raise SchemaMismatch(f"evaluator {evaluator!r} does not produce a per-attribute ranking")
-        scores.append(AttributeScore(name, float(s)))
-    return scores
+    """Per-attribute scores of a dataset for the ranker search."""
+    return score_attributes(ds.X, ds.labels, ds.attributes, evaluator, bins=bins, min_bucket=min_bucket,
+                            relieff_k=relieff_k, relieff_sample=relieff_sample, seed=seed)

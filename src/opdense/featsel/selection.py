@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dataio import NUMBER, json_field, json_floats, json_object, json_strings
 from ..errors import SchemaMismatch
 
 EVALUATORS = (
@@ -92,29 +93,41 @@ def save_selection(result: SelectionResult) -> str:
 
 
 def load_selection(text: str) -> SelectionResult:
-    doc = json.loads(text)
+    doc = json_object(text, "selection")
     if doc.get("schema") != SELECTION_SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported selection schema {doc.get('schema')!r}")
+    retained = json_strings(doc, "retained", "selection")
     scores = None
-    if doc["scores"] is not None:
-        scores = tuple(AttributeScore(s["attribute"], s["score"]) for s in doc["scores"])
+    if json_field(doc, "scores", (list, type(None)), "selection") is not None:
+        scores = tuple(AttributeScore(json_field(s, "attribute", str, "selection score"),
+                                      json_field(s, "score", NUMBER, "selection score"))
+                       for s in doc["scores"])
     pca = None
-    if doc["pca"] is not None:
+    if json_field(doc, "pca", (dict, type(None)), "selection") is not None:
         p = doc["pca"]
+        source = json_strings(p, "source_attributes", "selection pca")
+        means = json_floats(p, "means", "selection pca")
+        stds = None
+        if json_field(p, "stds", (list, type(None)), "selection pca") is not None:
+            stds = json_floats(p, "stds", "selection pca")
+        loadings = json_floats(p, "loadings", "selection pca", ndim=2)
+        if len(means) != len(source) or (stds is not None and len(stds) != len(source)) \
+                or loadings.shape != (len(source), len(retained)):
+            raise SchemaMismatch("selection pca arrays do not match its attributes")
         pca = PcaModel(
-            means=tuple(p["means"]),
-            stds=None if p["stds"] is None else tuple(p["stds"]),
-            eigenvalues=tuple(p["eigenvalues"]),
+            means=tuple(means.tolist()),
+            stds=None if stds is None else tuple(stds.tolist()),
+            eigenvalues=tuple(json_floats(p, "eigenvalues", "selection pca").tolist()),
             loadings=p["loadings"],
-            source_attributes=tuple(p["source_attributes"]),
+            source_attributes=source,
         )
     return SelectionResult(
-        evaluator=doc["evaluator"],
-        search=doc["search"],
-        retained=tuple(doc["retained"]),
+        evaluator=json_field(doc, "evaluator", str, "selection"),
+        search=json_field(doc, "search", str, "selection"),
+        retained=retained,
         scores=scores,
-        threshold=doc["threshold"],
-        num_to_select=doc["num_to_select"],
-        params=doc.get("params", {}),
+        threshold=json_field(doc, "threshold", (*NUMBER, type(None)), "selection"),
+        num_to_select=json_field(doc, "num_to_select", (int, type(None)), "selection"),
+        params=json_field(doc, "params", dict, "selection") if "params" in doc else {},
         pca=pca,
     )

@@ -7,7 +7,7 @@ seed produces the same sequence on every platform and Python version.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, TypeVar
 
 _MASK64 = (1 << 64) - 1
 
@@ -57,8 +57,3 @@ def sample_without_replacement(n: int, k: int, seed: int) -> list[int]:
     if k > n:
         raise ValueError("cannot sample more items than available")
     return permutation(n, seed)[:k]
-
-
-def stable_order(values: Sequence[float]) -> list[int]:
-    """Indices sorting ``values`` ascending, ties by original position."""
-    return sorted(range(len(values)), key=lambda i: (values[i], i))

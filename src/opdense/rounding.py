@@ -20,13 +20,6 @@ def round_half_up_fraction(numerator: int, denominator: int, places: int) -> flo
         return float(q.quantize(exp, rounding=ROUND_HALF_UP))
 
 
-def round_half_up(value: float, places: int) -> float:
-    with localcontext() as ctx:
-        ctx.prec = 50
-        exp = Decimal(1).scaleb(-places)
-        return float(Decimal(repr(value)).quantize(exp, rounding=ROUND_HALF_UP))
-
-
 def fixed(value: float, places: int = 8) -> str:
     """Render with a fixed number of decimals (used by all text formats)."""
     return f"{value:.{places}f}"

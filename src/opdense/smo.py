@@ -1,17 +1,29 @@
 """Sequential minimal optimization for the soft-margin SVM dual.
 
 Maximizes W(a) = sum(a) - 1/2 sum_ij a_i a_j y_i y_j K_ij subject to
-0 <= a_i <= C and sum(a_i y_i) = 0, two variables at a time (Platt's
-working-pair heuristics made fully deterministic). Errors are computed
-on demand from the precomputed Gram matrix instead of an incrementally
-updated cache, so no rounding drift accumulates.
+0 <= a_i <= C and sum(a_i y_i) = 0, two variables at a time.
 
-The loop stops once every point meets ``tolerance`` under its running
-bias. The reported bias is not that running value but the midpoint of
-the KKT interval for ``b`` at the final multipliers (Keerthi et al.,
-Neural Computation 2001), the bias that minimises the worst box/margin
-violation. So, unless ``hit_iteration_cap`` is set, the returned
-``(alphas, bias)`` meet the box/margin conditions to ``tolerance``.
+With t = y - K(a*y), a point bounds the bias from below (b >= t) when it
+is interior, or a=0 with y=+1, or a=C with y=-1 (the set I_up), and from
+above (b <= t) when it is interior, or a=0 with y=-1, or a=C with y=+1
+(the set I_low). The multipliers are optimal to ``tolerance`` exactly
+when the gap max_{I_up} t - min_{I_low} t is at most 2*tolerance
+(Keerthi et al., Neural Computation 2001).
+
+Each step takes the maximal violator i = argmax_{I_up} t and, among the
+points of I_low below it, the j with the largest second-order gain
+(t_i - t_j)^2 / a_ij, where a_ij = K_ii + K_jj - 2K_ij is floored at
+``epsilon`` (Fan, Chen & Lin, JMLR 2005, "WSS2"). The pair moves by the
+Newton step, cut at the box; a multiplier that reaches a bound is set
+exactly to it. t is updated from the two Gram columns touched. When the
+gap closes, t is recomputed exactly from the Gram matrix and the gap
+tested again, so rounding drift in the updates cannot end a solve early.
+
+The stopping test and the reported bias are the same interval: the bias
+is the midpoint of [max_{I_up} t, min_{I_low} t], the bias that
+minimises the worst box/margin violation. So, unless
+``hit_iteration_cap`` is set, the returned ``(alphas, bias)`` meet the
+box/margin conditions to ``tolerance``.
 """
 
 from __future__ import annotations
@@ -21,8 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTargets
-
-_SNAP = 1e-8  # alphas closer than this to a bound are snapped onto it
 
 
 @dataclass
@@ -51,163 +61,6 @@ def dual_objective(gram: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> float
     return float(alphas.sum() - 0.5 * beta @ gram @ beta)
 
 
-class _Solver:
-    def __init__(self, gram, y, C, tolerance, epsilon, max_iterations):
-        self.gram = gram
-        self.y = y
-        self.C = float(C)
-        self.tol = tolerance
-        self.eps = epsilon
-        self.cap = max_iterations
-        self.n = len(y)
-        self.alpha = np.zeros(self.n)
-        self.beta = np.zeros(self.n)  # alpha * y, kept in sync
-        self.b = 0.0
-        self.steps = 0
-        self.hit_cap = False
-
-    def error(self, i: int) -> float:
-        return float(self.beta @ self.gram[:, i]) + self.b - self.y[i]
-
-    def errors_at(self, idx: np.ndarray) -> np.ndarray:
-        return self.gram[:, idx].T @ self.beta + self.b - self.y[idx]
-
-    def take_step(self, i1: int, i2: int, e2: float) -> bool:
-        if i1 == i2:
-            return False
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1 = self.error(i1)
-        s = y1 * y2
-        if s < 0:
-            lo, hi = max(0.0, a2 - a1), min(self.C, self.C + a2 - a1)
-        else:
-            lo, hi = max(0.0, a2 + a1 - self.C), min(self.C, a2 + a1)
-        if lo >= hi:
-            return False
-        k11 = self.gram[i1, i1]
-        k12 = self.gram[i1, i2]
-        k22 = self.gram[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2_new = a2 + y2 * (e1 - e2) / eta
-            a2_new = min(max(a2_new, lo), hi)
-        else:
-            # flat or concave-up direction: move to the better boundary
-            f1 = y1 * (e1 - self.b) - a1 * k11 - s * a2 * k12
-            f2 = y2 * (e2 - self.b) - s * a1 * k12 - a2 * k22
-            l1 = a1 + s * (a2 - lo)
-            h1 = a1 + s * (a2 - hi)
-            obj_lo = l1 * f1 + lo * f2 + 0.5 * l1 * l1 * k11 + 0.5 * lo * lo * k22 + s * lo * l1 * k12
-            obj_hi = h1 * f1 + hi * f2 + 0.5 * h1 * h1 * k11 + 0.5 * hi * hi * k22 + s * hi * h1 * k12
-            if obj_lo < obj_hi - self.eps:
-                a2_new = lo
-            elif obj_lo > obj_hi + self.eps:
-                a2_new = hi
-            else:
-                return False
-        if a2_new < _SNAP:
-            a2_new = 0.0
-        elif a2_new > self.C - _SNAP:
-            a2_new = self.C
-        if abs(a2_new - a2) < self.eps * (a2_new + a2 + self.eps):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-        if a1_new < _SNAP:
-            a1_new = 0.0
-        elif a1_new > self.C - _SNAP:
-            a1_new = self.C
-        d1, d2 = a1_new - a1, a2_new - a2
-        b1 = self.b - e1 - y1 * d1 * k11 - y2 * d2 * k12
-        b2 = self.b - e2 - y1 * d1 * k12 - y2 * d2 * k22
-        if 0.0 < a1_new < self.C:
-            self.b = b1
-        elif 0.0 < a2_new < self.C:
-            self.b = b2
-        else:
-            self.b = 0.5 * (b1 + b2)
-        self.alpha[i1], self.alpha[i2] = a1_new, a2_new
-        self.beta[i1], self.beta[i2] = a1_new * y1, a2_new * y2
-        self.steps += 1
-        return True
-
-    def examine(self, i2: int) -> int:
-        y2 = self.y[i2]
-        a2 = self.alpha[i2]
-        e2 = self.error(i2)
-        r2 = e2 * y2
-        if not ((r2 < -self.tol and a2 < self.C) or (r2 > self.tol and a2 > 0)):
-            return 0
-        non_bound = np.flatnonzero((self.alpha > 0) & (self.alpha < self.C))
-        if len(non_bound) > 1:
-            errs = self.errors_at(non_bound)
-            i1 = int(non_bound[int(np.argmax(np.abs(errs - e2)))])
-            if self.take_step(i1, i2, e2):
-                return 1
-        # deterministic fallbacks: non-bound points, then the whole set,
-        # each walked cyclically from the position after i2
-        for pool in (non_bound.tolist(), list(range(self.n))):
-            if not pool:
-                continue
-            start = 0
-            for pos, idx in enumerate(pool):
-                if idx > i2:
-                    start = pos
-                    break
-            for off in range(len(pool)):
-                i1 = pool[(start + off) % len(pool)]
-                if self.take_step(i1, i2, e2):
-                    return 1
-        return 0
-
-    def solve(self) -> SmoSolution:
-        examine_all = True
-        changed = 0
-        while changed > 0 or examine_all:
-            changed = 0
-            if examine_all:
-                targets = range(self.n)
-            else:
-                targets = np.flatnonzero((self.alpha > 0) & (self.alpha < self.C)).tolist()
-            for i in targets:
-                changed += self.examine(i)
-                if self.steps >= self.cap:
-                    self.hit_cap = True
-                    break
-            if self.hit_cap:
-                break
-            if examine_all:
-                examine_all = False
-            elif changed == 0:
-                examine_all = True
-        bias = self._final_bias()
-        return SmoSolution(
-            alphas=self.alpha.copy(),
-            bias=bias,
-            iterations=self.steps,
-            hit_iteration_cap=self.hit_cap,
-            objective=dual_objective(self.gram, self.y, self.alpha),
-        )
-
-    def _final_bias(self) -> float:
-        """Midpoint of the KKT interval for b at the final multipliers.
-
-        With t = y - K(alpha*y), a point bounds b from below when
-        alpha=0, y=+1 or alpha=C, y=-1 (b >= t), from above when
-        alpha=0, y=-1 or alpha=C, y=+1 (b <= t), and from both sides
-        when interior (b = t). The midpoint of [max lower t, min upper t]
-        minimises the largest violation; when the interval is empty
-        (a capped solve) it is still the least-violating bias.
-        """
-        t = self.y - self.gram @ self.beta
-        interior = (self.alpha > 0) & (self.alpha < self.C)
-        lower_side = (self.alpha == 0) == (self.y > 0)
-        lower, upper = t[interior | lower_side], t[interior | ~lower_side]
-        lo = lower.max() if len(lower) else upper.min()
-        hi = upper.min() if len(upper) else lower.max()
-        return float(0.5 * (lo + hi))
-
-
 def smo_solve(
     gram: np.ndarray,
     y: np.ndarray,
@@ -218,7 +71,47 @@ def smo_solve(
 ) -> SmoSolution:
     gram = np.asarray(gram, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _Solver(gram, y, C, tolerance, epsilon, max_iterations).solve()
+    C = float(C)
+    positive = y > 0
+    diag = gram.diagonal()
+    alpha = np.zeros(len(y))
+    t = y.copy()  # y - K(alpha*y), exact at alpha = 0
+    exact, steps = True, 0
+    while True:
+        t_up = np.where(np.where(positive, alpha < C, alpha > 0), t, -np.inf)
+        t_low = np.where(np.where(positive, alpha > 0, alpha < C), t, np.inf)
+        i = int(np.argmax(t_up))
+        gap = t_up[i] - t_low.min()
+        if not gap > 2.0 * tolerance or steps == max_iterations:
+            if exact:
+                break
+            t, exact = y - gram @ (alpha * y), True
+            continue
+        diff = t_up[i] - t_low
+        curvature = np.maximum(diag[i] + diag - 2.0 * gram[:, i], epsilon)
+        j = int(np.argmax(np.where(diff > 0, diff * diff / curvature, -1.0)))
+        room_i = C - alpha[i] if positive[i] else alpha[i]
+        room_j = alpha[j] if positive[j] else C - alpha[j]
+        delta = min(diff[j] / curvature[j], room_i, room_j)
+        # beta = alpha*y moves by +delta at i and -delta at j
+        alpha[i] = (C if positive[i] else 0.0) if delta == room_i else alpha[i] + y[i] * delta
+        alpha[j] = (0.0 if positive[j] else C) if delta == room_j else alpha[j] - y[j] * delta
+        t -= delta * (gram[:, i] - gram[:, j])
+        exact = False
+        steps += 1
+    # an empty side (a single-class problem) leaves the bias to the other
+    lo, hi = t_up[i], t_low.min()
+    if np.isinf(lo):
+        lo = hi
+    if np.isinf(hi):
+        hi = lo
+    return SmoSolution(
+        alphas=alpha,
+        bias=float(0.5 * (lo + hi)),
+        iterations=steps,
+        hit_iteration_cap=bool(gap > 2.0 * tolerance),
+        objective=dual_objective(gram, y, alpha),
+    )
 
 
 def fit_sigmoid_scaling(decisions: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import NUMBER, json_field, json_floats, json_object, json_strings
 from .dataset import Dataset, ScalingParams, _scale_matrix, project
 from .errors import DimensionMismatch, SchemaMismatch, SingleClass
 from .kernels import KernelSpec, gram_matrix
@@ -121,13 +122,16 @@ def fit_sigmoid(model: BinarySvmModel, ds: Dataset) -> tuple[float, float]:
     return model.sigmoid
 
 
-def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig | None = None) -> MulticlassSvmModel:
-    """One machine per unordered pair of classes present in the data."""
-    config = config or TrainerConfig()
-    classes = class_order(ds.scheme, ds.labels)
-    if len(classes) < 2:
-        raise SingleClass(f"need at least two classes, found {classes}")
-    labels = np.array(ds.labels, dtype=object)
+def train_pairwise(
+    X: np.ndarray,
+    labels: np.ndarray,
+    classes: tuple[str, ...],
+    spec: KernelSpec,
+    config: TrainerConfig,
+) -> tuple[list[BinarySvmModel], list[str]]:
+    """One machine per unordered pair of ``classes``, the later class of
+    each pair on the +1 side; returns the machines and any warnings."""
+    labels = np.asarray(labels, dtype=object)
     machines: list[BinarySvmModel] = []
     warnings: list[str] = []
     for i in range(len(classes)):
@@ -138,10 +142,20 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig | None
                 warnings.append(f"pair ({neg}, {pos}) skipped: a side has no instances")
                 continue
             y = np.where(labels[mask] == pos, 1.0, -1.0)
-            machine = train_binary_arrays(ds.X[mask], y, spec, config, (neg, pos))
+            machine = train_binary_arrays(X[mask], y, spec, config, (neg, pos))
             if machine.hit_iteration_cap:
                 warnings.append(f"pair ({neg}, {pos}) hit the iteration cap; best effort kept")
             machines.append(machine)
+    return machines, warnings
+
+
+def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig | None = None) -> MulticlassSvmModel:
+    """One machine per unordered pair of classes present in the data."""
+    config = config or TrainerConfig()
+    classes = class_order(ds.scheme, ds.labels)
+    if len(classes) < 2:
+        raise SingleClass(f"need at least two classes, found {classes}")
+    machines, warnings = train_pairwise(ds.X, ds.labels, tuple(classes), spec, config)
     return MulticlassSvmModel(
         machines=machines,
         classes=tuple(classes),
@@ -255,35 +269,65 @@ def save_model(model: MulticlassSvmModel) -> str:
 
 
 def load_model(text: str) -> MulticlassSvmModel:
-    doc = json.loads(text)
+    doc = json_object(text, "model")
     if doc.get("schema") != MODEL_SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported model schema {doc.get('schema')!r}")
-    kernel = KernelSpec(**doc["kernel"])
+    classes = json_strings(doc, "classes", "model")
+    attributes = json_strings(doc, "attributes", "model")
+    try:
+        scheme = LabelScheme(json_field(doc, "scheme", str, "model"))
+    except ValueError:
+        raise SchemaMismatch(f"unknown label scheme {doc['scheme']!r}") from None
+    k = json_field(doc, "kernel", dict, "model")
+    kernel = KernelSpec(
+        family=json_field(k, "family", str, "model kernel"),
+        exponent=json_field(k, "exponent", NUMBER, "model kernel"),
+        use_lower_order=json_field(k, "use_lower_order", bool, "model kernel"),
+        gamma=json_field(k, "gamma", NUMBER, "model kernel"),
+        sigma=json_field(k, "sigma", NUMBER, "model kernel"),
+        omega=json_field(k, "omega", NUMBER, "model kernel"),
+        C=json_field(k, "C", NUMBER, "model kernel"),
+    )
     scaling = None
-    if doc["scaling"] is not None:
-        scaling = ScalingParams(mins=tuple(doc["scaling"]["min"]), maxs=tuple(doc["scaling"]["max"]))
-    n_attrs = len(doc["attributes"])
+    if json_field(doc, "scaling", (dict, type(None)), "model") is not None:
+        mins = json_floats(doc["scaling"], "min", "model scaling")
+        maxs = json_floats(doc["scaling"], "max", "model scaling")
+        if not len(mins) == len(maxs) == len(attributes):
+            raise SchemaMismatch("model scaling does not cover the attributes")
+        scaling = ScalingParams(mins=tuple(mins.tolist()), maxs=tuple(maxs.tolist()))
     machines = []
-    for m in doc["machines"]:
-        sv = np.array(m["support_vectors"], dtype=float)
+    for m in json_field(doc, "machines", list, "model"):
+        pair = json_strings(m, "pair", "model machine")
+        sv = json_floats(m, "support_vectors", "model machine", ndim=2)
         if sv.size == 0:
-            sv = np.zeros((0, n_attrs))
+            sv = np.zeros((0, len(attributes)))
+        alphas = json_floats(m, "alphas", "model machine")
+        labels = json_floats(m, "labels", "model machine")
+        sigmoid = json_field(m, "sigmoid", (list, type(None)), "model machine")
+        if sigmoid is not None:
+            sigmoid = tuple(json_floats(m, "sigmoid", "model machine").tolist())
+        if len(pair) != 2 or not set(pair) <= set(classes):
+            raise SchemaMismatch(f"model machine pair {pair} is not two of the classes")
+        if sv.shape != (len(alphas), len(attributes)) or labels.shape != alphas.shape:
+            raise SchemaMismatch("model machine arrays disagree in shape")
+        if sigmoid is not None and len(sigmoid) != 2:
+            raise SchemaMismatch("model machine sigmoid must hold two numbers")
         machines.append(BinarySvmModel(
             support_vectors=sv,
-            alphas=np.array(m["alphas"], dtype=float),
-            labels=np.array(m["labels"], dtype=float),
-            bias=float(m["bias"]),
+            alphas=alphas,
+            labels=labels,
+            bias=float(json_field(m, "bias", NUMBER, "model machine")),
             kernel=kernel,
-            class_pair=(m["pair"][0], m["pair"][1]),
-            sigmoid=None if m["sigmoid"] is None else (m["sigmoid"][0], m["sigmoid"][1]),
-            hit_iteration_cap=bool(m["hit_iteration_cap"]),
+            class_pair=pair,
+            sigmoid=sigmoid,
+            hit_iteration_cap=json_field(m, "hit_iteration_cap", bool, "model machine"),
         ))
     return MulticlassSvmModel(
         machines=machines,
-        classes=tuple(doc["classes"]),
-        attributes=tuple(doc["attributes"]),
-        scheme=LabelScheme(doc["scheme"]),
+        classes=classes,
+        attributes=attributes,
+        scheme=scheme,
         kernel=kernel,
         scaling=scaling,
-        warnings=list(doc.get("warnings", [])),
+        warnings=list(json_strings(doc, "warnings", "model")) if "warnings" in doc else [],
     )

@@ -4,6 +4,7 @@ import pytest
 
 from opdense.cli import main
 from opdense.dataio import read_csv
+from opdense.errors import SchemaMismatch
 from opdense.featsel import load_selection
 from pe_builder import text_only_pe
 
@@ -212,3 +213,93 @@ def test_determinism_full_pipeline(tmp_path):
                          "model.json", "report.txt", "report.txt.json")
         })
     assert outputs[0] == outputs[1]
+
+
+# --- corrupt model and selection files ------------------------------------------
+
+_DROP = object()
+
+
+def _corrupt(doc, path, value):
+    """The document with the entry at ``path`` replaced by ``value`` (or
+    dropped), as JSON text; a ``None`` path makes ``value`` the whole text."""
+    if path is None:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DROP:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return json.dumps(doc)
+
+
+MODEL_DEFECTS = {
+    "not json": (None, "{schema: 1"),
+    "array": (None, "[1, 2]"),
+    "string": (None, '"model"'),
+    "schema only": (None, '{"schema": 1}'),
+    "no kernel": (["kernel"], _DROP),
+    "kernel C a string": (["kernel", "C"], "1.0"),
+    "kernel exponent null": (["kernel", "exponent"], None),
+    "unknown scheme": (["scheme"], "ternary"),
+    "classes a string": (["classes"], "good"),
+    "scaling an array": (["scaling"], [0.0, 1.0]),
+    "scaling too short": (["scaling"], {"min": [0.0], "max": [1.0]}),
+    "machines an object": (["machines"], {}),
+    "machine an array": (["machines", 0], []),
+    "alpha a string": (["machines", 0, "alphas", 0], "x"),
+    "ragged support vectors": (["machines", 0, "support_vectors", 0], [0.5]),
+    "alphas too short": (["machines", 0, "alphas"], [1.0]),
+    "pair outside classes": (["machines", 0, "pair"], ["good", "Locky"]),
+    "bias null": (["machines", 0, "bias"], None),
+    "no cap flag": (["machines", 0, "hit_iteration_cap"], _DROP),
+    "sigmoid of three": (["machines", 0, "sigmoid"], [1.0, 2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("path, value", MODEL_DEFECTS.values(), ids=MODEL_DEFECTS.keys())
+def test_corrupt_model_file_exits_2(pipeline, tmp_path, capsys, path, value):
+    from opdense.svm import load_model
+    text = _corrupt(json.loads((pipeline / "model.json").read_text()), path, value)
+    with pytest.raises(SchemaMismatch):
+        load_model(text)
+    bad = tmp_path / "model.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert run("eval", bad, pipeline / "test.csv", "--out", tmp_path / "r.txt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
+
+
+SELECTION_DEFECTS = {
+    "not json": (None, "]"),
+    "number": (None, "7"),
+    "schema only": (None, '{"schema": 1}'),
+    "no evaluator": (["evaluator"], _DROP),
+    "retained a string": (["retained"], "pc1"),
+    "retained holds a number": (["retained", 0], 1),
+    "threshold a string": (["threshold"], "0.5"),
+    "scores an object": (["scores"], {}),
+    "params a list": (["params"], []),
+    "pca an array": (["pca"], []),
+    "pca means too short": (["pca", "means"], [0.0]),
+    "pca loadings ragged": (["pca", "loadings", 0], []),
+    "pca stds a string": (["pca", "stds"], "none"),
+}
+
+
+@pytest.mark.parametrize("path, value", SELECTION_DEFECTS.values(), ids=SELECTION_DEFECTS.keys())
+def test_corrupt_selection_file_exits_2(pipeline, tmp_path, capsys, path, value):
+    from opdense.featsel import pca_eval, save_selection
+    _, pca = pca_eval(read_csv((pipeline / "train.csv").read_bytes()))
+    text = _corrupt(json.loads(save_selection(pca)), path, value)
+    with pytest.raises(SchemaMismatch):
+        load_selection(text)
+    bad = tmp_path / "sel.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert run("reduce", pipeline / "train.csv", bad, "--out", tmp_path / "r.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import make_dataset
 from opdense.errors import SchemaMismatch, SingleClass
 from opdense.estimators import MinMaxDensityScaler, RankedAttributeSelector, SmoSvmClassifier
+from opdense.featsel import rank_attributes
+from opdense.smo import TrainerConfig
+from opdense.svm import train_pairwise
 
 
 def blobs(seed=0, n_each=15):
@@ -66,6 +70,21 @@ def test_calibrated_classifier_exposes_probabilities():
     assert probs[y == "malware"].mean() > probs[y == "good"].mean()
 
 
+def test_calibrated_classifier_matches_shared_pairwise_trainer():
+    rng = np.random.RandomState(7)
+    X = np.clip(np.vstack([rng.randn(8, 2) * 0.1 + c for c in [(0.2, 0.2), (0.8, 0.3), (0.5, 0.8)]]), 0, 1)
+    y = np.array(["a"] * 8 + ["b"] * 8 + ["c"] * 8, dtype=object)
+    clf = SmoSvmClassifier(kernel="puk", C=10.0, calibrate=True).fit(X, y)
+    expected, _ = train_pairwise(X, y, ("a", "b", "c"), clf._spec(),
+                                 TrainerConfig(calibrate=True))
+    assert len(clf.model_.machines) == len(expected) == 3
+    for got, want in zip(clf.model_.machines, expected):
+        assert got.class_pair == want.class_pair
+        assert np.array_equal(got.alphas, want.alphas)
+        assert got.bias == want.bias
+        assert got.sigmoid is not None and got.sigmoid == want.sigmoid
+
+
 def test_scaler_matches_dataset_semantics():
     X = np.array([[0.2, 1.0], [0.4, 1.0], [0.6, 1.0]])
     scaler = MinMaxDensityScaler().fit(X)
@@ -118,3 +137,23 @@ def test_selector_transform_width_check():
     sel = RankedAttributeSelector(evaluator="correlation", threshold=-1.0).fit(X, y)
     with pytest.raises(SchemaMismatch):
         sel.transform(X[:, :2])
+
+
+@pytest.mark.parametrize("evaluator", ["info_gain", "gain_ratio", "symm_uncert", "correlation", "one_r", "relieff"])
+def test_selector_scores_match_rank_attributes(evaluator):
+    rng = np.random.RandomState(8)
+    y = np.array(["good", "malware"] * 12, dtype=object)
+    X = np.column_stack([(y == "malware") * 0.6 + rng.rand(24) * 0.4, rng.rand(24), rng.rand(24)])
+    ds = make_dataset(X, y)
+    sel = RankedAttributeSelector(evaluator=evaluator).fit(X, y)
+    assert list(sel.scores_) == [s.score for s in rank_attributes(ds, evaluator)]
+
+
+@pytest.mark.parametrize("evaluator", ["pca", "cfs_subset", "nonsense"])
+def test_non_ranking_evaluator_rejected(evaluator):
+    X = np.random.RandomState(9).rand(10, 2)
+    y = np.array(["good", "malware"] * 5, dtype=object)
+    with pytest.raises(SchemaMismatch):
+        RankedAttributeSelector(evaluator=evaluator).fit(X, y)
+    with pytest.raises(SchemaMismatch):
+        rank_attributes(make_dataset(X, y), evaluator)

@@ -152,6 +152,25 @@ def test_bias_with_all_multipliers_at_a_bound_lies_in_kkt_interval():
     assert t[lower].max() <= sol.bias <= t[~lower].min()
 
 
+@pytest.mark.parametrize("spec", [
+    KernelSpec(family="poly", exponent=2.0, use_lower_order=True, C=10.0),
+    KernelSpec(family="rbf", gamma=1.0, C=10.0),
+    KernelSpec(family="puk", C=10.0),
+], ids=lambda spec: spec.family)
+def test_pair_without_curvature_steps_to_the_box(spec):
+    # rows 0 and 1 coincide with opposite labels, so K_00 + K_11 - 2K_01 = 0
+    # and the first working pair is cut only by the box
+    X = np.array([[0.2, 0.3], [0.2, 0.3], [0.8, 0.1], [0.5, 0.9], [0.9, 0.7]])
+    y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+    g = gram_matrix(spec, X)
+    assert g[0, 0] + g[1, 1] - 2.0 * g[0, 1] == 0.0
+    sol = smo_solve(g, y, spec.C, tolerance=1e-6, max_iterations=200_000)
+    assert not sol.hit_iteration_cap
+    assert kkt_violation(g, y, sol.alphas, sol.bias, spec.C) <= 1e-6 + 1e-9
+    oracle = qp_oracle(g, y, spec.C)
+    assert abs(sol.objective - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+
 def test_oracle_sign_agreement_excluding_boundary_points():
     rng = np.random.RandomState(321)
     for _ in range(10):
