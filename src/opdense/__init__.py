@@ -44,7 +44,7 @@ from .svm import (
     train_multiclass,
 )
 from .synth import generate_corpus
-from .x86 import DecodedCount, DecoderProfile, count_opcodes, decode_one, histogram_from_pe, sweep
+from .x86 import DecodedCount, count_opcodes, decode_one, histogram_from_pe, sweep
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "ConfusionMatrix",
     "Dataset",
     "DecodedCount",
-    "DecoderProfile",
     "EvalReport",
     "FAMILY_LABELS",
     "IqrFlags",

@@ -23,7 +23,7 @@ from . import featsel
 from .dataio import format_for_path, read_dataset, write_dataset
 from .dataset import Dataset, iqr_flag, minmax_scale, shuffle, sort_attributes_by_mean_density, split_percentage
 from .dataset import assemble, build_master_list
-from .errors import OpdenseError, UsageError
+from .errors import OpdenseError, UsageError, decode_utf8
 from .evaluation import (
     cross_validate,
     default_grid,
@@ -34,12 +34,13 @@ from .evaluation import (
     report_to_json,
 )
 from .kernels import KERNEL_FAMILIES, KernelSpec
+from .pe import parse_pe
 from .reports import read_manifest, scan_directory, format_report
 from .rounding import fixed
 from .smo import TrainerConfig
 from .svm import load_model, save_model, train_multiclass
 from .synth import generate_corpus
-from .x86 import histogram_from_pe
+from .x86 import count_opcodes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,6 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_ds(path: str) -> Dataset:
     return read_dataset(Path(path).read_bytes(), format_for_path(path))
+
+
+def _read_text(path: str) -> str:
+    return decode_utf8(Path(path).read_bytes(), path)
 
 
 def _write_ds(ds: Dataset, path: str) -> None:
@@ -121,13 +126,15 @@ def cmd_disasm(args) -> int:
     failures = 0
     for path in sorted(Path(p) for p in args.pe_files):
         try:
-            histogram = histogram_from_pe(path.read_bytes(), path.stem)
+            counted = count_opcodes(parse_pe(path.read_bytes()))
+            histogram = counted.histogram(path.stem)
         except OpdenseError as exc:
             failures += 1
             print(f"error: {type(exc).__name__}: {path}: {exc}", file=sys.stderr)
             continue
         (out_dir / f"{path.stem}.txt").write_bytes(format_report(histogram).encode("utf-8"))
-        print(f"{path.name}: {histogram.total} instructions, {len(histogram.counts)} distinct opcodes")
+        print(f"{path.name}: {histogram.total} instructions, {len(histogram.counts)} distinct opcodes, "
+              f"{counted.unknown_bytes} unknown bytes")
     if failures:
         print(f"{failures} file(s) failed", file=sys.stderr)
     return 2 if failures else 0
@@ -197,7 +204,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(Path(args.model).read_text(encoding="utf-8"))
+    model = load_model(_read_text(args.model))
     test = _read_ds(args.test)
     report = holdout_evaluate(model, test)
     _write_report(render_report(report), report_to_json(report), args.out, args.stamp)
@@ -254,7 +261,7 @@ def cmd_select(args) -> int:
 
 def cmd_reduce(args) -> int:
     ds = _read_ds(args.input)
-    selection = featsel.load_selection(Path(args.selection).read_text(encoding="utf-8"))
+    selection = featsel.load_selection(_read_text(args.selection))
     reduced = featsel.reduce_dataset(ds, selection)
     _write_ds(reduced, args.out)
     print(f"reduced {ds.n_attributes} -> {reduced.n_attributes} attributes")
@@ -294,7 +301,7 @@ def cmd_tune_kernel(args) -> int:
 def cmd_tune_threshold(args) -> int:
     train = _read_ds(args.train)
     test = _read_ds(args.test)
-    selection = featsel.load_selection(Path(args.selection).read_text(encoding="utf-8"))
+    selection = featsel.load_selection(_read_text(args.selection))
     if not selection.scores:
         raise UsageError("the selection file carries no attribute scores to sweep")
     spec = _kernel_spec(args)
@@ -326,7 +333,7 @@ def cmd_rank_aggregate(args) -> int:
         raise UsageError(f"rank aggregation needs exactly 7 selection files, got {len(args.selections)}")
     lists = []
     for path in args.selections:
-        selection = featsel.load_selection(Path(path).read_text(encoding="utf-8"))
+        selection = featsel.load_selection(_read_text(path))
         if selection.evaluator == "pca":
             raise UsageError("principal components carry no attribute ranking; exclude that file")
         lists.append(selection.retained[:21])

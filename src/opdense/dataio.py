@@ -16,7 +16,7 @@ import re
 import numpy as np
 
 from .dataset import Dataset
-from .errors import SchemaMismatch
+from .errors import SchemaMismatch, decode_utf8
 from .labels import LabelScheme, infer_scheme, scheme_labels
 from .rounding import fixed
 
@@ -31,7 +31,7 @@ def write_csv(ds: Dataset) -> bytes:
 
 
 def read_csv(data: bytes) -> Dataset:
-    text = data.decode("utf-8")
+    text = decode_utf8(data, "CSV dataset")
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise SchemaMismatch("empty CSV")
@@ -71,7 +71,7 @@ _ATTR_RE = re.compile(r"^@attribute\s+(\S+)\s+(.+)$", re.IGNORECASE)
 
 
 def read_arff(data: bytes) -> Dataset:
-    text = data.decode("utf-8")
+    text = decode_utf8(data, "ARFF dataset")
     attributes: list[str] = []
     class_values: tuple[str, ...] | None = None
     rows: list[list[float]] = []

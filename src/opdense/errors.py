@@ -102,6 +102,14 @@ class SchemaMismatch(DataError):
     pass
 
 
+def decode_utf8(data: bytes, what: str) -> str:
+    """``data`` as UTF-8 text: the one decoding of every text input file."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"{what} is not UTF-8 text: {exc}") from None
+
+
 # --- SVM ----------------------------------------------------------------------
 
 class DimensionMismatch(DataError):

@@ -10,6 +10,7 @@ counts and the total.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,7 @@ from .errors import (
     MalformedLine,
     NoFilesFound,
     UnresolvedLabel,
+    decode_utf8,
 )
 from .labels import ClassLabel, LabelScheme, infer_scheme
 from .rounding import round_half_up_fraction
@@ -124,16 +126,16 @@ class ScanResult:
 def read_manifest(path: Path | str) -> dict[str, str]:
     """Two-column CSV ``sample_id,label``; a literal header row is skipped."""
     out: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise MalformedLine(0, ",".join(row), "manifest rows must have two columns")
-            sid, label = row[0].strip(), row[1].strip()
-            if (sid, label) == ("sample_id", "label"):
-                continue
-            out[sid] = label
+    text = decode_utf8(Path(path).read_bytes(), f"manifest {path}")
+    for row in csv.reader(io.StringIO(text, newline="")):
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        if len(row) != 2:
+            raise MalformedLine(0, ",".join(row), "manifest rows must have two columns")
+        sid, label = row[0].strip(), row[1].strip()
+        if (sid, label) == ("sample_id", "label"):
+            continue
+        out[sid] = label
     return out
 
 

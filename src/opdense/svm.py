@@ -58,7 +58,7 @@ class MulticlassSvmModel:
     machines: list[BinarySvmModel]
     classes: tuple[str, ...]
     attributes: tuple[str, ...]
-    scheme: LabelScheme
+    scheme: LabelScheme | None  # None for a model fitted on bare arrays
     kernel: KernelSpec
     scaling: ScalingParams | None = None
     warnings: list[str] = field(default_factory=list)
@@ -235,7 +235,7 @@ def _round8(values) -> list:
 def save_model(model: MulticlassSvmModel) -> str:
     doc = {
         "schema": MODEL_SCHEMA_VERSION,
-        "scheme": model.scheme.value,
+        "scheme": None if model.scheme is None else model.scheme.value,
         "classes": list(model.classes),
         "attributes": list(model.attributes),
         "kernel": {
@@ -274,10 +274,11 @@ def load_model(text: str) -> MulticlassSvmModel:
         raise SchemaMismatch(f"unsupported model schema {doc.get('schema')!r}")
     classes = json_strings(doc, "classes", "model")
     attributes = json_strings(doc, "attributes", "model")
+    scheme = json_field(doc, "scheme", (str, type(None)), "model")
     try:
-        scheme = LabelScheme(json_field(doc, "scheme", str, "model"))
+        scheme = None if scheme is None else LabelScheme(scheme)
     except ValueError:
-        raise SchemaMismatch(f"unknown label scheme {doc['scheme']!r}") from None
+        raise SchemaMismatch(f"unknown label scheme {scheme!r}") from None
     k = json_field(doc, "kernel", dict, "model")
     kernel = KernelSpec(
         family=json_field(k, "family", str, "model kernel"),

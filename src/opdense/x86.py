@@ -16,6 +16,16 @@ counting conventions: string operations collapse to their size-less stem
 full condition (ja, jnb, setnbe, cmovnle, ...), and an x87 instruction
 fused with a preceding wait byte (9B) is counted as its wait form
 (fstsw, finit, ...) while a bare 9B counts as wait.
+
+Every opcode resolves through flat 256-entry tables built once at
+import: ``ONE_BYTE``, ``TWO_BYTE`` (the 0F map under each mandatory
+prefix - none, 66, F2, F3 - with the plain entry standing in where a
+prefix has none of its own), ``THREE_BYTE_38`` and ``THREE_BYTE_3A``.
+An entry is ``(mnemonic, immediate code, modrm)`` or None. ``modrm`` is
+False when no ModRM byte follows, True when one follows and leaves the
+mnemonic alone, and otherwise a 256-entry table indexed by the ModRM byte
+that gives ``(mnemonic, immediate code)`` or None: the opcode groups and
+the x87 escapes all resolve that way.
 """
 
 from __future__ import annotations
@@ -29,45 +39,58 @@ from .reports import OpcodeHistogram
 PREFIX_BYTES = frozenset({0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67, 0xF0, 0xF2, 0xF3})
 MAX_INSTRUCTION_LENGTH = 15
 
-# immediate codes: ib/iw/id fixed bytes, iz and relz shrink to 16 bits
-# under the operand-size prefix, ptr is a far pointer, moffs follows the
-# address size, enter is iw+ib
-_IMM_FIXED = {"ib": 1, "iw": 2, "id": 4, "rel8": 1, "enter": 3}
+# immediate bytes by code, indexed by osize16 + 2 * asize16: iz (also
+# rel16/32) shrinks to 16 bits under the operand-size prefix, ptr is a
+# far pointer, moffs follows the address size, enter is iw + ib
+_IMMEDIATE_LENGTHS = {
+    None: (0, 0, 0, 0),
+    "ib": (1, 1, 1, 1),
+    "iw": (2, 2, 2, 2),
+    "enter": (3, 3, 3, 3),
+    "iz": (4, 2, 4, 2),
+    "ptr": (6, 4, 6, 4),
+    "moffs": (4, 4, 2, 2),
+}
 
 
-@dataclass(frozen=True)
-class OpSpec:
-    mnemonic: str | None
-    modrm: bool = False
-    imm: str | None = None
-    group: str | None = None
+def _op(name: str, imm: str | None = None) -> tuple:
+    return (name, imm, False)
+
+
+def _rm(name: str, imm: str | None = None) -> tuple:
+    return (name, imm, True)
+
+
+def _block(base: int, name: str, count: int = 8) -> dict[int, str]:
+    return {base + i: name for i in range(count)}
+
+
+def _group(mem: tuple, imm=None, reg: dict[int, str] | None = None) -> tuple:
+    """A ModRM-extended opcode. Memory forms (mod != 3) take their name
+    from ``mem`` by the reg field; register forms take it from ``reg``,
+    keyed by the whole ModRM byte, or from ``mem`` too when ``reg`` is
+    None. ``imm`` is one immediate code, or a tuple of one per reg field."""
+    imms = imm if isinstance(imm, tuple) else (imm,) * 8
+    forms = [None if name is None else (name, imms[r]) for r, name in enumerate(mem)]
+    table = [forms[(m >> 3) & 7] for m in range(256)]
+    if reg is not None:
+        named = {name: (name, None) for name in reg.values()}
+        table[0xC0:] = [named.get(reg.get(m)) for m in range(0xC0, 0x100)]
+    return (None, None, tuple(table))
 
 
 _JCC = ("jo", "jno", "jb", "jnb", "jz", "jnz", "jbe", "ja",
         "js", "jns", "jp", "jnp", "jl", "jge", "jle", "jg")
 _CC = ("o", "no", "b", "nb", "z", "nz", "be", "nbe",
        "s", "ns", "p", "np", "l", "nl", "le", "nle")
+_NONE = (None,) * 8
+_GRP1 = ("add", "or", "adc", "sbb", "and", "sub", "xor", "cmp")
+_GRP2 = ("rol", "ror", "rcl", "rcr", "shl", "shr", "shl", "sar")
+_GRP3 = ("test", "test", "not", "neg", "mul", "imul", "div", "idiv")
+_GRP11 = ("mov",) + _NONE[1:]
 
-_GROUPS: dict[str, tuple[str | None, ...]] = {
-    "grp1": ("add", "or", "adc", "sbb", "and", "sub", "xor", "cmp"),
-    "grp1a": ("pop", None, None, None, None, None, None, None),
-    "grp2": ("rol", "ror", "rcl", "rcr", "shl", "shr", "shl", "sar"),
-    "grp3b": ("test", "test", "not", "neg", "mul", "imul", "div", "idiv"),
-    "grp3z": ("test", "test", "not", "neg", "mul", "imul", "div", "idiv"),
-    "grp4": ("inc", "dec", None, None, None, None, None, None),
-    "grp5": ("inc", "dec", "call", "call", "jmp", "jmp", "push", None),
-    "grp6": ("sldt", "str", "lldt", "ltr", "verr", "verw", None, None),
-    "grp7": ("sgdt", "sidt", "lgdt", "lidt", "smsw", None, "lmsw", "invlpg"),
-    "grp8": (None, None, None, None, "bt", "bts", "btr", "btc"),
-    "grp11": ("mov", None, None, None, None, None, None, None),
-    "grp12": (None, None, "psrlw", None, "psraw", None, "psllw", None),
-    "grp13": (None, None, "psrld", None, "psrad", None, "pslld", None),
-    "grp14": (None, None, "psrlq", "psrldq", None, None, "psllq", "pslldq"),
-    "grp9": (None, "cmpxchg8b", None, None, None, None, None, None),
-}
-
-# x87 memory forms, selected by the modrm reg field
-_X87_MEM: dict[int, tuple[str | None, ...]] = {
+# x87 escapes: memory forms by the reg field, register forms by ModRM byte
+_X87_MEM = {
     0xD8: ("fadd", "fmul", "fcom", "fcomp", "fsub", "fsubr", "fdiv", "fdivr"),
     0xD9: ("fld", None, "fst", "fstp", "fldenv", "fldcw", "fnstenv", "fnstcw"),
     0xDA: ("fiadd", "fimul", "ficom", "ficomp", "fisub", "fisubr", "fidiv", "fidivr"),
@@ -77,163 +100,156 @@ _X87_MEM: dict[int, tuple[str | None, ...]] = {
     0xDE: ("fiadd", "fimul", "ficom", "ficomp", "fisub", "fisubr", "fidiv", "fidivr"),
     0xDF: ("fild", "fisttp", "fist", "fistp", "fbld", "fild", "fbstp", "fistp"),
 }
+_X87_REG = {
+    0xD8: {**_block(0xC0, "fadd"), **_block(0xC8, "fmul"), **_block(0xD0, "fcom"),
+           **_block(0xD8, "fcomp"), **_block(0xE0, "fsub"), **_block(0xE8, "fsubr"),
+           **_block(0xF0, "fdiv"), **_block(0xF8, "fdivr")},
+    0xD9: {**_block(0xC0, "fld"), **_block(0xC8, "fxch"), 0xD0: "fnop",
+           0xE0: "fchs", 0xE1: "fabs", 0xE4: "ftst", 0xE5: "fxam",
+           0xE8: "fld1", 0xE9: "fldl2t", 0xEA: "fldl2e", 0xEB: "fldpi",
+           0xEC: "fldlg2", 0xED: "fldln2", 0xEE: "fldz",
+           0xF0: "f2xm1", 0xF1: "fyl2x", 0xF2: "fptan", 0xF3: "fpatan",
+           0xF4: "fxtract", 0xF5: "fprem1", 0xF6: "fdecstp", 0xF7: "fincstp",
+           0xF8: "fprem", 0xF9: "fyl2xp1", 0xFA: "fsqrt", 0xFB: "fsincos",
+           0xFC: "frndint", 0xFD: "fscale", 0xFE: "fsin", 0xFF: "fcos"},
+    0xDA: {**_block(0xC0, "fcmovb"), **_block(0xC8, "fcmove"),
+           **_block(0xD0, "fcmovbe"), **_block(0xD8, "fcmovu"), 0xE9: "fucompp"},
+    0xDB: {**_block(0xC0, "fcmovnb"), **_block(0xC8, "fcmovne"),
+           **_block(0xD0, "fcmovnbe"), **_block(0xD8, "fcmovnu"),
+           0xE2: "fnclex", 0xE3: "fninit",
+           **_block(0xE8, "fucomi"), **_block(0xF0, "fcomi")},
+    0xDC: {**_block(0xC0, "fadd"), **_block(0xC8, "fmul"), **_block(0xE0, "fsubr"),
+           **_block(0xE8, "fsub"), **_block(0xF0, "fdivr"), **_block(0xF8, "fdiv")},
+    0xDD: {**_block(0xC0, "ffree"), **_block(0xD0, "fst"), **_block(0xD8, "fstp"),
+           **_block(0xE0, "fucom"), **_block(0xE8, "fucomp")},
+    0xDE: {**_block(0xC0, "faddp"), **_block(0xC8, "fmulp"), 0xD9: "fcompp",
+           **_block(0xE0, "fsubrp"), **_block(0xE8, "fsubp"),
+           **_block(0xF0, "fdivrp"), **_block(0xF8, "fdivp")},
+    0xDF: {0xE0: "fnstsw", **_block(0xE8, "fucomip"), **_block(0xF0, "fcomip")},
+}
 
 
-def _x87_register_forms() -> dict[int, dict[int, str]]:
-    def block(base: int, name: str, count: int = 8) -> dict[int, str]:
-        return {base + i: name for i in range(count)}
-
-    d9 = {**block(0xC0, "fld"), **block(0xC8, "fxch"), 0xD0: "fnop",
-          0xE0: "fchs", 0xE1: "fabs", 0xE4: "ftst", 0xE5: "fxam",
-          0xE8: "fld1", 0xE9: "fldl2t", 0xEA: "fldl2e", 0xEB: "fldpi",
-          0xEC: "fldlg2", 0xED: "fldln2", 0xEE: "fldz",
-          0xF0: "f2xm1", 0xF1: "fyl2x", 0xF2: "fptan", 0xF3: "fpatan",
-          0xF4: "fxtract", 0xF5: "fprem1", 0xF6: "fdecstp", 0xF7: "fincstp",
-          0xF8: "fprem", 0xF9: "fyl2xp1", 0xFA: "fsqrt", 0xFB: "fsincos",
-          0xFC: "frndint", 0xFD: "fscale", 0xFE: "fsin", 0xFF: "fcos"}
-    return {
-        0xD8: {**block(0xC0, "fadd"), **block(0xC8, "fmul"), **block(0xD0, "fcom"),
-               **block(0xD8, "fcomp"), **block(0xE0, "fsub"), **block(0xE8, "fsubr"),
-               **block(0xF0, "fdiv"), **block(0xF8, "fdivr")},
-        0xD9: d9,
-        0xDA: {**block(0xC0, "fcmovb"), **block(0xC8, "fcmove"),
-               **block(0xD0, "fcmovbe"), **block(0xD8, "fcmovu"), 0xE9: "fucompp"},
-        0xDB: {**block(0xC0, "fcmovnb"), **block(0xC8, "fcmovne"),
-               **block(0xD0, "fcmovnbe"), **block(0xD8, "fcmovnu"),
-               0xE2: "fnclex", 0xE3: "fninit",
-               **block(0xE8, "fucomi"), **block(0xF0, "fcomi")},
-        0xDC: {**block(0xC0, "fadd"), **block(0xC8, "fmul"), **block(0xE0, "fsubr"),
-               **block(0xE8, "fsub"), **block(0xF0, "fdivr"), **block(0xF8, "fdiv")},
-        0xDD: {**block(0xC0, "ffree"), **block(0xD0, "fst"), **block(0xD8, "fstp"),
-               **block(0xE0, "fucom"), **block(0xE8, "fucomp")},
-        0xDE: {**block(0xC0, "faddp"), **block(0xC8, "fmulp"), 0xD9: "fcompp",
-               **block(0xE0, "fsubrp"), **block(0xE8, "fsubp"),
-               **block(0xF0, "fdivrp"), **block(0xF8, "fdivp")},
-        0xDF: {0xE0: "fnstsw", **block(0xE8, "fucomip"), **block(0xF0, "fcomip")},
-    }
-
-
-def _one_byte_table() -> dict[int, OpSpec]:
-    t: dict[int, OpSpec] = {}
-    for base, name in ((0x00, "add"), (0x08, "or"), (0x10, "adc"), (0x18, "sbb"),
-                       (0x20, "and"), (0x28, "sub"), (0x30, "xor"), (0x38, "cmp")):
+def _one_byte_table() -> tuple:
+    t: list = [None] * 256
+    for i, name in enumerate(_GRP1):
         for off in range(4):
-            t[base + off] = OpSpec(name, modrm=True)
-        t[base + 4] = OpSpec(name, imm="ib")
-        t[base + 5] = OpSpec(name, imm="iz")
+            t[8 * i + off] = _rm(name)
+        t[8 * i + 4] = _op(name, "ib")
+        t[8 * i + 5] = _op(name, "iz")
     for code, name in ((0x06, "push"), (0x07, "pop"), (0x0E, "push"), (0x16, "push"),
                        (0x17, "pop"), (0x1E, "push"), (0x1F, "pop"),
                        (0x27, "daa"), (0x2F, "das"), (0x37, "aaa"), (0x3F, "aas")):
-        t[code] = OpSpec(name)
+        t[code] = _op(name)
     for i in range(8):
-        t[0x40 + i] = OpSpec("inc")
-        t[0x48 + i] = OpSpec("dec")
-        t[0x50 + i] = OpSpec("push")
-        t[0x58 + i] = OpSpec("pop")
-    t[0x60] = OpSpec("pusha")
-    t[0x61] = OpSpec("popa")
-    t[0x62] = OpSpec("bound", modrm=True)
-    t[0x63] = OpSpec("arpl", modrm=True)
-    t[0x68] = OpSpec("push", imm="iz")
-    t[0x69] = OpSpec("imul", modrm=True, imm="iz")
-    t[0x6A] = OpSpec("push", imm="ib")
-    t[0x6B] = OpSpec("imul", modrm=True, imm="ib")
-    t[0x6C] = t[0x6D] = OpSpec("ins")
-    t[0x6E] = t[0x6F] = OpSpec("outs")
+        t[0x40 + i] = _op("inc")
+        t[0x48 + i] = _op("dec")
+        t[0x50 + i] = _op("push")
+        t[0x58 + i] = _op("pop")
+    t[0x60] = _op("pusha")
+    t[0x61] = _op("popa")
+    t[0x62] = _rm("bound")
+    t[0x63] = _rm("arpl")
+    t[0x68] = _op("push", "iz")
+    t[0x69] = _rm("imul", "iz")
+    t[0x6A] = _op("push", "ib")
+    t[0x6B] = _rm("imul", "ib")
+    t[0x6C] = t[0x6D] = _op("ins")
+    t[0x6E] = t[0x6F] = _op("outs")
     for i, cc in enumerate(_JCC):
-        t[0x70 + i] = OpSpec(cc, imm="rel8")
-    t[0x80] = OpSpec(None, modrm=True, imm="ib", group="grp1")
-    t[0x81] = OpSpec(None, modrm=True, imm="iz", group="grp1")
-    t[0x82] = OpSpec(None, modrm=True, imm="ib", group="grp1")
-    t[0x83] = OpSpec(None, modrm=True, imm="ib", group="grp1")
-    t[0x84] = t[0x85] = OpSpec("test", modrm=True)
-    t[0x86] = t[0x87] = OpSpec("xchg", modrm=True)
+        t[0x70 + i] = _op(cc, "ib")
+    t[0x80] = t[0x82] = t[0x83] = _group(_GRP1, "ib")
+    t[0x81] = _group(_GRP1, "iz")
+    t[0x84] = t[0x85] = _rm("test")
+    t[0x86] = t[0x87] = _rm("xchg")
     for code in (0x88, 0x89, 0x8A, 0x8B, 0x8C, 0x8E):
-        t[code] = OpSpec("mov", modrm=True)
-    t[0x8D] = OpSpec("lea", modrm=True)
-    t[0x8F] = OpSpec(None, modrm=True, group="grp1a")
-    t[0x90] = OpSpec("nop")
+        t[code] = _rm("mov")
+    t[0x8D] = _rm("lea")
+    t[0x8F] = _group(("pop",) + _NONE[1:])
+    t[0x90] = _op("nop")
     for i in range(1, 8):
-        t[0x90 + i] = OpSpec("xchg")
-    t[0x98] = OpSpec("cwde")
-    t[0x99] = OpSpec("cdq")
-    t[0x9A] = OpSpec("call", imm="ptr")
-    t[0x9C] = OpSpec("pushf")
-    t[0x9D] = OpSpec("popf")
-    t[0x9E] = OpSpec("sahf")
-    t[0x9F] = OpSpec("lahf")
+        t[0x90 + i] = _op("xchg")
+    t[0x98] = _op("cwde")
+    t[0x99] = _op("cdq")
+    t[0x9A] = _op("call", "ptr")
+    t[0x9C] = _op("pushf")
+    t[0x9D] = _op("popf")
+    t[0x9E] = _op("sahf")
+    t[0x9F] = _op("lahf")
     for code in (0xA0, 0xA1, 0xA2, 0xA3):
-        t[code] = OpSpec("mov", imm="moffs")
-    t[0xA4] = t[0xA5] = OpSpec("movs")
-    t[0xA6] = t[0xA7] = OpSpec("cmps")
-    t[0xA8] = OpSpec("test", imm="ib")
-    t[0xA9] = OpSpec("test", imm="iz")
-    t[0xAA] = t[0xAB] = OpSpec("stos")
-    t[0xAC] = t[0xAD] = OpSpec("lods")
-    t[0xAE] = t[0xAF] = OpSpec("scas")
+        t[code] = _op("mov", "moffs")
+    t[0xA4] = t[0xA5] = _op("movs")
+    t[0xA6] = t[0xA7] = _op("cmps")
+    t[0xA8] = _op("test", "ib")
+    t[0xA9] = _op("test", "iz")
+    t[0xAA] = t[0xAB] = _op("stos")
+    t[0xAC] = t[0xAD] = _op("lods")
+    t[0xAE] = t[0xAF] = _op("scas")
     for i in range(8):
-        t[0xB0 + i] = OpSpec("mov", imm="ib")
-        t[0xB8 + i] = OpSpec("mov", imm="iz")
-    t[0xC0] = OpSpec(None, modrm=True, imm="ib", group="grp2")
-    t[0xC1] = OpSpec(None, modrm=True, imm="ib", group="grp2")
-    t[0xC2] = OpSpec("ret", imm="iw")
-    t[0xC3] = OpSpec("ret")
-    t[0xC4] = OpSpec("les", modrm=True)
-    t[0xC5] = OpSpec("lds", modrm=True)
-    t[0xC6] = OpSpec(None, modrm=True, imm="ib", group="grp11")
-    t[0xC7] = OpSpec(None, modrm=True, imm="iz", group="grp11")
-    t[0xC8] = OpSpec("enter", imm="enter")
-    t[0xC9] = OpSpec("leave")
-    t[0xCA] = OpSpec("retf", imm="iw")
-    t[0xCB] = OpSpec("retf")
-    t[0xCC] = OpSpec("int3")
-    t[0xCD] = OpSpec("int", imm="ib")
-    t[0xCE] = OpSpec("into")
-    t[0xCF] = OpSpec("iret")
-    for code in (0xD0, 0xD1, 0xD2, 0xD3):
-        t[code] = OpSpec(None, modrm=True, group="grp2")
-    t[0xD4] = OpSpec("aam", imm="ib")
-    t[0xD5] = OpSpec("aad", imm="ib")
-    t[0xD6] = OpSpec("salc")
-    t[0xD7] = OpSpec("xlat")
+        t[0xB0 + i] = _op("mov", "ib")
+        t[0xB8 + i] = _op("mov", "iz")
+    t[0xC0] = t[0xC1] = _group(_GRP2, "ib")
+    t[0xC2] = _op("ret", "iw")
+    t[0xC3] = _op("ret")
+    t[0xC4] = _rm("les")
+    t[0xC5] = _rm("lds")
+    t[0xC6] = _group(_GRP11, "ib")
+    t[0xC7] = _group(_GRP11, "iz")
+    t[0xC8] = _op("enter", "enter")
+    t[0xC9] = _op("leave")
+    t[0xCA] = _op("retf", "iw")
+    t[0xCB] = _op("retf")
+    t[0xCC] = _op("int3")
+    t[0xCD] = _op("int", "ib")
+    t[0xCE] = _op("into")
+    t[0xCF] = _op("iret")
+    t[0xD0] = t[0xD1] = t[0xD2] = t[0xD3] = _group(_GRP2)
+    t[0xD4] = _op("aam", "ib")
+    t[0xD5] = _op("aad", "ib")
+    t[0xD6] = _op("salc")
+    t[0xD7] = _op("xlat")
     for code in range(0xD8, 0xE0):
-        t[code] = OpSpec(None, modrm=True, group="x87")
-    t[0xE0] = OpSpec("loopne", imm="rel8")
-    t[0xE1] = OpSpec("loope", imm="rel8")
-    t[0xE2] = OpSpec("loop", imm="rel8")
-    t[0xE3] = OpSpec("jecxz", imm="rel8")
-    t[0xE4] = t[0xE5] = OpSpec("in", imm="ib")
-    t[0xE6] = t[0xE7] = OpSpec("out", imm="ib")
-    t[0xE8] = OpSpec("call", imm="relz")
-    t[0xE9] = OpSpec("jmp", imm="relz")
-    t[0xEA] = OpSpec("jmp", imm="ptr")
-    t[0xEB] = OpSpec("jmp", imm="rel8")
-    t[0xEC] = t[0xED] = OpSpec("in")
-    t[0xEE] = t[0xEF] = OpSpec("out")
-    t[0xF1] = OpSpec("int1")
-    t[0xF4] = OpSpec("hlt")
-    t[0xF5] = OpSpec("cmc")
-    t[0xF6] = OpSpec(None, modrm=True, group="grp3b")
-    t[0xF7] = OpSpec(None, modrm=True, group="grp3z")
-    t[0xF8] = OpSpec("clc")
-    t[0xF9] = OpSpec("stc")
-    t[0xFA] = OpSpec("cli")
-    t[0xFB] = OpSpec("sti")
-    t[0xFC] = OpSpec("cld")
-    t[0xFD] = OpSpec("std")
-    t[0xFE] = OpSpec(None, modrm=True, group="grp4")
-    t[0xFF] = OpSpec(None, modrm=True, group="grp5")
-    return t
+        t[code] = _group(_X87_MEM[code], reg=_X87_REG[code])
+    t[0xE0] = _op("loopne", "ib")
+    t[0xE1] = _op("loope", "ib")
+    t[0xE2] = _op("loop", "ib")
+    t[0xE3] = _op("jecxz", "ib")
+    t[0xE4] = t[0xE5] = _op("in", "ib")
+    t[0xE6] = t[0xE7] = _op("out", "ib")
+    t[0xE8] = _op("call", "iz")
+    t[0xE9] = _op("jmp", "iz")
+    t[0xEA] = _op("jmp", "ptr")
+    t[0xEB] = _op("jmp", "ib")
+    t[0xEC] = t[0xED] = _op("in")
+    t[0xEE] = t[0xEF] = _op("out")
+    t[0xF1] = _op("int1")
+    t[0xF4] = _op("hlt")
+    t[0xF5] = _op("cmc")
+    # only test (reg 0 and 1) of group 3 carries an immediate
+    t[0xF6] = _group(_GRP3, ("ib", "ib") + _NONE[2:])
+    t[0xF7] = _group(_GRP3, ("iz", "iz") + _NONE[2:])
+    t[0xF8] = _op("clc")
+    t[0xF9] = _op("stc")
+    t[0xFA] = _op("cli")
+    t[0xFB] = _op("sti")
+    t[0xFC] = _op("cld")
+    t[0xFD] = _op("std")
+    t[0xFE] = _group(("inc", "dec") + _NONE[2:])
+    t[0xFF] = _group(("inc", "dec", "call", "call", "jmp", "jmp", "push", None))
+    return tuple(t)
 
 
-def _two_byte_table() -> dict[tuple[int | None, int], OpSpec]:
-    t: dict[tuple[int | None, int], OpSpec] = {}
+def _two_byte_tables() -> dict[int | None, tuple]:
+    maps: dict[int | None, list] = {prefix: [None] * 256 for prefix in (None, 0x66, 0xF2, 0xF3)}
 
     def put(op: int, name: str, prefix: int | None = None, modrm: bool = True, imm: str | None = None):
-        t[(prefix, op)] = OpSpec(name, modrm=modrm, imm=imm)
+        maps[prefix][op] = (name, imm, modrm)
 
-    t[(None, 0x00)] = OpSpec(None, modrm=True, group="grp6")
-    t[(None, 0x01)] = OpSpec(None, modrm=True, group="grp7")
+    plain = maps[None]
+    plain[0x00] = _group(("sldt", "str", "lldt", "ltr", "verr", "verw", None, None))
+    # the register forms of group 7 are mostly virtualization and state
+    # opcodes outside the decoder's coverage; only smsw and lmsw keep them
+    plain[0x01] = _group(("sgdt", "sidt", "lgdt", "lidt", "smsw", None, "lmsw", "invlpg"),
+                         reg={**_block(0xE0, "smsw"), **_block(0xF0, "lmsw")})
     put(0x02, "lar")
     put(0x03, "lsl")
     put(0x06, "clts", modrm=False)
@@ -289,15 +305,15 @@ def _two_byte_table() -> dict[tuple[int | None, int], OpSpec]:
     put(0x6F, "movq"); put(0x6F, "movdqa", 0x66); put(0x6F, "movdqu", 0xF3)
     put(0x70, "pshufw", imm="ib"); put(0x70, "pshufd", 0x66, imm="ib")
     put(0x70, "pshufhw", 0xF3, imm="ib"); put(0x70, "pshuflw", 0xF2, imm="ib")
-    t[(None, 0x71)] = OpSpec(None, modrm=True, imm="ib", group="grp12")
-    t[(None, 0x72)] = OpSpec(None, modrm=True, imm="ib", group="grp13")
-    t[(None, 0x73)] = OpSpec(None, modrm=True, imm="ib", group="grp14")
+    plain[0x71] = _group((None, None, "psrlw", None, "psraw", None, "psllw", None), "ib")
+    plain[0x72] = _group((None, None, "psrld", None, "psrad", None, "pslld", None), "ib")
+    plain[0x73] = _group((None, None, "psrlq", "psrldq", None, None, "psllq", "pslldq"), "ib")
     put(0x74, "pcmpeqb"); put(0x75, "pcmpeqw"); put(0x76, "pcmpeqd")
     put(0x77, "emms", modrm=False)
     put(0x7E, "movd"); put(0x7E, "movq", 0xF3)
     put(0x7F, "movq"); put(0x7F, "movdqa", 0x66); put(0x7F, "movdqu", 0xF3)
     for i, cc in enumerate(_JCC):
-        put(0x80 + i, cc, modrm=False, imm="relz")
+        put(0x80 + i, cc, modrm=False, imm="iz")
     for i, cc in enumerate(_CC):
         put(0x90 + i, "set" + cc)
     put(0xA0, "push", modrm=False); put(0xA1, "pop", modrm=False)
@@ -308,14 +324,15 @@ def _two_byte_table() -> dict[tuple[int | None, int], OpSpec]:
     put(0xAA, "rsm", modrm=False)
     put(0xAB, "bts")
     put(0xAC, "shrd", imm="ib"); put(0xAD, "shrd")
-    t[(None, 0xAE)] = OpSpec(None, modrm=True, group="grp15")
+    plain[0xAE] = _group(("fxsave", "fxrstor", "ldmxcsr", "stmxcsr", "xsave", None, "xsaveopt", "clflush"),
+                         reg={**_block(0xE8, "lfence"), **_block(0xF0, "mfence"), **_block(0xF8, "sfence")})
     put(0xAF, "imul")
     put(0xB0, "cmpxchg"); put(0xB1, "cmpxchg")
     put(0xB2, "lss"); put(0xB4, "lfs"); put(0xB5, "lgs")
     put(0xB3, "btr")
     put(0xB6, "movzx"); put(0xB7, "movzx")
     put(0xB8, "popcnt", 0xF3)
-    t[(None, 0xBA)] = OpSpec(None, modrm=True, imm="ib", group="grp8")
+    plain[0xBA] = _group((None, None, None, None, "bt", "bts", "btr", "btc"), "ib")
     put(0xBB, "btc")
     put(0xBC, "bsf"); put(0xBD, "bsr")
     put(0xBE, "movsx"); put(0xBF, "movsx")
@@ -325,7 +342,7 @@ def _two_byte_table() -> dict[tuple[int | None, int], OpSpec]:
     put(0xC3, "movnti")
     put(0xC4, "pinsrw", imm="ib"); put(0xC5, "pextrw", imm="ib")
     put(0xC6, "shufps", imm="ib"); put(0xC6, "shufpd", 0x66, imm="ib")
-    t[(None, 0xC7)] = OpSpec(None, modrm=True, group="grp9")
+    plain[0xC7] = _group((None, "cmpxchg8b") + _NONE[2:])
     for op in range(0xC8, 0xD0):
         put(op, "bswap", modrm=False)
     put(0xD0, "addsubpd", 0x66)
@@ -346,10 +363,19 @@ def _two_byte_table() -> dict[tuple[int | None, int], OpSpec]:
     put(0xF4, "pmuludq"); put(0xF5, "pmaddwd"); put(0xF6, "psadbw"); put(0xF7, "maskmovq")
     put(0xF8, "psubb"); put(0xF9, "psubw"); put(0xFA, "psubd"); put(0xFB, "psubq")
     put(0xFC, "paddb"); put(0xFD, "paddw"); put(0xFE, "paddd")
-    return t
+    # the plain entry, group tables included, stands in wherever a
+    # mandatory prefix has no entry of its own
+    return {prefix: tuple(own or fallback for own, fallback in zip(table, plain))
+            for prefix, table in maps.items()}
 
 
-_THREE_BYTE_38 = {
+def _flat(names: dict[int, str], imm: str | None = None) -> tuple:
+    return tuple(_rm(names[op], imm) if op in names else None for op in range(256))
+
+
+ONE_BYTE = _one_byte_table()
+TWO_BYTE = _two_byte_tables()
+THREE_BYTE_38 = _flat({
     0x00: "pshufb", 0x01: "phaddw", 0x02: "phaddd", 0x03: "phaddsw",
     0x04: "pmaddubsw", 0x05: "phsubw", 0x06: "phsubd", 0x07: "phsubsw",
     0x08: "psignb", 0x09: "psignw", 0x0A: "psignd", 0x0B: "pmulhrsw",
@@ -363,9 +389,8 @@ _THREE_BYTE_38 = {
     0x38: "pminsb", 0x39: "pminsd", 0x3A: "pminuw", 0x3B: "pminud",
     0x3C: "pmaxsb", 0x3D: "pmaxsd", 0x3E: "pmaxuw", 0x3F: "pmaxud",
     0x40: "pmulld", 0x41: "phminposuw",
-}
-
-_THREE_BYTE_3A = {
+})
+THREE_BYTE_3A = _flat({
     0x08: "roundps", 0x09: "roundpd", 0x0A: "roundss", 0x0B: "roundsd",
     0x0C: "blendps", 0x0D: "blendpd", 0x0E: "pblendw", 0x0F: "palignr",
     0x14: "pextrb", 0x15: "pextrw", 0x16: "pextrd", 0x17: "extractps",
@@ -373,42 +398,15 @@ _THREE_BYTE_3A = {
     0x40: "dpps", 0x41: "dppd", 0x42: "mpsadbw", 0x44: "pclmulqdq",
     0x60: "pcmpestrm", 0x61: "pcmpestri", 0x62: "pcmpistrm", 0x63: "pcmpistri",
     0xDF: "aeskeygenassist",
-}
+}, imm="ib")
 
-_GRP15_MEM = ("fxsave", "fxrstor", "ldmxcsr", "stmxcsr", "xsave", None, "xsaveopt", "clflush")
-_GRP15_REG = (None, None, None, None, None, "lfence", "mfence", "sfence")
-
-# wait-prefix fusion targets: (escape byte, modrm reg field or exact
-# register-form byte) -> wait-form mnemonic
-_WAIT_MEM = {(0xD9, 6): "fstenv", (0xD9, 7): "fstcw", (0xDD, 6): "fsave", (0xDD, 7): "fstsw"}
-_WAIT_REG = {(0xDB, 0xE2): "fclex", (0xDB, 0xE3): "finit", (0xDF, 0xE0): "fstsw"}
-
-
-@dataclass(frozen=True)
-class DecoderProfile:
-    one_byte: dict[int, OpSpec]
-    two_byte: dict[tuple[int | None, int], OpSpec]
-    three_byte_38: dict[int, str]
-    three_byte_3a: dict[int, str]
-    x87_mem: dict[int, tuple[str | None, ...]]
-    x87_reg: dict[int, dict[int, str]]
-
-
-_DEFAULT_PROFILE: DecoderProfile | None = None
-
-
-def default_profile() -> DecoderProfile:
-    global _DEFAULT_PROFILE
-    if _DEFAULT_PROFILE is None:
-        _DEFAULT_PROFILE = DecoderProfile(
-            one_byte=_one_byte_table(),
-            two_byte=_two_byte_table(),
-            three_byte_38=dict(_THREE_BYTE_38),
-            three_byte_3a=dict(_THREE_BYTE_3A),
-            x87_mem=dict(_X87_MEM),
-            x87_reg=_x87_register_forms(),
-        )
-    return _DEFAULT_PROFILE
+# a wait byte (9B) directly before one of these x87 store/control forms
+# fuses with it into the wait-form mnemonic
+_WAIT_FUSED = [None] * 256
+_WAIT_FUSED[0xD9] = _group(_NONE[:6] + ("fstenv", "fstcw"), reg={})
+_WAIT_FUSED[0xDB] = _group(_NONE, reg={0xE2: "fclex", 0xE3: "finit"})
+_WAIT_FUSED[0xDD] = _group(_NONE[:6] + ("fsave", "fstsw"), reg={})
+_WAIT_FUSED[0xDF] = _group(_NONE, reg={0xE0: "fstsw"})
 
 
 @dataclass(frozen=True)
@@ -422,6 +420,18 @@ class DecodedCount:
     counts: dict[str, int] = field(default_factory=dict)
     unknown_bytes: int = 0
     decoded_instructions: int = 0
+
+    def histogram(self, sample_id: str) -> OpcodeHistogram:
+        """The counts as a report histogram; NoInstructionsDecoded when
+        nothing decoded."""
+        if self.decoded_instructions == 0:
+            raise NoInstructionsDecoded(f"{sample_id}: no instructions decoded")
+        return OpcodeHistogram(
+            sample_id=sample_id,
+            counts=dict(self.counts),
+            total=self.decoded_instructions,
+            source="disassembly",
+        )
 
 
 def _modrm_block_length(code: bytes, pos: int, limit: int, asize16: bool) -> tuple[int, int] | None:
@@ -464,160 +474,80 @@ def _modrm_block_length(code: bytes, pos: int, limit: int, asize16: bool) -> tup
     return (length, modrm) if pos + length <= limit else None
 
 
-def _imm_length(imm: str | None, osize16: bool, asize16: bool) -> int:
-    if imm is None:
-        return 0
-    if imm in _IMM_FIXED:
-        return _IMM_FIXED[imm]
-    if imm == "iz" or imm == "relz":
-        return 2 if osize16 else 4
-    if imm == "ptr":
-        return 4 if osize16 else 6
-    if imm == "moffs":
-        return 2 if asize16 else 4
-    raise ValueError(f"unknown immediate code {imm!r}")
-
-
-def decode_one(code: bytes, pos: int, profile: DecoderProfile | None = None) -> DecodedInstruction | None:
+def decode_one(code: bytes, pos: int) -> DecodedInstruction | None:
     """Decode the instruction starting at ``pos``; None when the byte does
     not begin a supported, fully-contained instruction."""
-    profile = profile or default_profile()
     start = pos
     limit = min(len(code), start + MAX_INSTRUCTION_LENGTH)
     osize16 = asize16 = False
+    rep = None  # the last F2/F3 prefix, which selects the 0F table over 66
     while pos < limit and code[pos] in PREFIX_BYTES:
         b = code[pos]
         if b == 0x66:
             osize16 = True
         elif b == 0x67:
             asize16 = True
+        elif b == 0xF2 or b == 0xF3:
+            rep = b
         pos += 1
     if pos >= limit:
         return None
-    rep = None
-    for b in code[start:pos]:
-        if b in (0xF2, 0xF3):
-            rep = b
     opcode = code[pos]
     pos += 1
 
     if opcode == 0x9B:
-        fused = _wait_fusion(code, pos, limit, asize16, profile)
-        if fused is not None:
-            name, extra = fused
-            return DecodedInstruction(name, pos - start + extra)
+        if pos < limit:
+            fused = _finish(code, start, pos + 1, limit, _WAIT_FUSED[code[pos]], osize16, asize16)
+            if fused is not None:
+                return fused
         return DecodedInstruction("wait", pos - start)
-
-    if 0xD8 <= opcode <= 0xDF:
-        block = _modrm_block_length(code, pos, limit, asize16)
-        if block is None:
-            return None
-        length, modrm = block
-        if modrm >= 0xC0:
-            name = profile.x87_reg[opcode].get(modrm)
-        else:
-            name = profile.x87_mem[opcode][(modrm >> 3) & 7]
-        if name is None:
-            return None
-        return DecodedInstruction(name, pos - start + length)
-
-    if opcode == 0x0F:
-        return _decode_0f(code, start, pos, limit, osize16, asize16, rep, profile)
-
-    spec = profile.one_byte.get(opcode)
-    if spec is None:
-        return None
-    return _finish(code, start, pos, limit, spec, osize16, asize16, profile)
-
-
-def _select_two_byte(profile: DecoderProfile, prefix_key: int | None, op: int) -> OpSpec | None:
-    if prefix_key is not None:
-        spec = profile.two_byte.get((prefix_key, op))
-        if spec is not None:
-            return spec
-    return profile.two_byte.get((None, op))
-
-
-def _decode_0f(code, start, pos, limit, osize16, asize16, rep, profile) -> DecodedInstruction | None:
+    if opcode != 0x0F:
+        return _finish(code, start, pos, limit, ONE_BYTE[opcode], osize16, asize16)
     if pos >= limit:
         return None
     op = code[pos]
     pos += 1
-    if op in (0x38, 0x3A):
+    if op == 0x38 or op == 0x3A:
         if pos >= limit:
             return None
-        sub = code[pos]
+        entry = (THREE_BYTE_38 if op == 0x38 else THREE_BYTE_3A)[code[pos]]
         pos += 1
-        table = profile.three_byte_38 if op == 0x38 else profile.three_byte_3a
-        name = table.get(sub)
-        if name is None:
-            return None
-        spec = OpSpec(name, modrm=True, imm="ib" if op == 0x3A else None)
-        return _finish(code, start, pos, limit, spec, osize16, asize16, profile)
-    prefix_key = rep if rep is not None else (0x66 if osize16 else None)
-    spec = _select_two_byte(profile, prefix_key, op)
-    if spec is None:
+    else:
+        entry = TWO_BYTE[rep or (0x66 if osize16 else None)][op]
+    return _finish(code, start, pos, limit, entry, osize16, asize16)
+
+
+def _finish(code, start, pos, limit, entry, osize16, asize16) -> DecodedInstruction | None:
+    """Complete the instruction whose opcode bytes end before ``pos``:
+    the ModRM block, if any, then the immediate."""
+    if entry is None:
         return None
-    return _finish(code, start, pos, limit, spec, osize16, asize16, profile)
-
-
-def _finish(code, start, pos, limit, spec: OpSpec, osize16, asize16, profile) -> DecodedInstruction | None:
-    name = spec.mnemonic
-    imm = spec.imm
-    if spec.modrm:
+    name, imm, modrm = entry
+    if modrm:
         block = _modrm_block_length(code, pos, limit, asize16)
         if block is None:
             return None
-        length, modrm = block
-        reg = (modrm >> 3) & 7
-        if spec.group == "grp15":
-            name = _GRP15_REG[reg] if modrm >= 0xC0 else _GRP15_MEM[reg]
-        elif spec.group == "grp7":
-            # register forms of this group are mostly virtualization and
-            # state opcodes outside the profile; only smsw/lmsw keep them
-            name = _GROUPS["grp7"][reg] if (modrm < 0xC0 or reg in (4, 6)) else None
-        elif spec.group in ("grp3b", "grp3z"):
-            name = _GROUPS[spec.group][reg]
-            imm = ("ib" if spec.group == "grp3b" else "iz") if reg <= 1 else None
-        elif spec.group is not None:
-            name = _GROUPS[spec.group][reg]
+        length, modrm_byte = block
+        if modrm is not True:
+            form = modrm[modrm_byte]
+            if form is None:
+                return None
+            name, imm = form
         pos += length
-    if name is None:
-        return None
-    pos += _imm_length(imm, osize16, asize16)
-    if pos > limit or pos > len(code):
+    pos += _IMMEDIATE_LENGTHS[imm][osize16 + 2 * asize16]
+    if pos > limit:
         return None
     return DecodedInstruction(name, pos - start)
 
 
-def _wait_fusion(code, pos, limit, asize16, profile) -> tuple[str, int] | None:
-    """9B followed by one of the store/control x87 forms fuses into the
-    wait-form mnemonic; returns (name, extra bytes after the 9B)."""
-    if pos >= limit:
-        return None
-    esc = code[pos]
-    if esc not in (0xD9, 0xDB, 0xDD, 0xDF):
-        return None
-    block = _modrm_block_length(code, pos + 1, limit, asize16)
-    if block is None:
-        return None
-    length, modrm = block
-    if modrm >= 0xC0:
-        name = _WAIT_REG.get((esc, modrm))
-        return (name, 2) if name else None
-    name = _WAIT_MEM.get((esc, (modrm >> 3) & 7))
-    return (name, 1 + length) if name else None
-
-
-def sweep(code: bytes, profile: DecoderProfile | None = None) -> DecodedCount:
+def sweep(code: bytes) -> DecodedCount:
     """Linear sweep: decode, advance by the instruction length; count an
     undecodable byte as unknown and advance one byte."""
-    profile = profile or default_profile()
     result = DecodedCount()
     pos = 0
     end = len(code)
     while pos < end:
-        decoded = decode_one(code, pos, profile)
+        decoded = decode_one(code, pos)
         if decoded is None:
             result.unknown_bytes += 1
             pos += 1
@@ -628,14 +558,14 @@ def sweep(code: bytes, profile: DecoderProfile | None = None) -> DecodedCount:
     return result
 
 
-def count_opcodes(image: PeImage, profile: DecoderProfile | None = None) -> DecodedCount:
+def count_opcodes(image: PeImage) -> DecodedCount:
     """Sweep every executable section of a parsed image."""
     sections = image.executable_sections()
     if not sections:
         raise NoExecutableSection("image has no executable section")
     total = DecodedCount()
     for section in sections:
-        part = sweep(section.raw_data, profile)
+        part = sweep(section.raw_data)
         for name, count in part.counts.items():
             total.counts[name] = total.counts.get(name, 0) + count
         total.unknown_bytes += part.unknown_bytes
@@ -643,14 +573,5 @@ def count_opcodes(image: PeImage, profile: DecoderProfile | None = None) -> Deco
     return total
 
 
-def histogram_from_pe(data: bytes, sample_id: str, profile: DecoderProfile | None = None) -> OpcodeHistogram:
-    image = parse_pe(data)
-    counted = count_opcodes(image, profile)
-    if counted.decoded_instructions == 0:
-        raise NoInstructionsDecoded(f"{sample_id}: no instructions decoded")
-    return OpcodeHistogram(
-        sample_id=sample_id,
-        counts=dict(counted.counts),
-        total=counted.decoded_instructions,
-        source="disassembly",
-    )
+def histogram_from_pe(data: bytes, sample_id: str) -> OpcodeHistogram:
+    return count_opcodes(parse_pe(data)).histogram(sample_id)

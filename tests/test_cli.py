@@ -149,6 +149,16 @@ def test_disasm_command(tmp_path):
     assert "nop" in text and "ret" in text and "TOTAL\t3" in text
 
 
+def test_disasm_reports_unknown_bytes(tmp_path, capsys):
+    pe_path = tmp_path / "odd.bin"
+    # 0F 01 D0 (xgetbv) lies outside the decoder's coverage: its 0F byte
+    # is unknown, and 01 D0 then decodes as add
+    pe_path.write_bytes(text_only_pe(bytes.fromhex("900F01D0C3")))
+    capsys.readouterr()
+    assert run("disasm", pe_path, "--out-dir", tmp_path / "reports") == 0
+    assert capsys.readouterr().out == "odd.bin: 3 instructions, 3 distinct opcodes, 1 unknown bytes\n"
+
+
 def test_disasm_rejects_non_pe(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a pe file")
@@ -303,3 +313,25 @@ def test_corrupt_selection_file_exits_2(pipeline, tmp_path, capsys, path, value)
     assert run("reduce", pipeline / "train.csv", bad, "--out", tmp_path / "r.csv") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
+
+
+NON_UTF8_INPUTS = {
+    "csv dataset": ("bad.csv", ["train", "{bad}", "--out", "{out}"]),
+    "arff dataset": ("bad.arff", ["train", "{bad}", "--out", "{out}"]),
+    "model": ("bad.json", ["eval", "{bad}", "{p}/test.csv", "--out", "{out}"]),
+    "selection for reduce": ("bad.json", ["reduce", "{p}/train.csv", "{bad}", "--out", "{out}"]),
+    "selection for tune-threshold": ("bad.json", ["tune-threshold", "{p}/train.csv", "{p}/test.csv", "{bad}",
+                                                  "--out", "{out}"]),
+    "selection for rank-aggregate": ("bad.json", ["rank-aggregate"] + ["{bad}"] * 7 + ["--out", "{out}"]),
+    "manifest": ("bad.csv", ["ingest", "{p}/corpus", "--manifest", "{bad}", "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("name, argv", NON_UTF8_INPUTS.values(), ids=NON_UTF8_INPUTS.keys())
+def test_non_utf8_input_exits_2(pipeline, tmp_path, capsys, name, argv):
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff")
+    capsys.readouterr()
+    assert run(*(a.format(bad=bad, out=tmp_path / "out", p=pipeline) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch:") and "not UTF-8" in err

@@ -6,7 +6,7 @@ from opdense.errors import SchemaMismatch, SingleClass
 from opdense.estimators import MinMaxDensityScaler, RankedAttributeSelector, SmoSvmClassifier
 from opdense.featsel import rank_attributes
 from opdense.smo import TrainerConfig
-from opdense.svm import train_pairwise
+from opdense.svm import load_model, predict_matrix, save_model, train_pairwise
 
 
 def blobs(seed=0, n_each=15):
@@ -83,6 +83,14 @@ def test_calibrated_classifier_matches_shared_pairwise_trainer():
         assert np.array_equal(got.alphas, want.alphas)
         assert got.bias == want.bias
         assert got.sigmoid is not None and got.sigmoid == want.sigmoid
+
+
+def test_classifier_model_save_load_round_trip():
+    X, y = blobs()
+    model = SmoSvmClassifier(kernel="puk", C=10.0).fit(X, y).model_
+    loaded = load_model(save_model(model))
+    assert loaded.scheme is None
+    assert predict_matrix(loaded, X, already_scaled=True) == predict_matrix(model, X, already_scaled=True)
 
 
 def test_scaler_matches_dataset_semantics():

@@ -2,10 +2,13 @@
 property: instructions assembled by an independent byte generator must
 decode to the assembled length."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from opdense.x86 import MAX_INSTRUCTION_LENGTH, decode_one, default_profile, sweep
+from opdense.x86 import MAX_INSTRUCTION_LENGTH, ONE_BYTE, THREE_BYTE_38, THREE_BYTE_3A, TWO_BYTE, decode_one, sweep
 
 # (bytes, mnemonic, length) - lengths worked out by hand from the
 # ModRM/SIB/displacement/immediate rules
@@ -53,6 +56,11 @@ VECTORS = [
     ("9B90", "wait", 1),                   # 9B before a non-x87 opcode stays wait
     ("DBE3", "fninit", 2),
     ("9BDBE3", "finit", 3),
+    ("9BDBE2", "fclex", 3),
+    ("9BD97DFE", "fstcw", 4),
+    ("9BD975F8", "fstenv", 4),
+    ("9BDD75F8", "fsave", 4),
+    ("9BD9C0", "wait", 1),                 # fld st0 has no wait form
     ("DEF9", "fdivp", 2),
     ("DEE1", "fsubrp", 2),
     ("DEC9", "fmulp", 2),
@@ -184,84 +192,130 @@ def test_instruction_straddling_end_counts_first_byte_unknown():
     assert result.counts == {"add": 1}  # the tail 01 00 decodes as add
 
 
-def _random_instruction(rng, profile):
-    """Assemble a random instruction from the profile tables, computing the
-    expected length with independent arithmetic."""
-    roll = rng.rand()
+def _random_blob(seed, size):
+    return bytes(np.random.RandomState(seed).randint(0, 256, size=size, dtype=np.uint8))
+
+
+# bytes that steer the decoder into its less common paths: operand- and
+# address-size, lock and repeat prefixes, the 0F, 0F 38 and 0F 3A
+# escapes, wait and the x87 escapes
+_STEERING = [b"\x66", b"\x67", b"\xf0", b"\xf2", b"\xf3", b"\x0f", b"\x0f\x38", b"\x0f\x3a",
+             b"\x9b"] + [bytes([b]) for b in range(0xD8, 0xE0)]
+
+
+def _steered_blob(seed, size):
+    rng = np.random.RandomState(seed)
     out = bytearray()
-    expected_prefix = 0
-    osize16 = asize16 = False
-    if roll < 0.25:
-        n_prefix = int(rng.randint(1, 3))
-        choices = [0x66, 0x67, 0xF0, 0x2E, 0x3E, 0x26, 0x64, 0x65]
-        for _ in range(n_prefix):
-            b = int(rng.choice(choices))
-            if b == 0x66:
-                osize16 = True
-            if b == 0x67:
-                asize16 = True
-            out.append(b)
-            expected_prefix += 1
+    while len(out) < size:
+        if rng.rand() < 0.5:
+            out += _STEERING[rng.randint(len(_STEERING))]
+        else:
+            out.append(rng.randint(256))
+    return bytes(out[:size])
 
-    # pick an opcode with a plain mnemonic
-    candidates = [(op, spec) for op, spec in profile.one_byte.items()
-                  if spec.mnemonic is not None and spec.imm != "moffs"]
-    op, spec = candidates[int(rng.randint(len(candidates)))]
-    out.append(op)
-    body = 1
 
-    if spec.modrm:
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+# (unknown bytes, decoded instructions, distinct mnemonics, digest of the
+# sorted sweep counts, digest of decode_one at every offset), recorded
+# from the decoder as it stood before its tables were flattened
+@pytest.mark.parametrize("make_blob, seed, expected", [
+    (_random_blob, 5, (247, 11853, 197, "61360686495201a0", "fe58646d7f24ff87")),
+    (_steered_blob, 6, (1975, 10240, 318, "002cb21ed116def1", "15ebfff3b72888f9")),
+], ids=["random", "steered"])
+def test_pinned_decoder_output(make_blob, seed, expected):
+    blob = make_blob(seed, 30000)
+    result = sweep(blob)
+    at_every_offset = [None if d is None else [d.mnemonic, d.length]
+                       for d in (decode_one(blob, i) for i in range(len(blob)))]
+    assert (result.unknown_bytes, result.decoded_instructions, len(result.counts),
+            _digest(sorted(result.counts.items())), _digest(at_every_offset)) == expected
+
+
+# plain entries - (mnemonic, immediate code, has ModRM) - of the decoder's
+# tables, each with the opcode bytes and the mandatory prefix that reach it
+_ONE_BYTE_CANDIDATES = [(None, bytes([op]), entry) for op, entry in enumerate(ONE_BYTE)
+                        if entry is not None and entry[0] is not None and entry[1] != "moffs"]
+_ESCAPED_CANDIDATES = (
+    [(prefix, bytes([0x0F, op]), entry) for prefix, table in TWO_BYTE.items()
+     for op, entry in enumerate(table) if entry is not None and entry[0] is not None]
+    + [(prefix, bytes([0x0F, escape, op]), entry) for prefix in (None, 0x66, 0xF2, 0xF3)
+       for escape, table in ((0x38, THREE_BYTE_38), (0x3A, THREE_BYTE_3A))
+       for op, entry in enumerate(table) if entry is not None])
+
+
+def _random_instruction(rng, candidates):
+    """Assemble a random instruction from one of ``candidates``; return its
+    bytes, mnemonic and length, the length computed with independent
+    arithmetic."""
+    mandatory, opcode, (name, imm, has_modrm) = candidates[int(rng.randint(len(candidates)))]
+    out = bytearray()
+    if rng.rand() < 0.25:
+        # 66 would select another 0F table, so only plain opcodes draw it
+        choices = [0x66, 0x67, 0xF0, 0x2E, 0x3E, 0x26, 0x64, 0x65] if opcode[0] != 0x0F else \
+            [0x67, 0xF0, 0x2E, 0x3E, 0x26, 0x64, 0x65]
+        for _ in range(int(rng.randint(1, 3))):
+            out.append(int(rng.choice(choices)))
+    if mandatory in (0xF2, 0xF3) and rng.rand() < 0.3:
+        out.append(0x66)  # F2/F3 select the table; 66 still shrinks iz
+    if mandatory is not None:
+        out.append(mandatory)
+    osize16 = 0x66 in out
+    asize16 = 0x67 in out
+    out.extend(opcode)
+
+    if has_modrm:
         mod = int(rng.randint(0, 4))
         reg = int(rng.randint(0, 8))
         rm = int(rng.randint(0, 8))
         out.append((mod << 6) | (reg << 3) | rm)
-        body += 1
         if mod != 3:
             if asize16:
                 if mod == 1:
-                    out.append(int(rng.randint(0, 256))); body += 1
+                    out.append(int(rng.randint(0, 256)))
                 elif mod == 2 or (mod == 0 and rm == 6):
-                    out.extend(rng.randint(0, 256, 2).astype(np.uint8).tobytes()); body += 2
+                    out.extend(rng.randint(0, 256, 2).astype(np.uint8).tobytes())
             else:
                 if rm == 4:
                     base = int(rng.randint(0, 8))
-                    out.append((base | (int(rng.randint(0, 8)) << 3))); body += 1
+                    out.append((base | (int(rng.randint(0, 8)) << 3)))
                     if mod == 0 and base == 5:
-                        out.extend(rng.randint(0, 256, 4).astype(np.uint8).tobytes()); body += 4
+                        out.extend(rng.randint(0, 256, 4).astype(np.uint8).tobytes())
                 elif mod == 0 and rm == 5:
-                    out.extend(rng.randint(0, 256, 4).astype(np.uint8).tobytes()); body += 4
+                    out.extend(rng.randint(0, 256, 4).astype(np.uint8).tobytes())
                 if mod == 1:
-                    out.append(int(rng.randint(0, 256))); body += 1
+                    out.append(int(rng.randint(0, 256)))
                 elif mod == 2:
-                    out.extend(rng.randint(0, 256, 4).astype(np.uint8).tobytes()); body += 4
+                    out.extend(rng.randint(0, 256, 4).astype(np.uint8).tobytes())
 
-    imm = spec.imm
-    if imm == "ib" or imm == "rel8":
-        out.append(int(rng.randint(0, 256))); body += 1
+    if imm == "ib":
+        out.append(int(rng.randint(0, 256)))
     elif imm == "iw":
-        out.extend(b"\x11\x22"); body += 2
+        out.extend(b"\x11\x22")
     elif imm == "enter":
-        out.extend(b"\x11\x22\x33"); body += 3
-    elif imm == "iz" or imm == "relz":
-        n = 2 if osize16 else 4
-        out.extend(bytes(range(0x41, 0x41 + n))); body += n
+        out.extend(b"\x11\x22\x33")
+    elif imm == "iz":
+        out.extend(bytes(range(0x41, 0x41 + (2 if osize16 else 4))))
     elif imm == "ptr":
-        n = 4 if osize16 else 6
-        out.extend(bytes(range(0x41, 0x41 + n))); body += n
+        out.extend(bytes(range(0x41, 0x41 + (4 if osize16 else 6))))
+    else:
+        assert imm is None, imm
 
-    return bytes(out), expected_prefix + body
+    return bytes(out), name, len(out)
 
 
 def test_length_soundness_over_generated_instructions():
-    profile = default_profile()
     rng = np.random.RandomState(1234)
-    checked = 0
-    for _ in range(4000):
-        code, expected_length = _random_instruction(rng, profile)
-        if expected_length > MAX_INSTRUCTION_LENGTH:
-            continue
-        decoded = decode_one(code + b"\x90" * 4, 0)  # padding never alters length
-        assert decoded is not None, code.hex()
-        assert decoded.length == expected_length, code.hex()
-        checked += 1
-    assert checked > 3500
+    for candidates in (_ONE_BYTE_CANDIDATES, _ESCAPED_CANDIDATES):
+        checked = 0
+        for _ in range(4000):
+            code, name, expected_length = _random_instruction(rng, candidates)
+            if expected_length > MAX_INSTRUCTION_LENGTH:
+                continue
+            decoded = decode_one(code + b"\x90" * 4, 0)  # padding never alters length
+            assert decoded is not None, code.hex()
+            assert (decoded.mnemonic, decoded.length) == (name, expected_length), code.hex()
+            checked += 1
+        assert checked > 3500
