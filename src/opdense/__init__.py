@@ -17,7 +17,6 @@ from .dataset import (
     split_percentage,
 )
 from .dataio import read_dataset, write_dataset
-from .estimators import MinMaxDensityScaler, RankedAttributeSelector, SmoSvmClassifier
 from .evaluation import (
     ConfusionMatrix,
     EvalReport,
@@ -32,15 +31,13 @@ from .kernels import KernelSpec, gram_matrix, kernel_eval
 from .labels import BINARY_LABELS, FAMILY_LABELS, ClassLabel, LabelScheme
 from .pe import PeImage, parse_pe
 from .reports import OpcodeHistogram, LabeledHistogram, format_report, parse_report, scan_directory
-from .smo import TrainerConfig, fit_sigmoid_scaling, smo_solve
+from .smo import TrainerConfig, smo_solve
 from .svm import (
     BinarySvmModel,
     MulticlassSvmModel,
-    fit_sigmoid,
     load_model,
     predict,
     save_model,
-    smo_train_binary,
     train_multiclass,
 )
 from .synth import generate_corpus
@@ -61,13 +58,10 @@ __all__ = [
     "KernelSpec",
     "LabelScheme",
     "LabeledHistogram",
-    "MinMaxDensityScaler",
     "MulticlassSvmModel",
     "OpcodeHistogram",
     "PeImage",
-    "RankedAttributeSelector",
     "ScalingParams",
-    "SmoSvmClassifier",
     "TrainerConfig",
     "apply_scaling",
     "assemble",
@@ -81,8 +75,6 @@ __all__ = [
     "density",
     "errors",
     "featsel",
-    "fit_sigmoid",
-    "fit_sigmoid_scaling",
     "format_report",
     "generate_corpus",
     "gram_matrix",
@@ -101,7 +93,6 @@ __all__ = [
     "scan_directory",
     "shuffle",
     "smo_solve",
-    "smo_train_binary",
     "sort_attributes_by_mean_density",
     "split_percentage",
     "sweep",

@@ -73,7 +73,6 @@ def _add_kernel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.add_argument("--epsilon", type=float, default=1e-12)
     p.add_argument("--max-iterations", type=int, default=1_000_000)
-    p.add_argument("--calibrate", action="store_true", help="fit per-machine logistic calibration")
 
 
 def _kernel_spec(args) -> KernelSpec:
@@ -93,7 +92,6 @@ def _trainer_config(args) -> TrainerConfig:
         tolerance=args.tolerance,
         epsilon=args.epsilon,
         max_iterations=args.max_iterations,
-        calibrate=args.calibrate,
     )
 
 

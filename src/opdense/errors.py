@@ -124,10 +124,6 @@ class NormalizedPolyZeroNorm(NumericError):
     pass
 
 
-class DegenerateTargets(DataError):
-    pass
-
-
 # --- feature selection --------------------------------------------------------
 
 class ListTooLong(DataError):

@@ -34,6 +34,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise SchemaMismatch(f"unknown kernel family {self.family!r}")
+        for name in ("exponent", "gamma", "sigma", "omega", "C"):
+            if not math.isfinite(getattr(self, name)):
+                raise SchemaMismatch(f"{name} must be finite")
         if self.C <= 0:
             raise SchemaMismatch("C must be positive")
         if self.family == "rbf" and self.gamma <= 0:

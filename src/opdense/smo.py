@@ -28,11 +28,12 @@ box/margin conditions to ``tolerance``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTargets
+from .errors import SchemaMismatch
 
 
 @dataclass
@@ -40,11 +41,12 @@ class TrainerConfig:
     tolerance: float = 1e-3
     epsilon: float = 1e-12
     max_iterations: int = 1_000_000
-    calibrate: bool = False
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.epsilon <= 0:
-            raise ValueError("tolerance and epsilon must be positive")
+        if not (0 < self.tolerance < math.inf and 0 < self.epsilon < math.inf):
+            raise SchemaMismatch("tolerance and epsilon must be positive and finite")
+        if self.max_iterations < 0:
+            raise SchemaMismatch("max_iterations must not be negative")
 
 
 @dataclass
@@ -113,63 +115,3 @@ def smo_solve(
         objective=dual_objective(gram, y, alpha),
     )
 
-
-def fit_sigmoid_scaling(decisions: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Fit P(class=+1 | f) = 1 / (1 + exp(A*f + B)) by regularized maximum
-    likelihood with smoothed targets (N+ + 1)/(N+ + 2) and 1/(N- + 2).
-
-    Newton iteration with backtracking; for constant decision values the
-    fit degenerates to the smoothed class prior: A = 0,
-    B = log((N- + 1)/(N+ + 1)).
-    """
-    decisions = np.asarray(decisions, dtype=float)
-    y = np.asarray(y, dtype=float)
-    prior1 = int((y > 0).sum())
-    prior0 = int((y <= 0).sum())
-    if prior1 == 0 or prior0 == 0:
-        raise DegenerateTargets("sigmoid fit needs both classes present")
-    if np.ptp(decisions) < 1e-12:
-        return 0.0, float(np.log((prior0 + 1.0) / (prior1 + 1.0)))
-
-    hi_t = (prior1 + 1.0) / (prior1 + 2.0)
-    lo_t = 1.0 / (prior0 + 2.0)
-    t = np.where(y > 0, hi_t, lo_t)
-
-    def negloglik(a: float, b: float) -> float:
-        z = a * decisions + b
-        # stable: t*z + log(1 + exp(-z)) for z >= 0, (t-1)*z + log(1+exp(z)) else
-        pos = z >= 0
-        val = np.empty_like(z)
-        val[pos] = t[pos] * z[pos] + np.log1p(np.exp(-z[pos]))
-        val[~pos] = (t[~pos] - 1.0) * z[~pos] + np.log1p(np.exp(z[~pos]))
-        return float(val.sum())
-
-    A, B = 0.0, float(np.log((prior0 + 1.0) / (prior1 + 1.0)))
-    fval = negloglik(A, B)
-    sigma_reg = 1e-12
-    for _ in range(100):
-        z = A * decisions + B
-        p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
-        d1 = t - p
-        d2 = p * (1.0 - p)
-        g_a = float((decisions * d1).sum())
-        g_b = float(d1.sum())
-        if abs(g_a) < 1e-10 and abs(g_b) < 1e-10:
-            break
-        h11 = float((decisions * decisions * d2).sum()) + sigma_reg
-        h22 = float(d2.sum()) + sigma_reg
-        h12 = float((decisions * d2).sum())
-        det = h11 * h22 - h12 * h12
-        dA = -(h22 * g_a - h12 * g_b) / det
-        dB = -(h11 * g_b - h12 * g_a) / det
-        step = 1.0
-        g_dot_d = g_a * dA + g_b * dB
-        while step >= 1e-10:
-            new_f = negloglik(A + step * dA, B + step * dB)
-            if new_f < fval + 1e-4 * step * g_dot_d:
-                A, B, fval = A + step * dA, B + step * dB, new_f
-                break
-            step /= 2.0
-        else:
-            break
-    return float(A), float(B)

@@ -18,9 +18,9 @@ from .dataset import Dataset, ScalingParams, _scale_matrix, project
 from .errors import DimensionMismatch, SchemaMismatch, SingleClass
 from .kernels import KernelSpec, gram_matrix
 from .labels import LabelScheme, class_order
-from .smo import SmoSolution, TrainerConfig, fit_sigmoid_scaling, smo_solve
+from .smo import TrainerConfig, smo_solve
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -31,7 +31,6 @@ class BinarySvmModel:
     bias: float
     kernel: KernelSpec
     class_pair: tuple[str, str]  # (negative label, positive label)
-    sigmoid: tuple[float, float] | None = None
     hit_iteration_cap: bool = False
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -44,21 +43,13 @@ class BinarySvmModel:
         k = gram_matrix(self.kernel, self.support_vectors, X)
         return k.T @ (self.alphas * self.labels) + self.bias
 
-    def probability(self, X: np.ndarray) -> np.ndarray:
-        """P(positive class | x); requires a fitted sigmoid."""
-        if self.sigmoid is None:
-            raise SchemaMismatch("model has no calibration sigmoid")
-        a, b = self.sigmoid
-        z = a * self.decision_function(X) + b
-        return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
-
 
 @dataclass
 class MulticlassSvmModel:
     machines: list[BinarySvmModel]
     classes: tuple[str, ...]
     attributes: tuple[str, ...]
-    scheme: LabelScheme | None  # None for a model fitted on bare arrays
+    scheme: LabelScheme
     kernel: KernelSpec
     scaling: ScalingParams | None = None
     warnings: list[str] = field(default_factory=list)
@@ -66,19 +57,6 @@ class MulticlassSvmModel:
     @property
     def n_support_vectors(self) -> int:
         return sum(len(m.alphas) for m in self.machines)
-
-
-def _binary_from_solution(X, y, solution: SmoSolution, spec, pair, epsilon) -> BinarySvmModel:
-    keep = solution.alphas > epsilon
-    return BinarySvmModel(
-        support_vectors=X[keep].copy(),
-        alphas=solution.alphas[keep].copy(),
-        labels=y[keep].copy(),
-        bias=solution.bias,
-        kernel=spec,
-        class_pair=pair,
-        hit_iteration_cap=solution.hit_iteration_cap,
-    )
 
 
 def train_binary_arrays(
@@ -90,36 +68,16 @@ def train_binary_arrays(
 ) -> BinarySvmModel:
     gram = gram_matrix(spec, X)
     solution = smo_solve(gram, y, spec.C, config.tolerance, config.epsilon, config.max_iterations)
-    model = _binary_from_solution(X, y, solution, spec, pair, config.epsilon)
-    if config.calibrate:
-        decisions = model.decision_function(X)
-        model.sigmoid = fit_sigmoid_scaling(decisions, y)
-    return model
-
-
-def smo_train_binary(ds: Dataset, spec: KernelSpec, config: TrainerConfig | None = None) -> BinarySvmModel:
-    """Train one binary machine on a dataset carrying exactly two labels.
-
-    Features are expected to be (0, 1)-scaled already; scaling is the
-    caller's job and the trained model only stores whatever parameters
-    the dataset carries."""
-    config = config or TrainerConfig()
-    present = class_order(ds.scheme, ds.labels)
-    if len(present) < 2:
-        raise SingleClass(f"need two classes, found {present}")
-    if len(present) > 2:
-        raise SchemaMismatch(f"binary training got {len(present)} classes: {present}")
-    neg, pos = present
-    y = np.where(np.array(ds.labels, dtype=object) == pos, 1.0, -1.0)
-    return train_binary_arrays(ds.X, y, spec, config, (neg, pos))
-
-
-def fit_sigmoid(model: BinarySvmModel, ds: Dataset) -> tuple[float, float]:
-    """Fit and attach a logistic calibration sigmoid; voting is unchanged."""
-    pos = model.class_pair[1]
-    y = np.where(np.array(ds.labels, dtype=object) == pos, 1.0, -1.0)
-    model.sigmoid = fit_sigmoid_scaling(model.decision_function(ds.X), y)
-    return model.sigmoid
+    keep = solution.alphas > config.epsilon
+    return BinarySvmModel(
+        support_vectors=X[keep].copy(),
+        alphas=solution.alphas[keep].copy(),
+        labels=y[keep].copy(),
+        bias=solution.bias,
+        kernel=spec,
+        class_pair=pair,
+        hit_iteration_cap=solution.hit_iteration_cap,
+    )
 
 
 def train_pairwise(
@@ -235,7 +193,7 @@ def _round8(values) -> list:
 def save_model(model: MulticlassSvmModel) -> str:
     doc = {
         "schema": MODEL_SCHEMA_VERSION,
-        "scheme": None if model.scheme is None else model.scheme.value,
+        "scheme": model.scheme.value,
         "classes": list(model.classes),
         "attributes": list(model.attributes),
         "kernel": {
@@ -258,7 +216,6 @@ def save_model(model: MulticlassSvmModel) -> str:
                 "alphas": [float(a) for a in m.alphas],
                 "labels": [int(v) for v in m.labels],
                 "bias": float(m.bias),
-                "sigmoid": None if m.sigmoid is None else [float(m.sigmoid[0]), float(m.sigmoid[1])],
                 "hit_iteration_cap": bool(m.hit_iteration_cap),
             }
             for m in model.machines
@@ -274,9 +231,9 @@ def load_model(text: str) -> MulticlassSvmModel:
         raise SchemaMismatch(f"unsupported model schema {doc.get('schema')!r}")
     classes = json_strings(doc, "classes", "model")
     attributes = json_strings(doc, "attributes", "model")
-    scheme = json_field(doc, "scheme", (str, type(None)), "model")
+    scheme = json_field(doc, "scheme", str, "model")
     try:
-        scheme = None if scheme is None else LabelScheme(scheme)
+        scheme = LabelScheme(scheme)
     except ValueError:
         raise SchemaMismatch(f"unknown label scheme {scheme!r}") from None
     k = json_field(doc, "kernel", dict, "model")
@@ -304,15 +261,10 @@ def load_model(text: str) -> MulticlassSvmModel:
             sv = np.zeros((0, len(attributes)))
         alphas = json_floats(m, "alphas", "model machine")
         labels = json_floats(m, "labels", "model machine")
-        sigmoid = json_field(m, "sigmoid", (list, type(None)), "model machine")
-        if sigmoid is not None:
-            sigmoid = tuple(json_floats(m, "sigmoid", "model machine").tolist())
         if len(pair) != 2 or not set(pair) <= set(classes):
             raise SchemaMismatch(f"model machine pair {pair} is not two of the classes")
         if sv.shape != (len(alphas), len(attributes)) or labels.shape != alphas.shape:
             raise SchemaMismatch("model machine arrays disagree in shape")
-        if sigmoid is not None and len(sigmoid) != 2:
-            raise SchemaMismatch("model machine sigmoid must hold two numbers")
         machines.append(BinarySvmModel(
             support_vectors=sv,
             alphas=alphas,
@@ -320,7 +272,6 @@ def load_model(text: str) -> MulticlassSvmModel:
             bias=float(json_field(m, "bias", NUMBER, "model machine")),
             kernel=kernel,
             class_pair=pair,
-            sigmoid=sigmoid,
             hit_iteration_cap=json_field(m, "hit_iteration_cap", bool, "model machine"),
         ))
     return MulticlassSvmModel(

@@ -265,7 +265,9 @@ MODEL_DEFECTS = {
     "pair outside classes": (["machines", 0, "pair"], ["good", "Locky"]),
     "bias null": (["machines", 0, "bias"], None),
     "no cap flag": (["machines", 0, "hit_iteration_cap"], _DROP),
-    "sigmoid of three": (["machines", 0, "sigmoid"], [1.0, 2.0, 3.0]),
+    "scheme null": (["scheme"], None),
+    "schema 1": (["schema"], 1),
+    "kernel sigma NaN": (["kernel", "sigma"], float("nan")),
 }
 
 
@@ -281,6 +283,20 @@ def test_corrupt_model_file_exits_2(pipeline, tmp_path, capsys, path, value):
     assert run("eval", bad, pipeline / "test.csv", "--out", tmp_path / "r.txt") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tolerance", "0"),
+    ("--max-iterations", "-1"),
+    ("--sigma", "nan"),
+    ("--c", "inf"),
+])
+def test_out_of_range_trainer_setting_exits_2(pipeline, tmp_path, capsys, flag, value):
+    capsys.readouterr()
+    assert run("train", pipeline / "train.csv", flag, value, "--out", tmp_path / "m.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
 
 
 SELECTION_DEFECTS = {

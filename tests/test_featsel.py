@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from opdense.errors import DegenerateMatrix, ListTooLong, UnknownMnemonic, WrongListCount
+from opdense.errors import DegenerateMatrix, ListTooLong, SchemaMismatch, UnknownMnemonic, WrongListCount
 from opdense.featsel import (
     CfsMeritScorer,
     aggregate_rank,
@@ -407,6 +407,13 @@ def test_rank_attributes_all_rankers_run():
         assert len(scores) == ds.n_attributes
         by_name = {s.attribute: s.score for s in scores}
         assert by_name["sig"] == max(by_name.values())
+
+
+@pytest.mark.parametrize("evaluator", ["pca", "cfs_subset", "nonsense"])
+def test_non_ranking_evaluator_rejected(evaluator):
+    X = np.random.RandomState(9).rand(10, 2)
+    with pytest.raises(SchemaMismatch):
+        rank_attributes(make_dataset(X, ["good", "malware"] * 5), evaluator)
 
 
 def test_entropy_scores_respect_bounds():

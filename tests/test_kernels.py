@@ -63,6 +63,12 @@ def test_invalid_parameters_rejected():
         KernelSpec(family="puk", sigma=-1.0)
     with pytest.raises(SchemaMismatch):
         KernelSpec(C=0.0)
+    with pytest.raises(SchemaMismatch):
+        KernelSpec(family="puk", sigma=float("nan"))
+    with pytest.raises(SchemaMismatch):
+        KernelSpec(C=float("inf"))
+    with pytest.raises(SchemaMismatch):
+        KernelSpec(family="poly", exponent=float("nan"))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

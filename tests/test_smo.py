@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from opdense.errors import DegenerateTargets, SchemaMismatch, SingleClass
+from opdense.errors import SchemaMismatch
 from opdense.kernels import KernelSpec, gram_matrix
-from opdense.smo import TrainerConfig, fit_sigmoid_scaling, smo_solve
-from opdense.svm import fit_sigmoid, smo_train_binary
+from opdense.smo import TrainerConfig, smo_solve
+from opdense.svm import train_multiclass
 from qp_oracle import kkt_violation, qp_oracle
 
 LINEAR = KernelSpec(family="poly", C=100.0)
@@ -33,26 +33,12 @@ def test_xor_with_rbf_fits_training_data():
     assert abs(sol.objective - qp_oracle(g, y, 100.0)) <= 1e-6 * max(1.0, sol.objective)
 
 
-def test_single_class_rejected():
-    ds = make_dataset([[0.1], [0.2]], ["good", "good"])
-    with pytest.raises(SingleClass):
-        smo_train_binary(ds, LINEAR)
-
-
-def test_more_than_two_classes_rejected():
-    from opdense.labels import LabelScheme
-    ds = make_dataset([[0.1], [0.2], [0.3]], ["good", "Locky", "Cerber"],
-                      scheme=LabelScheme.family)
-    with pytest.raises(SchemaMismatch):
-        smo_train_binary(ds, LINEAR)
-
-
 def test_model_invariants_on_trained_binary():
     rng = np.random.RandomState(4)
     X = np.vstack([rng.rand(12, 3) * 0.4, rng.rand(12, 3) * 0.4 + 0.6])
     labels = ["good"] * 12 + ["malware"] * 12
     ds = make_dataset(np.clip(X, 0, 1), labels)
-    model = smo_train_binary(ds, KernelSpec(family="puk", C=10.0))
+    model = train_multiclass(ds, KernelSpec(family="puk", C=10.0)).machines[0]
     # multiplier sign balance carries over to the retained support vectors
     assert abs(float(model.alphas @ model.labels)) <= 1e-8
     assert np.all(model.alphas > 0)
@@ -191,43 +177,12 @@ def test_oracle_sign_agreement_excluding_boundary_points():
                 assert margins[i] == pytest.approx(1.0, abs=1e-6)
 
 
-# --- logistic calibration ------------------------------------------------------
-
-def test_sigmoid_on_separated_data_saturates():
-    f = np.array([-3.0, -2.0, -2.5, 2.0, 2.5, 3.0])
-    y = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-    A, B = fit_sigmoid_scaling(f, y)
-    assert A < 0
-    p = lambda v: 1.0 / (1.0 + np.exp(A * v + B))
-    assert p(3.0) > 0.8 and p(-3.0) < 0.2
-    assert p(1.0) > p(0.0) > p(-1.0)  # monotone increasing in f when A < 0
-
-
-def test_sigmoid_constant_decisions_fall_back_to_prior():
-    f = np.zeros(6)
-    y = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
-    A, B = fit_sigmoid_scaling(f, y)
-    assert A == 0.0
-    assert B == pytest.approx(np.log((4 + 1) / (2 + 1)))
-
-
-def test_sigmoid_needs_both_classes():
-    with pytest.raises(DegenerateTargets):
-        fit_sigmoid_scaling(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-
-
-def test_fit_sigmoid_attaches_to_model():
-    ds = make_dataset([[0.0], [0.1], [0.9], [1.0]],
-                      ["good", "good", "malware", "malware"])
-    model = smo_train_binary(ds, KernelSpec(family="poly", C=10.0))
-    a, b = fit_sigmoid(model, ds)
-    assert model.sigmoid == (a, b)
-    probs = model.probability(ds.X)
-    assert probs[0] < 0.5 < probs[3]
-
-
 def test_trainer_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaMismatch):
         TrainerConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaMismatch):
         TrainerConfig(epsilon=-1.0)
+    with pytest.raises(SchemaMismatch):
+        TrainerConfig(tolerance=float("nan"))
+    with pytest.raises(SchemaMismatch):
+        TrainerConfig(max_iterations=-1)
