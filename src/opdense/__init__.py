@@ -35,8 +35,8 @@ from .smo import TrainerConfig, smo_solve
 from .svm import (
     BinarySvmModel,
     MulticlassSvmModel,
+    decision_values,
     load_model,
-    predict,
     save_model,
     train_multiclass,
 )
@@ -71,6 +71,7 @@ __all__ = [
     "count_opcodes",
     "cross_validate",
     "decode_one",
+    "decision_values",
     "default_grid",
     "density",
     "errors",
@@ -87,7 +88,6 @@ __all__ = [
     "minmax_scale",
     "parse_pe",
     "parse_report",
-    "predict",
     "read_dataset",
     "save_model",
     "scan_directory",

@@ -81,9 +81,6 @@ class Dataset:
     def n_attributes(self) -> int:
         return self.X.shape[1]
 
-    def label_array(self) -> np.ndarray:
-        return np.array(self.labels, dtype=object)
-
 
 def density(count: int, total: int) -> float:
     """count/total rounded half-up to 8 decimals."""
@@ -159,16 +156,15 @@ def sort_attributes_by_mean_density(ds: Dataset) -> Dataset:
     )
 
 
-def _scale_matrix(X: np.ndarray, params: ScalingParams, clamp: bool) -> np.ndarray:
+def _scale_matrix(X: np.ndarray, params: ScalingParams) -> np.ndarray:
+    """(X - min) / (max - min) clipped into [0, 1]; constant columns map to 0."""
     mins = np.array(params.mins)
     maxs = np.array(params.maxs)
     span = maxs - mins
     safe = np.where(span == 0, 1.0, span)
     out = (X - mins) / safe
     out[:, span == 0] = 0.0
-    if clamp:
-        out = np.clip(out, 0.0, 1.0)
-    return out
+    return np.clip(out, 0.0, 1.0)
 
 
 def minmax_scale(ds: Dataset) -> tuple[Dataset, ScalingParams]:
@@ -179,7 +175,7 @@ def minmax_scale(ds: Dataset) -> tuple[Dataset, ScalingParams]:
         mins=tuple(float(v) for v in ds.X.min(axis=0)),
         maxs=tuple(float(v) for v in ds.X.max(axis=0)),
     )
-    scaled = _scale_matrix(ds.X, params, clamp=False)
+    scaled = _scale_matrix(ds.X, params)
     return replace(ds, X=scaled, scaling=params), params
 
 
@@ -187,7 +183,7 @@ def apply_scaling(ds: Dataset, params: ScalingParams) -> Dataset:
     """Scale with stored training-set parameters, clamping into [0, 1]."""
     if len(params.mins) != ds.n_attributes:
         raise SchemaMismatch("scaling width does not match dataset")
-    return replace(ds, X=_scale_matrix(ds.X, params, clamp=True), scaling=params)
+    return replace(ds, X=_scale_matrix(ds.X, params), scaling=params)
 
 
 def quantile(values: Sequence[float] | np.ndarray, q: float) -> float:

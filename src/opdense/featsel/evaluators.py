@@ -24,10 +24,6 @@ class DiscretizedAttribute:
     edges: tuple[float, ...]  # cut points; a value equal to a cut stays in the lower bin
     indices: np.ndarray
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.edges) + 1
-
 
 def discretize_equal_frequency(values, bins: int = 10) -> DiscretizedAttribute:
     """Cut points at the empirical quantiles k/bins; duplicate cut points
@@ -350,34 +346,6 @@ _DISCRETIZED_RANKERS = {"info_gain": info_gain, "gain_ratio": gain_ratio, "symm_
 _RANKERS = (*_DISCRETIZED_RANKERS, "correlation", "one_r", "relieff")
 
 
-def score_attributes(
-    X: np.ndarray,
-    labels,
-    names,
-    evaluator: str,
-    bins: int = 10,
-    min_bucket: int = 6,
-    relieff_k: int = 10,
-    relieff_sample: int | None = None,
-    seed: int = 42,
-) -> list[AttributeScore]:
-    """Per-attribute scores of the columns of X, named by ``names``, for
-    the ranker search."""
-    if evaluator not in _RANKERS:
-        raise SchemaMismatch(f"evaluator {evaluator!r} does not produce a per-attribute ranking")
-    if evaluator == "relieff":
-        return relieff_scores(X, labels, names, k=relieff_k, sample=relieff_sample, seed=seed)
-
-    def score(col: np.ndarray) -> float:
-        if evaluator in _DISCRETIZED_RANKERS:
-            return _DISCRETIZED_RANKERS[evaluator](discretize_equal_frequency(col, bins), labels)
-        if evaluator == "correlation":
-            return correlation_eval(col, labels)
-        return one_r_eval(col, labels, min_bucket=min_bucket)
-
-    return [AttributeScore(name, float(score(X[:, j]))) for j, name in enumerate(names)]
-
-
 def rank_attributes(
     ds: Dataset,
     evaluator: str,
@@ -388,5 +356,16 @@ def rank_attributes(
     seed: int = 42,
 ) -> list[AttributeScore]:
     """Per-attribute scores of a dataset for the ranker search."""
-    return score_attributes(ds.X, ds.labels, ds.attributes, evaluator, bins=bins, min_bucket=min_bucket,
-                            relieff_k=relieff_k, relieff_sample=relieff_sample, seed=seed)
+    if evaluator not in _RANKERS:
+        raise SchemaMismatch(f"evaluator {evaluator!r} does not produce a per-attribute ranking")
+    if evaluator == "relieff":
+        return relieff_scores(ds.X, ds.labels, ds.attributes, k=relieff_k, sample=relieff_sample, seed=seed)
+
+    def score(col: np.ndarray) -> float:
+        if evaluator in _DISCRETIZED_RANKERS:
+            return _DISCRETIZED_RANKERS[evaluator](discretize_equal_frequency(col, bins), ds.labels)
+        if evaluator == "correlation":
+            return correlation_eval(col, ds.labels)
+        return one_r_eval(col, ds.labels, min_bucket=min_bucket)
+
+    return [AttributeScore(name, float(score(ds.X[:, j]))) for j, name in enumerate(ds.attributes)]

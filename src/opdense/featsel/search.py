@@ -159,8 +159,12 @@ def reduce_dataset(ds: Dataset, selection: SelectionResult) -> Dataset:
     still satisfies the dataset contract.
     """
     if selection.pca is not None:
-        if selection.pca.source_attributes != ds.attributes:
-            raise UnknownAttribute("pca source attributes do not match the dataset")
+        source = selection.pca.source_attributes
+        if source != ds.attributes:
+            missing = [name for name in source if name not in ds.attributes]
+            if missing:
+                raise UnknownAttribute(missing[0])
+            raise SchemaMismatch("dataset attributes are not exactly the pca source attributes, in order")
         Z = selection.pca.transform_matrix(ds.X)
         lo = Z.min(axis=0)
         hi = Z.max(axis=0)

@@ -43,6 +43,8 @@ class KernelSpec:
             raise SchemaMismatch("gamma must be positive")
         if self.family == "puk" and (self.sigma <= 0 or self.omega <= 0):
             raise SchemaMismatch("sigma and omega must be positive")
+        if self.family in ("poly", "normalized_poly") and self.exponent <= 0:
+            raise SchemaMismatch("exponent must be positive")
 
     def describe(self) -> str:
         if self.family in ("poly", "normalized_poly"):

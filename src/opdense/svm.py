@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import NUMBER, json_field, json_floats, json_object, json_strings
-from .dataset import Dataset, ScalingParams, _scale_matrix, project
+from .dataset import Dataset, ScalingParams, apply_scaling, project
 from .errors import DimensionMismatch, SchemaMismatch, SingleClass
 from .kernels import KernelSpec, gram_matrix
 from .labels import LabelScheme, class_order
@@ -29,19 +29,8 @@ class BinarySvmModel:
     alphas: np.ndarray
     labels: np.ndarray  # +-1 per support vector
     bias: float
-    kernel: KernelSpec
     class_pair: tuple[str, str]  # (negative label, positive label)
     hit_iteration_cap: bool = False
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.support_vectors.shape[1]:
-            raise DimensionMismatch(
-                f"expected {self.support_vectors.shape[1]} features, got {X.shape[1]}")
-        if len(self.alphas) == 0:
-            return np.full(X.shape[0], self.bias)
-        k = gram_matrix(self.kernel, self.support_vectors, X)
-        return k.T @ (self.alphas * self.labels) + self.bias
 
 
 @dataclass
@@ -59,64 +48,36 @@ class MulticlassSvmModel:
         return sum(len(m.alphas) for m in self.machines)
 
 
-def train_binary_arrays(
-    X: np.ndarray,
-    y: np.ndarray,
-    spec: KernelSpec,
-    config: TrainerConfig,
-    pair: tuple[str, str],
-) -> BinarySvmModel:
-    gram = gram_matrix(spec, X)
-    solution = smo_solve(gram, y, spec.C, config.tolerance, config.epsilon, config.max_iterations)
-    keep = solution.alphas > config.epsilon
-    return BinarySvmModel(
-        support_vectors=X[keep].copy(),
-        alphas=solution.alphas[keep].copy(),
-        labels=y[keep].copy(),
-        bias=solution.bias,
-        kernel=spec,
-        class_pair=pair,
-        hit_iteration_cap=solution.hit_iteration_cap,
-    )
-
-
-def train_pairwise(
-    X: np.ndarray,
-    labels: np.ndarray,
-    classes: tuple[str, ...],
-    spec: KernelSpec,
-    config: TrainerConfig,
-) -> tuple[list[BinarySvmModel], list[str]]:
-    """One machine per unordered pair of ``classes``, the later class of
-    each pair on the +1 side; returns the machines and any warnings."""
-    labels = np.asarray(labels, dtype=object)
+def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig | None = None) -> MulticlassSvmModel:
+    """One machine per unordered pair of the classes present in the data,
+    the later class of each pair (in scheme order) on the +1 side."""
+    config = config or TrainerConfig()
+    classes = tuple(class_order(ds.scheme, ds.labels))
+    if len(classes) < 2:
+        raise SingleClass(f"need at least two classes, found {list(classes)}")
+    labels = np.asarray(ds.labels, dtype=object)
     machines: list[BinarySvmModel] = []
     warnings: list[str] = []
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            neg, pos = classes[i], classes[j]
-            mask = (labels == neg) | (labels == pos)
-            if not (labels == neg).any() or not (labels == pos).any():
-                warnings.append(f"pair ({neg}, {pos}) skipped: a side has no instances")
-                continue
-            y = np.where(labels[mask] == pos, 1.0, -1.0)
-            machine = train_binary_arrays(X[mask], y, spec, config, (neg, pos))
-            if machine.hit_iteration_cap:
-                warnings.append(f"pair ({neg}, {pos}) hit the iteration cap; best effort kept")
-            machines.append(machine)
-    return machines, warnings
-
-
-def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig | None = None) -> MulticlassSvmModel:
-    """One machine per unordered pair of classes present in the data."""
-    config = config or TrainerConfig()
-    classes = class_order(ds.scheme, ds.labels)
-    if len(classes) < 2:
-        raise SingleClass(f"need at least two classes, found {classes}")
-    machines, warnings = train_pairwise(ds.X, ds.labels, tuple(classes), spec, config)
+    for neg, pos in _pairs(classes):
+        mask = (labels == neg) | (labels == pos)
+        X = ds.X[mask]
+        y = np.where(labels[mask] == pos, 1.0, -1.0)
+        solution = smo_solve(gram_matrix(spec, X), y, spec.C, config.tolerance, config.epsilon,
+                             config.max_iterations)
+        keep = solution.alphas > config.epsilon
+        if solution.hit_iteration_cap:
+            warnings.append(f"pair ({neg}, {pos}) hit the iteration cap; best effort kept")
+        machines.append(BinarySvmModel(
+            support_vectors=X[keep].copy(),
+            alphas=solution.alphas[keep].copy(),
+            labels=y[keep].copy(),
+            bias=solution.bias,
+            class_pair=(neg, pos),
+            hit_iteration_cap=solution.hit_iteration_cap,
+        ))
     return MulticlassSvmModel(
         machines=machines,
-        classes=tuple(classes),
+        classes=classes,
         attributes=ds.attributes,
         scheme=ds.scheme,
         kernel=spec,
@@ -125,63 +86,53 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig | None
     )
 
 
-def _model_space(model: MulticlassSvmModel, X: np.ndarray, already_scaled: bool) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(model.attributes):
-        raise DimensionMismatch(
-            f"expected {len(model.attributes)} features, got shape {X.shape}")
-    if already_scaled or model.scaling is None:
-        return X
-    return _scale_matrix(X, model.scaling, clamp=True)
+def _pairs(classes: tuple[str, ...]) -> list[tuple[str, str]]:
+    """Every unordered pair of ``classes``, earlier class first, in training order."""
+    return [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]]
 
 
-def _vote(model: MulticlassSvmModel, decisions: dict[tuple[str, str], float]) -> tuple[str, dict[str, int]]:
-    votes = {c: 0 for c in model.classes}
-    confidence = {c: 0.0 for c in model.classes}
-    for (neg, pos), f in decisions.items():
-        winner = pos if f >= 0 else neg
-        votes[winner] += 1
-        confidence[winner] += abs(f)
-    best = max(votes.values())
-    tied = [c for c in model.classes if votes[c] == best]
-    if len(tied) > 1:
-        top = max(confidence[c] for c in tied)
-        tied = [c for c in tied if confidence[c] == top]
-    return tied[0], votes
+def decision_values(model: MulticlassSvmModel, ds: Dataset) -> np.ndarray:
+    """Every machine's decision value on every row of ``ds`` (rows x machines).
 
-
-def predict(model: MulticlassSvmModel, instance, already_scaled: bool = False):
-    """Classify one raw density vector.
-
-    Returns (label, votes, margins) where votes maps class -> vote count
-    and margins maps (negative, positive) pair -> decision value.
+    Attributes are aligned by name. A dataset that carries scaling
+    parameters is taken to be in model space; a raw one gets the model's
+    stored scaling, clipped into [0, 1].
     """
-    row = _model_space(model, np.asarray(instance, dtype=float).reshape(1, -1), already_scaled)
-    margins = {m.class_pair: float(m.decision_function(row)[0]) for m in model.machines}
-    label, votes = _vote(model, margins)
-    return label, votes, margins
-
-
-def predict_matrix(model: MulticlassSvmModel, X: np.ndarray, already_scaled: bool = False) -> list[str]:
-    rows = _model_space(model, X, already_scaled)
-    all_decisions = {m.class_pair: m.decision_function(rows) for m in model.machines}
-    out = []
-    for i in range(rows.shape[0]):
-        label, _ = _vote(model, {pair: float(vals[i]) for pair, vals in all_decisions.items()})
-        out.append(label)
+    if set(ds.attributes) != set(model.attributes):
+        raise DimensionMismatch("dataset attributes do not match the model")
+    ds = project(ds, model.attributes)
+    if ds.scaling is None and model.scaling is not None:
+        ds = apply_scaling(ds, model.scaling)
+    out = np.empty((ds.n_instances, len(model.machines)))
+    for k, m in enumerate(model.machines):
+        if len(m.alphas) == 0:
+            out[:, k] = m.bias
+        else:
+            out[:, k] = gram_matrix(model.kernel, m.support_vectors, ds.X).T @ (m.alphas * m.labels) + m.bias
     return out
 
 
 def predict_dataset(model: MulticlassSvmModel, ds: Dataset) -> list[str]:
-    """Predict every instance of a dataset, aligning attributes by name.
+    """Label every row of ``ds`` by the machines' vote.
 
-    A dataset that already carries scaling parameters is taken to be in
-    model space; raw datasets get the model's stored scaling applied.
+    A machine votes for the +1 side of its pair when f >= 0. The label is
+    the class with the most votes, then the largest summed |f| of the
+    machines that voted for it, then the earlier class in ``model.classes``.
     """
-    if set(ds.attributes) != set(model.attributes):
-        raise DimensionMismatch("dataset attributes do not match the model")
-    aligned = ds if ds.attributes == model.attributes else project(ds, model.attributes)
-    return predict_matrix(model, aligned.X, already_scaled=aligned.scaling is not None)
+    f = decision_values(model, ds)
+    index = {c: i for i, c in enumerate(model.classes)}
+    rows = np.arange(f.shape[0])
+    votes = np.zeros((f.shape[0], len(model.classes)), dtype=int)
+    confidence = np.zeros(votes.shape)
+    for k, m in enumerate(model.machines):
+        neg, pos = m.class_pair
+        winner = np.where(f[:, k] >= 0, index[pos], index[neg])
+        votes[rows, winner] += 1
+        confidence[rows, winner] += np.abs(f[:, k])
+    tied = votes == votes.max(axis=1, keepdims=True)
+    confidence = np.where(tied, confidence, -np.inf)
+    best = tied & (confidence == confidence.max(axis=1, keepdims=True))
+    return [model.classes[i] for i in best.argmax(axis=1)]
 
 
 # --- serialization --------------------------------------------------------
@@ -261,8 +212,6 @@ def load_model(text: str) -> MulticlassSvmModel:
             sv = np.zeros((0, len(attributes)))
         alphas = json_floats(m, "alphas", "model machine")
         labels = json_floats(m, "labels", "model machine")
-        if len(pair) != 2 or not set(pair) <= set(classes):
-            raise SchemaMismatch(f"model machine pair {pair} is not two of the classes")
         if sv.shape != (len(alphas), len(attributes)) or labels.shape != alphas.shape:
             raise SchemaMismatch("model machine arrays disagree in shape")
         machines.append(BinarySvmModel(
@@ -270,10 +219,12 @@ def load_model(text: str) -> MulticlassSvmModel:
             alphas=alphas,
             labels=labels,
             bias=float(json_field(m, "bias", NUMBER, "model machine")),
-            kernel=kernel,
             class_pair=pair,
             hit_iteration_cap=json_field(m, "hit_iteration_cap", bool, "model machine"),
         ))
+    if (len(classes) < 2 or list(classes) != class_order(scheme, classes)
+            or [m.class_pair for m in machines] != _pairs(classes)):
+        raise SchemaMismatch("model classes or machine pairs are not as training writes them")
     return MulticlassSvmModel(
         machines=machines,
         classes=classes,

@@ -23,7 +23,7 @@ from opdense.kernels import KernelSpec, gram_matrix, kernel_eval
 from opdense.labels import LabelScheme
 from opdense.reports import format_report, parse_report
 from opdense.smo import smo_solve
-from opdense.svm import load_model, save_model, train_multiclass
+from opdense.svm import decision_values, load_model, save_model, train_multiclass
 from qp_oracle import kkt_violation, qp_oracle
 
 
@@ -325,9 +325,9 @@ def test_criterion_8_format_fidelity():
         text2 = save_model(m1)
         m2 = load_model(text2)
         assert text1 == text2
-        probe = rng.rand(20, 3)
-        assert np.array_equal(m1.machines[0].decision_function(probe),
-                              m2.machines[0].decision_function(probe))
+        probe = Dataset(attributes=ds.attributes, X=rng.rand(20, 3), labels=("good",) * 20,
+                        scheme=LabelScheme.binary)
+        assert np.array_equal(decision_values(m1, probe), decision_values(m2, probe))
 
 
 # --- criterion 9: determinism -------------------------------------------------------

@@ -268,6 +268,9 @@ MODEL_DEFECTS = {
     "scheme null": (["scheme"], None),
     "schema 1": (["schema"], 1),
     "kernel sigma NaN": (["kernel", "sigma"], float("nan")),
+    "no machines": (["machines"], []),
+    "pair reversed": (["machines", 0, "pair"], ["malware", "good"]),
+    "pair one class twice": (["machines", 0, "pair"], ["good", "good"]),
 }
 
 
@@ -297,6 +300,31 @@ def test_out_of_range_trainer_setting_exits_2(pipeline, tmp_path, capsys, flag, 
     err = capsys.readouterr().err
     assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_nonpositive_poly_exponent_exits_2(pipeline, tmp_path, capsys):
+    capsys.readouterr()
+    assert run("train", pipeline / "train.csv", "--kernel", "poly", "--exponent", "-1",
+               "--out", tmp_path / "m.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_pca_selection_on_other_attributes_exits_2(pipeline, tmp_path, capsys):
+    from opdense.dataset import project
+    from opdense.dataio import write_csv
+    from opdense.featsel import pca_eval, save_selection
+    train = read_csv((pipeline / "train.csv").read_bytes())
+    (tmp_path / "pca.json").write_text(save_selection(pca_eval(train)[1]))
+    (tmp_path / "narrow.csv").write_bytes(write_csv(project(train, train.attributes[-3:])))
+    (tmp_path / "reversed.csv").write_bytes(write_csv(project(train, train.attributes[::-1])))
+    capsys.readouterr()
+    assert run("reduce", tmp_path / "narrow.csv", tmp_path / "pca.json", "--out", tmp_path / "r.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: UnknownAttribute: attribute not present in the dataset: {train.attributes[0]!r}")
+    assert run("reduce", tmp_path / "reversed.csv", tmp_path / "pca.json", "--out", tmp_path / "r.csv") == 2
+    assert capsys.readouterr().err.startswith("error: SchemaMismatch:")
 
 
 SELECTION_DEFECTS = {

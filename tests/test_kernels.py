@@ -69,6 +69,10 @@ def test_invalid_parameters_rejected():
         KernelSpec(C=float("inf"))
     with pytest.raises(SchemaMismatch):
         KernelSpec(family="poly", exponent=float("nan"))
+    with pytest.raises(SchemaMismatch):
+        KernelSpec(family="poly", exponent=0.0)
+    with pytest.raises(SchemaMismatch):
+        KernelSpec(family="normalized_poly", exponent=-1.0)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

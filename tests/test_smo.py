@@ -5,7 +5,7 @@ from conftest import make_dataset
 from opdense.errors import SchemaMismatch
 from opdense.kernels import KernelSpec, gram_matrix
 from opdense.smo import TrainerConfig, smo_solve
-from opdense.svm import train_multiclass
+from opdense.svm import decision_values, train_multiclass
 from qp_oracle import kkt_violation, qp_oracle
 
 LINEAR = KernelSpec(family="poly", C=100.0)
@@ -38,14 +38,15 @@ def test_model_invariants_on_trained_binary():
     X = np.vstack([rng.rand(12, 3) * 0.4, rng.rand(12, 3) * 0.4 + 0.6])
     labels = ["good"] * 12 + ["malware"] * 12
     ds = make_dataset(np.clip(X, 0, 1), labels)
-    model = train_multiclass(ds, KernelSpec(family="puk", C=10.0)).machines[0]
+    multiclass = train_multiclass(ds, KernelSpec(family="puk", C=10.0))
+    model = multiclass.machines[0]
     # multiplier sign balance carries over to the retained support vectors
     assert abs(float(model.alphas @ model.labels)) <= 1e-8
     assert np.all(model.alphas > 0)
     assert np.all(model.alphas <= 10.0 + 1e-12)
     # positive side of the pair is the later class in scheme order
     assert model.class_pair == ("good", "malware")
-    decisions = model.decision_function(ds.X)
+    decisions = decision_values(multiclass, ds)[:, 0]
     predicted = np.where(decisions >= 0, "malware", "good")
     assert list(predicted) == labels
 

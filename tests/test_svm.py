@@ -1,14 +1,17 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import make_dataset
 from opdense.dataset import minmax_scale
-from opdense.errors import DimensionMismatch, SingleClass
+from opdense.errors import DimensionMismatch, SchemaMismatch, SingleClass
 from opdense.kernels import KernelSpec
 from opdense.labels import LabelScheme
 from opdense.svm import (
+    decision_values,
     load_model,
-    predict,
     predict_dataset,
     save_model,
     train_multiclass,
@@ -32,10 +35,11 @@ def test_two_labels_yield_single_machine():
     model = train_multiclass(ds, LINEAR)
     assert len(model.machines) == 1
     assert model.classes == ("good", "malware")
-    label, votes, margins = predict(model, [0.95])
-    assert label == "malware"
-    assert votes == {"good": 0, "malware": 1}
-    assert list(margins) == [("good", "malware")]
+    probe = make_dataset([[0.95]], ["malware"])
+    assert predict_dataset(model, probe) == ["malware"]
+    f = decision_values(model, probe)
+    assert f.shape == (1, 1) and f[0, 0] > 0  # the one machine votes malware
+    assert model.machines[0].class_pair == ("good", "malware")
 
 
 def test_six_labels_yield_fifteen_machines():
@@ -67,16 +71,16 @@ def test_boundary_tie_goes_to_positive_class():
     # symmetric two-point problem: f(0.5) == 0 exactly at the midpoint
     ds = make_dataset([[0.0], [1.0]], ["good", "malware"])
     model = train_multiclass(ds, LINEAR)
-    label, _, margins = predict(model, [0.5])
-    assert abs(margins[("good", "malware")]) < 1e-9
-    assert label == "malware"
+    probe = make_dataset([[0.5]], ["malware"])
+    assert abs(decision_values(model, probe)[0, 0]) < 1e-9
+    assert predict_dataset(model, probe) == ["malware"]
 
 
 def test_predict_dimension_mismatch():
     ds = make_dataset([[0.0], [1.0]], ["good", "malware"])
     model = train_multiclass(ds, LINEAR)
     with pytest.raises(DimensionMismatch):
-        predict(model, [0.5, 0.5])
+        predict_dataset(model, make_dataset([[0.5, 0.5]], ["good"]))
 
 
 def test_predict_applies_stored_scaling():
@@ -84,19 +88,22 @@ def test_predict_applies_stored_scaling():
     scaled, params = minmax_scale(raw)
     model = train_multiclass(scaled, LINEAR)
     assert model.scaling == params
-    # raw instance gets scaled before evaluation
-    label_raw, _, _ = predict(model, [0.6, 0.4])
-    assert label_raw == "malware"
-    # the same point given in model space
-    label_scaled, _, _ = predict(model, [1.0, 1.0], already_scaled=True)
-    assert label_scaled == "malware"
+    # a raw dataset gets the stored scaling before evaluation
+    raw_probe = make_dataset([[0.6, 0.4]], ["malware"], ("mov", "ret"))
+    assert predict_dataset(model, raw_probe) == ["malware"]
+    # a dataset carrying scaling is in model space and is not re-scaled:
+    # (0.45, 0.3) lies on the good side, scaled again it would be
+    # (0.625, 0.75) on the malware side
+    scaled_probe = make_dataset([[0.45, 0.3]], ["good"], ("mov", "ret"))
+    assert predict_dataset(model, replace(scaled_probe, scaling=params)) == ["good"]
+    assert predict_dataset(model, scaled_probe) == ["malware"]
 
 
 def test_margin_magnitude_on_analytic_problem():
     ds = make_dataset([[0.0], [1.0]], ["good", "malware"])
     model = train_multiclass(ds, LINEAR)
-    _, _, margins = predict(model, [0.9])
-    assert margins[("good", "malware")] == pytest.approx(0.8, abs=1e-6)
+    f = decision_values(model, make_dataset([[0.9]], ["malware"]))
+    assert f[0, 0] == pytest.approx(0.8, abs=1e-6)
 
 
 def test_model_round_trip_predictions_bit_identical():
@@ -109,10 +116,8 @@ def test_model_round_trip_predictions_bit_identical():
     text2 = save_model(m1)
     m2 = load_model(text2)
     assert text1 == text2
-    probe = rng.rand(25, 2)
-    d1 = m1.machines[0].decision_function(probe)
-    d2 = m2.machines[0].decision_function(probe)
-    assert np.array_equal(d1, d2)
+    probe = make_dataset(rng.rand(25, 2), ["good"] * 25)
+    assert np.array_equal(decision_values(m1, probe), decision_values(m2, probe))
     assert predict_dataset(m1, ds) == predict_dataset(m2, ds)
 
 
@@ -130,3 +135,39 @@ def test_predict_dataset_aligns_attributes_by_name():
     model = train_multiclass(ds, LINEAR)
     swapped = make_dataset([[0.5, 1.0]], ["malware"], ("ret", "mov"))
     assert predict_dataset(model, swapped) == ["malware"]
+
+
+def _bias_only_model(classes, biases):
+    """A model file whose machines have no support vectors, so each
+    machine's decision value is its bias on every row."""
+    pairs = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]]
+    return load_model(json.dumps({
+        "schema": 2, "scheme": "family", "classes": list(classes), "attributes": ["a00"],
+        "kernel": {"family": "puk", "exponent": 1.0, "use_lower_order": False, "gamma": 0.01,
+                   "sigma": 1.0, "omega": 1.0, "C": 1.0},
+        "scaling": None, "warnings": [],
+        "machines": [{"pair": list(pair), "support_vectors": [], "alphas": [], "labels": [],
+                      "bias": bias, "hit_iteration_cap": False} for pair, bias in zip(pairs, biases)],
+    }))
+
+
+def test_vote_tie_breaks_by_confidence_then_class_order():
+    classes = ("good", "Locky", "Cerber")
+    row = make_dataset([[0.0]], ["good"], scheme=LabelScheme.family)
+    # machines (good, Locky), (good, Cerber), (Locky, Cerber): every bias
+    # below is a 1-1-1 cycle, so the summed |f| of each class decides
+    assert predict_dataset(_bias_only_model(classes, [-0.5, 0.5, -1.0]), row) == ["Locky"]
+    assert predict_dataset(_bias_only_model(classes, [-0.5, 1.0, -0.75]), row) == ["Cerber"]
+    # equal summed |f|: the class earlier in model.classes wins
+    assert predict_dataset(_bias_only_model(classes, [-1.0, 1.0, -1.0]), row) == ["good"]
+    assert predict_dataset(_bias_only_model(classes, [1.0, -1.0, 1.0]), row) == ["good"]
+    assert predict_dataset(_bias_only_model(classes, [-0.5, 1.0, -1.0]), row) == ["Locky"]
+
+
+def test_load_model_requires_classes_in_scheme_order():
+    # each machine matches the pairs of its class list, but training
+    # never writes these class lists
+    with pytest.raises(SchemaMismatch):
+        _bias_only_model(("Locky", "good"), [1.0])
+    with pytest.raises(SchemaMismatch):
+        _bias_only_model(("good", "good"), [1.0])
