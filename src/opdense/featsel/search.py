@@ -161,9 +161,9 @@ def reduce_dataset(ds: Dataset, selection: SelectionResult) -> Dataset:
     if selection.pca is not None:
         source = selection.pca.source_attributes
         if source != ds.attributes:
-            missing = [name for name in source if name not in ds.attributes]
-            if missing:
-                raise UnknownAttribute(missing[0])
+            missing = next((name for name in source if name not in ds.attributes), None)
+            if missing is not None:
+                raise UnknownAttribute(missing)
             raise SchemaMismatch("dataset attributes are not exactly the pca source attributes, in order")
         Z = selection.pca.transform_matrix(ds.X)
         lo = Z.min(axis=0)

@@ -1,4 +1,3 @@
-import gc
 import sys
 from pathlib import Path
 
@@ -9,16 +8,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from opdense.dataset import Dataset
 from opdense.labels import LabelScheme
-
-
-def pytest_collection_finish(session):
-    # The modules and test items made by collection (about 60,000 tracked
-    # objects with every module collected) live for the whole session.
-    # Freezing them keeps each later full collection, including the one
-    # the benchmark's round loop makes before every round, from scanning
-    # them again.
-    gc.collect()
-    gc.freeze()
 
 
 @pytest.fixture
