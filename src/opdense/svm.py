@@ -100,7 +100,7 @@ def decision_values(model: MulticlassSvmModel, ds: Dataset) -> np.ndarray:
     """
     if set(ds.attributes) != set(model.attributes):
         raise DimensionMismatch("dataset attributes do not match the model")
-    ds = project(ds, model.attributes)
+    ds = ds if ds.attributes == model.attributes else project(ds, model.attributes)
     if ds.scaling is None and model.scaling is not None:
         ds = apply_scaling(ds, model.scaling)
     out = np.empty((ds.n_instances, len(model.machines)))
