@@ -41,7 +41,7 @@ from .svm import (
     train_multiclass,
 )
 from .synth import generate_corpus
-from .x86 import DecodedCount, count_opcodes, decode_one, histogram_from_pe, sweep
+from .x86 import DecodedCount, count_opcodes, decode_one, sweep
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "generate_corpus",
     "gram_matrix",
     "grid_search",
-    "histogram_from_pe",
     "holdout_evaluate",
     "iqr_flag",
     "kernel_eval",

@@ -140,20 +140,7 @@ def assemble(
 def sort_attributes_by_mean_density(ds: Dataset) -> Dataset:
     """Reorder columns by descending column mean, ties alphabetical."""
     means = ds.X.mean(axis=0) if ds.n_instances else np.zeros(ds.n_attributes)
-    order = sorted(range(ds.n_attributes), key=lambda j: (-means[j], ds.attributes[j]))
-    scaling = None
-    if ds.scaling is not None:
-        scaling = ScalingParams(
-            mins=tuple(ds.scaling.mins[j] for j in order),
-            maxs=tuple(ds.scaling.maxs[j] for j in order),
-        )
-    return Dataset(
-        attributes=tuple(ds.attributes[j] for j in order),
-        X=ds.X[:, order],
-        labels=ds.labels,
-        scheme=ds.scheme,
-        scaling=scaling,
-    )
+    return project(ds, [name for _, name in sorted(zip((-means).tolist(), ds.attributes))])
 
 
 def _scale_matrix(X: np.ndarray, params: ScalingParams) -> np.ndarray:

@@ -4,7 +4,6 @@ from .aggregate import AggregateRanking, aggregate_rank, render_ranking
 from .evaluators import (
     CfsMeritScorer,
     DiscretizedAttribute,
-    cfs_merit,
     correlation_eval,
     discretize_equal_frequency,
     gain_ratio,
@@ -13,7 +12,6 @@ from .evaluators import (
     one_r_eval,
     pca_eval,
     rank_attributes,
-    relieff_eval,
     relieff_scores,
     symm_uncert,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "SEARCHES",
     "SelectionResult",
     "aggregate_rank",
-    "cfs_merit",
     "correlation_eval",
     "discretize_equal_frequency",
     "gain_ratio",
@@ -56,7 +53,6 @@ __all__ = [
     "rank_attributes",
     "ranker_select",
     "reduce_dataset",
-    "relieff_eval",
     "relieff_scores",
     "render_ranking",
     "save_selection",

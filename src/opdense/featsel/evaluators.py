@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import Dataset, quantile
+from ..dataset import Dataset, ScalingParams, quantile
 from ..errors import DegenerateMatrix, SchemaMismatch
 from ..rng import sample_without_replacement
 from .selection import AttributeScore, PcaModel, SelectionResult
@@ -214,10 +214,6 @@ def relieff_scores(
     return [AttributeScore(name, float(w)) for name, w in zip(attribute_names, weights)]
 
 
-def relieff_eval(ds: Dataset, k: int = 10, sample: int | None = None, seed: int = 42) -> list[AttributeScore]:
-    return relieff_scores(ds.X, ds.labels, ds.attributes, k=k, sample=sample, seed=seed)
-
-
 def pca_eval(
     ds: Dataset,
     matrix: str = "correlation",
@@ -262,12 +258,15 @@ def pca_eval(
         cum = np.cumsum(eigenvalues) / total
         retained = int(np.searchsorted(cum, variance_cover - 1e-12) + 1)
         retained = min(retained, len(eigenvalues))
+    loadings = [[float(v) for v in row] for row in vectors[:, :retained]]
+    Z = centred @ np.array(loadings)  # the training set as transform_matrix maps it
     model = PcaModel(
         means=tuple(float(v) for v in means),
         stds=None if stds is None else tuple(float(v) for v in stds),
         eigenvalues=tuple(float(v) for v in eigenvalues[:retained]),
-        loadings=[[float(v) for v in row] for row in vectors[:, :retained]],
+        loadings=loadings,
         source_attributes=ds.attributes,
+        scaling=ScalingParams(tuple(Z.min(axis=0).tolist()), tuple(Z.max(axis=0).tolist())),
     )
     names = tuple(f"pc{j + 1}" for j in range(retained))
     scores = tuple(AttributeScore(name, float(eigenvalues[j])) for j, name in enumerate(names))
@@ -336,10 +335,6 @@ def merit_from_correlations(k: int, mean_class_corr: float, mean_pair_corr: floa
     if k == 0:
         return 0.0
     return k * mean_class_corr / math.sqrt(k + k * (k - 1) * mean_pair_corr)
-
-
-def cfs_merit(subset, ds: Dataset, bins: int = 10) -> float:
-    return CfsMeritScorer(ds, bins=bins).merit(subset)
 
 
 _DISCRETIZED_RANKERS = {"info_gain": info_gain, "gain_ratio": gain_ratio, "symm_uncert": symm_uncert}

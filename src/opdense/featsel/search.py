@@ -5,9 +5,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Sequence
 
-import numpy as np
-
-from ..dataset import Dataset, project
+from ..dataset import Dataset, _scale_matrix, project
 from ..errors import EmptyResult, SchemaMismatch, UnknownAttribute
 from .selection import AttributeScore, SelectionResult
 
@@ -155,8 +153,9 @@ def reduce_dataset(ds: Dataset, selection: SelectionResult) -> Dataset:
     """Project the dataset onto the retained attributes (class kept).
 
     A principal-component selection instead projects onto component
-    space and rescales each component linearly into [0, 1] so the result
-    still satisfies the dataset contract.
+    space and rescales each component linearly into [0, 1] by its
+    training-set range, clipping values outside it, so each row maps
+    the same whatever rows come with it.
     """
     if selection.pca is not None:
         source = selection.pca.source_attributes
@@ -165,18 +164,8 @@ def reduce_dataset(ds: Dataset, selection: SelectionResult) -> Dataset:
             if missing is not None:
                 raise UnknownAttribute(missing)
             raise SchemaMismatch("dataset attributes are not exactly the pca source attributes, in order")
-        Z = selection.pca.transform_matrix(ds.X)
-        lo = Z.min(axis=0)
-        hi = Z.max(axis=0)
-        span = np.where(hi - lo == 0, 1.0, hi - lo)
-        Z = (Z - lo) / span
-        reduced = Dataset(
-            attributes=selection.retained,
-            X=Z,
-            labels=ds.labels,
-            scheme=ds.scheme,
-        )
-        return reduced
+        Z = _scale_matrix(selection.pca.transform_matrix(ds.X), selection.pca.scaling)
+        return Dataset(attributes=selection.retained, X=Z, labels=ds.labels, scheme=ds.scheme)
     return project(ds, selection.retained)
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dataio import NUMBER, json_field, json_floats, json_object, json_strings
+from ..dataset import ScalingParams
 from ..errors import SchemaMismatch
 
 EVALUATORS = (
@@ -43,6 +44,7 @@ class PcaModel:
     eigenvalues: tuple[float, ...]
     loadings: list[list[float]]  # attributes x retained components
     source_attributes: tuple[str, ...]
+    scaling: ScalingParams  # each component's training-set (min, max)
 
     def transform_matrix(self, X: np.ndarray) -> np.ndarray:
         Z = X - np.array(self.means)
@@ -87,6 +89,8 @@ def save_selection(result: SelectionResult) -> str:
             "eigenvalues": list(result.pca.eigenvalues),
             "loadings": result.pca.loadings,
             "source_attributes": list(result.pca.source_attributes),
+            "component_mins": list(result.pca.scaling.mins),
+            "component_maxs": list(result.pca.scaling.maxs),
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -111,8 +115,10 @@ def load_selection(text: str) -> SelectionResult:
         if json_field(p, "stds", (list, type(None)), "selection pca") is not None:
             stds = json_floats(p, "stds", "selection pca")
         loadings = json_floats(p, "loadings", "selection pca", ndim=2)
+        mins = json_floats(p, "component_mins", "selection pca")
+        maxs = json_floats(p, "component_maxs", "selection pca")
         if len(means) != len(source) or (stds is not None and len(stds) != len(source)) \
-                or loadings.shape != (len(source), len(retained)):
+                or loadings.shape != (len(source), len(retained)) or len(mins) != len(retained):
             raise SchemaMismatch("selection pca arrays do not match its attributes")
         pca = PcaModel(
             means=tuple(means.tolist()),
@@ -120,6 +126,7 @@ def load_selection(text: str) -> SelectionResult:
             eigenvalues=tuple(json_floats(p, "eigenvalues", "selection pca").tolist()),
             loadings=p["loadings"],
             source_attributes=source,
+            scaling=ScalingParams(tuple(mins.tolist()), tuple(maxs.tolist())),
         )
     return SelectionResult(
         evaluator=json_field(doc, "evaluator", str, "selection"),

@@ -1,23 +1,19 @@
 """Fixed-point helpers.
 
-Density values are defined as exact decimal divisions rounded half-up,
-so all of them go through the decimal module rather than binary floats.
+Density values are defined as exact decimal divisions rounded half-up.
+For ``numerator >= 0`` and ``denominator > 0`` that is integer
+arithmetic: the rounded value is floor((2n*10^p + d) / 2d) units of
+10^-p, and Python's int / int division turns it into the nearest float.
 """
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Decimal, localcontext
-
 
 def round_half_up_fraction(numerator: int, denominator: int, places: int) -> float:
-    """Exact ``numerator / denominator`` rounded half-up to ``places`` decimals."""
-    if denominator == 0:
-        raise ZeroDivisionError("denominator must be nonzero")
-    with localcontext() as ctx:
-        ctx.prec = 50
-        q = Decimal(numerator) / Decimal(denominator)
-        exp = Decimal(1).scaleb(-places)
-        return float(q.quantize(exp, rounding=ROUND_HALF_UP))
+    """Exact ``numerator / denominator`` rounded half-up to ``places``
+    decimals, for ``numerator >= 0`` and ``denominator > 0``."""
+    scale = 10**places
+    return (2 * numerator * scale + denominator) // (2 * denominator) / scale
 
 
 def fixed(value: float, places: int = 8) -> str:

@@ -1,23 +1,26 @@
 """Sequential minimal optimization for the soft-margin SVM dual.
 
-Maximizes W(a) = sum(a) - 1/2 sum_ij a_i a_j y_i y_j K_ij subject to
-0 <= a_i <= C and sum(a_i y_i) = 0, two variables at a time.
+In the box form of the dual (Bottou & Lin, "Support Vector Machine
+Solvers", 2007) the variables are b = y*a. SMO maximizes
+W(b) = sum(y*b) - 1/2 b'Kb subject to sum(b) = 0 and
+lower_i <= b_i <= upper_i, with upper = C and lower = 0 where y = +1 and
+upper = 0 and lower = -C where y = -1; the multipliers are a = |b|.
 
-With t = y - K(a*y), a point bounds the bias from below (b >= t) when it
-is interior, or a=0 with y=+1, or a=C with y=-1 (the set I_up), and from
-above (b <= t) when it is interior, or a=0 with y=-1, or a=C with y=+1
-(the set I_low). The multipliers are optimal to ``tolerance`` exactly
-when the gap max_{I_up} t - min_{I_low} t is at most 2*tolerance
-(Keerthi et al., Neural Computation 2001).
+With t = y - Kb, a point with b < upper can still move up and so bounds
+the bias from below (the set I_up); a point with b > lower can move down
+and bounds it from above (I_low). The multipliers are optimal to
+``tolerance`` exactly when the gap max_{I_up} t - min_{I_low} t is at
+most 2*tolerance (Keerthi et al., Neural Computation 2001).
 
 Each step takes the maximal violator i = argmax_{I_up} t and, among the
 points of I_low below it, the j with the largest second-order gain
 (t_i - t_j)^2 / a_ij, where a_ij = K_ii + K_jj - 2K_ij is floored at
-``epsilon`` (Fan, Chen & Lin, JMLR 2005, "WSS2"). The pair moves by the
-Newton step, cut at the box; a multiplier that reaches a bound is set
-exactly to it. t is updated from the two Gram columns touched. When the
-gap closes, t is recomputed exactly from the Gram matrix and the gap
-tested again, so rounding drift in the updates cannot end a solve early.
+``epsilon`` (Fan, Chen & Lin, JMLR 2005, "WSS2"). b_i rises and b_j falls
+by the Newton step, cut at the room each has left in its box; a variable
+that reaches its bound is set exactly to it. t is updated from the two
+Gram columns touched. When the gap closes, t is recomputed exactly from
+the Gram matrix and the gap tested again, so rounding drift in the
+updates cannot end a solve early.
 
 The stopping test and the reported bias are the same interval: the bias
 is the midpoint of [max_{I_up} t, min_{I_low} t], the bias that
@@ -74,30 +77,30 @@ def smo_solve(
     gram = np.asarray(gram, dtype=float)
     y = np.asarray(y, dtype=float)
     C = float(C)
-    positive = y > 0
+    upper = np.where(y > 0, C, 0.0)
+    lower = upper - C
     diag = gram.diagonal()
-    alpha = np.zeros(len(y))
-    t = y.copy()  # y - K(alpha*y), exact at alpha = 0
+    beta = np.zeros(len(y))
+    t = y.copy()  # y - K beta, exact at beta = 0
     exact, steps = True, 0
     while True:
-        t_up = np.where(np.where(positive, alpha < C, alpha > 0), t, -np.inf)
-        t_low = np.where(np.where(positive, alpha > 0, alpha < C), t, np.inf)
+        t_up = np.where(beta < upper, t, -np.inf)
+        t_low = np.where(beta > lower, t, np.inf)
         i = int(np.argmax(t_up))
         gap = t_up[i] - t_low.min()
         if not gap > 2.0 * tolerance or steps == max_iterations:
             if exact:
                 break
-            t, exact = y - gram @ (alpha * y), True
+            t, exact = y - gram @ beta, True
             continue
         diff = t_up[i] - t_low
         curvature = np.maximum(diag[i] + diag - 2.0 * gram[:, i], epsilon)
         j = int(np.argmax(np.where(diff > 0, diff * diff / curvature, -1.0)))
-        room_i = C - alpha[i] if positive[i] else alpha[i]
-        room_j = alpha[j] if positive[j] else C - alpha[j]
+        room_i = upper[i] - beta[i]
+        room_j = beta[j] - lower[j]
         delta = min(diff[j] / curvature[j], room_i, room_j)
-        # beta = alpha*y moves by +delta at i and -delta at j
-        alpha[i] = (C if positive[i] else 0.0) if delta == room_i else alpha[i] + y[i] * delta
-        alpha[j] = (0.0 if positive[j] else C) if delta == room_j else alpha[j] - y[j] * delta
+        beta[i] = upper[i] if delta == room_i else beta[i] + delta
+        beta[j] = lower[j] if delta == room_j else beta[j] - delta
         t -= delta * (gram[:, i] - gram[:, j])
         exact = False
         steps += 1
@@ -107,11 +110,11 @@ def smo_solve(
         lo = hi
     if np.isinf(hi):
         hi = lo
+    alphas = np.abs(beta)
     return SmoSolution(
-        alphas=alpha,
+        alphas=alphas,
         bias=float(0.5 * (lo + hi)),
         iterations=steps,
         hit_iteration_cap=bool(gap > 2.0 * tolerance),
-        objective=dual_objective(gram, y, alpha),
+        objective=dual_objective(gram, y, alphas),
     )
-

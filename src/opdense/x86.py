@@ -20,7 +20,8 @@ fused with a preceding wait byte (9B) is counted as its wait form
 Every opcode resolves through flat 256-entry tables built once at
 import: ``ONE_BYTE``, ``TWO_BYTE`` (the 0F map under each mandatory
 prefix - none, 66, F2, F3 - with the plain entry standing in where a
-prefix has none of its own), ``THREE_BYTE_38`` and ``THREE_BYTE_3A``.
+prefix has none of its own), ``THREE_BYTE_38`` and ``THREE_BYTE_3A``;
+the bytes of ModRM, SIB and displacement come from ``MODRM_LENGTH``.
 An entry is ``(mnemonic, immediate code, modrm)`` or None. ``modrm`` is
 False when no ModRM byte follows, True when one follows and leaves the
 mnemonic alone, and otherwise a 256-entry table indexed by the ModRM byte
@@ -31,9 +32,10 @@ the x87 escapes all resolve that way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NoExecutableSection, NoInstructionsDecoded
-from .pe import PeImage, parse_pe
+from .pe import PeImage
 from .reports import OpcodeHistogram
 
 PREFIX_BYTES = frozenset({0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67, 0xF0, 0xF2, 0xF3})
@@ -409,8 +411,7 @@ _WAIT_FUSED[0xDD] = _group(_NONE[:6] + ("fsave", "fstsw"), reg={})
 _WAIT_FUSED[0xDF] = _group(_NONE, reg={0xE0: "fstsw"})
 
 
-@dataclass(frozen=True)
-class DecodedInstruction:
+class DecodedInstruction(NamedTuple):
     mnemonic: str
     length: int
 
@@ -434,44 +435,12 @@ class DecodedCount:
         )
 
 
-def _modrm_block_length(code: bytes, pos: int, limit: int, asize16: bool) -> tuple[int, int] | None:
-    """Bytes consumed by modrm + sib + displacement, plus the modrm byte
-    itself; None when it runs past the limit."""
-    if pos >= limit:
-        return None
-    modrm = code[pos]
-    mod, rm = modrm >> 6, modrm & 7
-    if mod == 3:
-        return 1, modrm
-    if asize16:
-        if mod == 0:
-            length = 3 if rm == 6 else 1
-        elif mod == 1:
-            length = 2
-        else:
-            length = 3
-        return (length, modrm) if pos + length <= limit else None
-    length = 1
-    if rm == 4:
-        if pos + 1 >= limit:
-            return None
-        sib = code[pos + 1]
-        length += 1
-        base = sib & 7
-        if mod == 0:
-            length += 4 if base == 5 else 0
-        elif mod == 1:
-            length += 1
-        else:
-            length += 4
-    else:
-        if mod == 0:
-            length += 4 if rm == 5 else 0
-        elif mod == 1:
-            length += 1
-        else:
-            length += 4
-    return (length, modrm) if pos + length <= limit else None
+# ModRM + SIB + displacement bytes by ModRM byte, under 32- and 16-bit
+# addressing; a 32-bit SIB with base 5 under mod 0 adds 4 (see _finish)
+MODRM_LENGTH = (
+    tuple(1 if m >= 0xC0 else 1 + (m & 7 == 4) + (4 if m & 0xC7 == 5 else (0, 1, 4)[m >> 6]) for m in range(256)),
+    tuple(1 if m >= 0xC0 else 1 + (2 if m & 0xC7 == 6 else (0, 1, 2)[m >> 6]) for m in range(256)),
+)
 
 
 def decode_one(code: bytes, pos: int) -> DecodedInstruction | None:
@@ -524,15 +493,17 @@ def _finish(code, start, pos, limit, entry, osize16, asize16) -> DecodedInstruct
         return None
     name, imm, modrm = entry
     if modrm:
-        block = _modrm_block_length(code, pos, limit, asize16)
-        if block is None:
+        if pos >= limit:
             return None
-        length, modrm_byte = block
+        modrm_byte = code[pos]
         if modrm is not True:
             form = modrm[modrm_byte]
             if form is None:
                 return None
             name, imm = form
+        length = MODRM_LENGTH[asize16][modrm_byte]
+        if modrm_byte & 0xC7 == 0x04 and not asize16 and pos + 1 < limit and code[pos + 1] & 7 == 5:
+            length += 4
         pos += length
     pos += _IMMEDIATE_LENGTHS[imm][osize16 + 2 * asize16]
     if pos > limit:
@@ -540,21 +511,25 @@ def _finish(code, start, pos, limit, entry, osize16, asize16) -> DecodedInstruct
     return DecodedInstruction(name, pos - start)
 
 
-def sweep(code: bytes) -> DecodedCount:
-    """Linear sweep: decode, advance by the instruction length; count an
-    undecodable byte as unknown and advance one byte."""
+def sweep(*codes: bytes) -> DecodedCount:
+    """Linear sweep of each buffer in turn, into one count: decode,
+    advance by the instruction length; count an undecodable byte as
+    unknown and advance one byte."""
     result = DecodedCount()
-    pos = 0
-    end = len(code)
-    while pos < end:
-        decoded = decode_one(code, pos)
-        if decoded is None:
-            result.unknown_bytes += 1
-            pos += 1
-            continue
-        result.counts[decoded.mnemonic] = result.counts.get(decoded.mnemonic, 0) + 1
-        result.decoded_instructions += 1
-        pos += decoded.length
+    counts = result.counts
+    for code in codes:
+        pos = 0
+        end = len(code)
+        while pos < end:
+            decoded = decode_one(code, pos)
+            if decoded is None:
+                result.unknown_bytes += 1
+                pos += 1
+                continue
+            name, length = decoded
+            counts[name] = counts.get(name, 0) + 1
+            result.decoded_instructions += 1
+            pos += length
     return result
 
 
@@ -563,15 +538,4 @@ def count_opcodes(image: PeImage) -> DecodedCount:
     sections = image.executable_sections()
     if not sections:
         raise NoExecutableSection("image has no executable section")
-    total = DecodedCount()
-    for section in sections:
-        part = sweep(section.raw_data)
-        for name, count in part.counts.items():
-            total.counts[name] = total.counts.get(name, 0) + count
-        total.unknown_bytes += part.unknown_bytes
-        total.decoded_instructions += part.decoded_instructions
-    return total
-
-
-def histogram_from_pe(data: bytes, sample_id: str) -> OpcodeHistogram:
-    return count_opcodes(parse_pe(data)).histogram(sample_id)
+    return sweep(*(section.raw_data for section in sections))

@@ -341,6 +341,8 @@ SELECTION_DEFECTS = {
     "pca means too short": (["pca", "means"], [0.0]),
     "pca loadings ragged": (["pca", "loadings", 0], []),
     "pca stds a string": (["pca", "stds"], "none"),
+    "pca without component ranges": (["pca", "component_mins"], _DROP),
+    "pca component ranges too short": (["pca", "component_maxs"], [1.0]),
 }
 
 

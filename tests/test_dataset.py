@@ -1,5 +1,9 @@
+from decimal import ROUND_HALF_UP, Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from opdense.dataset import (
@@ -24,6 +28,7 @@ from opdense.errors import (
 from opdense.labels import ClassLabel, LabelScheme
 from opdense.reports import LabeledHistogram, OpcodeHistogram
 from opdense.rng import permutation
+from opdense.rounding import round_half_up_fraction
 
 
 def lh(sample_id, counts, label="good", total=None, scheme=LabelScheme.binary):
@@ -49,6 +54,33 @@ def test_density_half_up_rounding_mode():
     # 1/8000 = 0.000125 -> half-up at 8 decimals keeps 0.0001250...
     assert density(1, 80_000_000) == 0.00000001  # 1.25e-8 rounds down
     assert density(3, 200_000_000) == 0.00000002  # exactly 1.5e-8 rounds up
+
+
+def decimal_half_up(numerator: int, denominator: int, places: int) -> float:
+    """Reference rule: the quotient to 50 significant digits, quantized
+    half-up with the decimal module."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = Decimal(numerator) / Decimal(denominator)
+        return float(q.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**12), st.integers(1, 10**12), st.sampled_from([2, 8]))
+def test_round_half_up_fraction_matches_decimal_reference(numerator, denominator, places):
+    assert round_half_up_fraction(numerator, denominator, places) == decimal_half_up(numerator, denominator, places)
+
+
+@pytest.mark.parametrize("numerator, denominator, places, expected", [
+    (1, 8, 2, 0.13),  # 0.125: the tie rounds up
+    (5, 10**9, 8, 1e-8),  # 0.000000005: the tie rounds up
+    (0, 7, 8, 0.0),
+    (3, 8, 2, 0.38),
+    (1, 3, 8, 0.33333333),
+])
+def test_round_half_up_fraction_ties(numerator, denominator, places, expected):
+    assert round_half_up_fraction(numerator, denominator, places) == expected
+    assert decimal_half_up(numerator, denominator, places) == expected
 
 
 # --- master list / assemble ----------------------------------------------------

@@ -8,7 +8,6 @@ from opdense.errors import DegenerateMatrix, ListTooLong, SchemaMismatch, Unknow
 from opdense.featsel import (
     CfsMeritScorer,
     aggregate_rank,
-    cfs_merit,
     correlation_eval,
     discretize_equal_frequency,
     gain_ratio,
@@ -267,6 +266,16 @@ def test_pca_reduce_projects_and_rescales():
     assert reduced.X.min() >= 0.0 and reduced.X.max() <= 1.0
 
 
+def test_pca_reduce_maps_a_row_alone_as_inside_the_full_set():
+    rng = np.random.RandomState(5)
+    ds = make_dataset(rng.rand(40, 6), ["good", "malware"] * 20)
+    _, result = pca_eval(ds)
+    full = reduce_dataset(ds, result)
+    for i in (0, 13, 39):
+        alone = reduce_dataset(make_dataset(ds.X[i:i + 1], ds.labels[i:i + 1]), result)
+        assert np.allclose(alone.X[0], full.X[i], rtol=0.0, atol=1e-12), i
+
+
 # --- CFS -------------------------------------------------------------------------
 
 def test_cfs_formula_values():
@@ -284,7 +293,7 @@ def test_cfs_single_attribute_equals_class_correlation():
     )
     scorer = CfsMeritScorer(ds)
     assert scorer.merit(("sig",)) == pytest.approx(scorer.class_correlation("sig"), abs=1e-12)
-    assert cfs_merit(("sig",), ds) == pytest.approx(scorer.merit(("sig",)), abs=1e-12)
+    assert CfsMeritScorer(ds).merit(("sig",)) == pytest.approx(scorer.merit(("sig",)), abs=1e-12)
 
 
 def test_cfs_duplicate_attribute_adds_nothing():
@@ -300,7 +309,7 @@ def test_cfs_duplicate_attribute_adds_nothing():
 
 def test_cfs_empty_subset_zero():
     ds = make_dataset([[0.1], [0.9]], ["good", "malware"])
-    assert cfs_merit((), ds) == 0.0
+    assert CfsMeritScorer(ds).merit(()) == 0.0
 
 
 # --- searches --------------------------------------------------------------------

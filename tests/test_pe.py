@@ -3,7 +3,7 @@ import pytest
 from opdense.errors import NoExecutableSection, NoInstructionsDecoded, NotPe, Not32Bit, Truncated
 from opdense.pe import parse_pe
 from opdense.reports import parse_report, format_report
-from opdense.x86 import count_opcodes, histogram_from_pe
+from opdense.x86 import count_opcodes
 from pe_builder import SECTION_EXECUTE, build_pe, text_only_pe
 
 DATA_SECTION = 0x40000040  # initialized data, readable
@@ -92,8 +92,12 @@ def test_empty_executable_section_counts_nothing():
     assert counted.unknown_bytes == 0
 
 
+def histogram(data: bytes, sample_id: str):
+    return count_opcodes(parse_pe(data)).histogram(sample_id)
+
+
 def test_histogram_from_pe_nop_ret():
-    h = histogram_from_pe(text_only_pe(b"\x90\xC3"), "tiny")
+    h = histogram(text_only_pe(b"\x90\xC3"), "tiny")
     assert h.counts == {"nop": 1, "ret": 1}
     assert h.total == 2
     assert h.source == "disassembly"
@@ -101,17 +105,17 @@ def test_histogram_from_pe_nop_ret():
 
 def test_histogram_from_pe_all_zero_bytes():
     # 00 00 decodes as a two-byte add, so N zero bytes give N/2 adds
-    h = histogram_from_pe(text_only_pe(b"\x00" * 32), "zeros")
+    h = histogram(text_only_pe(b"\x00" * 32), "zeros")
     assert h.counts == {"add": 16}
 
 
 def test_histogram_from_pe_empty_text_errors():
     with pytest.raises(NoInstructionsDecoded):
-        histogram_from_pe(text_only_pe(b""), "empty")
+        histogram(text_only_pe(b""), "empty")
 
 
 def test_histogram_serializes_through_report_grammar():
-    h = histogram_from_pe(text_only_pe(b"\x90\x90\x40\xC3"), "rt")
+    h = histogram(text_only_pe(b"\x90\x90\x40\xC3"), "rt")
     again = parse_report(format_report(h), "rt")
     assert again.counts == h.counts
     assert again.total == h.total
