@@ -4,6 +4,8 @@ code 2; never another exception."""
 
 import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from opdense.errors import OpdenseError
 from opdense.featsel import load_selection, pca_eval, save_selection
 from opdense.kernels import KernelSpec
 from opdense.pe import parse_pe
-from opdense.reports import OpcodeHistogram, format_report, parse_report
+from opdense.reports import OpcodeHistogram, format_report, parse_report, read_manifest
 from opdense.svm import load_model, save_model, train_multiclass
 from opdense.x86 import count_opcodes
 from pe_builder import SECTION_EXECUTE, build_pe
@@ -97,6 +99,7 @@ def _dataset():
 CSV = write_csv(_dataset())
 ARFF = write_arff(_dataset())
 REPORT = format_report(OpcodeHistogram("r", {"mov": 120, "push": 40, "ret": 7}, 170, "report")).encode()
+MANIFEST = b'sample_id,label\ngood_000,good\nmalware_001,malware\n"id, quoted",good\n'
 PE = build_pe([(".text", b"\x55\x8b\xec\x90\xc3", SECTION_EXECUTE), (".data", b"\x01\x02", 0x40000040)])
 MODEL = save_model(train_multiclass(_dataset(), KernelSpec(family="puk", C=10.0)))
 SELECTION = save_selection(pca_eval(_dataset())[1])
@@ -119,6 +122,15 @@ def test_read_arff_survives_mutation(changes):
 def test_parse_report_survives_mutation(changes):
     text = mutate(REPORT, changes).decode("utf-8", errors="replace")
     loads_or_rejects(lambda t: parse_report(t, "fuzz"), text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits)
+def test_read_manifest_survives_mutation(changes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.csv"
+        path.write_bytes(mutate(MANIFEST, changes))
+        loads_or_rejects(read_manifest, path)
 
 
 @settings(max_examples=150, deadline=None)

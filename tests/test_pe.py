@@ -92,12 +92,8 @@ def test_empty_executable_section_counts_nothing():
     assert counted.unknown_bytes == 0
 
 
-def histogram(data: bytes, sample_id: str):
-    return count_opcodes(parse_pe(data)).histogram(sample_id)
-
-
 def test_histogram_from_pe_nop_ret():
-    h = histogram(text_only_pe(b"\x90\xC3"), "tiny")
+    h = count_opcodes(parse_pe(text_only_pe(b"\x90\xC3"))).histogram("tiny")
     assert h.counts == {"nop": 1, "ret": 1}
     assert h.total == 2
     assert h.source == "disassembly"
@@ -105,17 +101,17 @@ def test_histogram_from_pe_nop_ret():
 
 def test_histogram_from_pe_all_zero_bytes():
     # 00 00 decodes as a two-byte add, so N zero bytes give N/2 adds
-    h = histogram(text_only_pe(b"\x00" * 32), "zeros")
+    h = count_opcodes(parse_pe(text_only_pe(b"\x00" * 32))).histogram("zeros")
     assert h.counts == {"add": 16}
 
 
 def test_histogram_from_pe_empty_text_errors():
     with pytest.raises(NoInstructionsDecoded):
-        histogram(text_only_pe(b""), "empty")
+        count_opcodes(parse_pe(text_only_pe(b""))).histogram("empty")
 
 
 def test_histogram_serializes_through_report_grammar():
-    h = histogram(text_only_pe(b"\x90\x90\x40\xC3"), "rt")
+    h = count_opcodes(parse_pe(text_only_pe(b"\x90\x90\x40\xC3"))).histogram("rt")
     again = parse_report(format_report(h), "rt")
     assert again.counts == h.counts
     assert again.total == h.total

@@ -192,6 +192,15 @@ def test_instruction_straddling_end_counts_first_byte_unknown():
     assert result.counts == {"add": 1}  # the tail 01 00 decodes as add
 
 
+def test_sweep_of_several_buffers_decodes_each_on_its_own():
+    # joined, B8 01 00 00 00 would be one mov; apart, nothing crosses the cut
+    result = sweep(bytes.fromhex("B801"), bytes.fromhex("000000"))
+    assert result.counts == {"add": 1}
+    assert result.unknown_bytes == 3
+    assert result.decoded_instructions == 1
+    assert sweep(bytes.fromhex("B801000000")).counts == {"mov": 1}
+
+
 def _random_blob(seed, size):
     return bytes(np.random.RandomState(seed).randint(0, 256, size=size, dtype=np.uint8))
 
