@@ -229,21 +229,19 @@ def cmd_select(args) -> int:
     if evaluator == "cfs_subset":
         scorer = featsel.CfsMeritScorer(ds, bins=args.bins)
         if search == "best_first":
-            result = featsel.search_best_first(ds.attributes, scorer,
-                                               backtrack_limit=args.backtrack, evaluator="cfs_subset")
+            result = featsel.search_best_first(ds.attributes, scorer, backtrack_limit=args.backtrack)
         elif search == "greedy_stepwise":
             result = featsel.search_greedy_stepwise(
                 ds.attributes, scorer,
                 num_to_select=args.num_to_select,
                 threshold=args.threshold if args.generate_ranking else None,
-                generate_ranking=args.generate_ranking,
-                evaluator="cfs_subset")
+                generate_ranking=args.generate_ranking)
         else:
             raise UsageError("cfs-subset works with best-first or greedy-stepwise searches")
     elif evaluator == "pca":
         if search != "ranker":
             raise UsageError("pca works with the ranker search")
-        _, result = featsel.pca_eval(ds, matrix=args.pca_matrix, variance_cover=args.pca_variance)
+        result = featsel.pca_eval(ds, matrix=args.pca_matrix, variance_cover=args.pca_variance)
     else:
         if search != "ranker":
             raise UsageError(f"{args.evaluator} works with the ranker search")
@@ -300,6 +298,8 @@ def cmd_tune_threshold(args) -> int:
     train = _read_ds(args.train)
     test = _read_ds(args.test)
     selection = featsel.load_selection(_read_text(args.selection))
+    if selection.pca is not None:
+        raise UsageError("principal components carry no attribute ranking to sweep; use a ranked selection")
     if not selection.scores:
         raise UsageError("the selection file carries no attribute scores to sweep")
     spec = _kernel_spec(args)
@@ -332,7 +332,7 @@ def cmd_rank_aggregate(args) -> int:
     lists = []
     for path in args.selections:
         selection = featsel.load_selection(_read_text(path))
-        if selection.evaluator == "pca":
+        if selection.pca is not None:
             raise UsageError("principal components carry no attribute ranking; exclude that file")
         lists.append(selection.retained[:21])
     ranking = featsel.aggregate_rank(lists)

@@ -224,10 +224,15 @@ def iqr_flag(ds: Dataset, outlier_factor: float = 3.0, extreme_factor: float = 6
                     outlier_factor=outlier_factor, extreme_factor=extreme_factor)
 
 
+def take_rows(ds: Dataset, idx: Sequence[int]) -> Dataset:
+    """The instances at ``idx``, in that order; everything else kept."""
+    idx = list(idx)
+    return replace(ds, X=ds.X[idx], labels=tuple(ds.labels[i] for i in idx))
+
+
 def shuffle(ds: Dataset, seed: int = 42) -> Dataset:
     """Fisher-Yates permutation of the instances driven by SplitMix64."""
-    order = permutation(ds.n_instances, seed)
-    return replace(ds, X=ds.X[order], labels=tuple(ds.labels[i] for i in order))
+    return take_rows(ds, permutation(ds.n_instances, seed))
 
 
 def split_percentage(ds: Dataset, percent: float, invert: bool) -> Dataset:
@@ -240,10 +245,9 @@ def split_percentage(ds: Dataset, percent: float, invert: bool) -> Dataset:
         raise SchemaMismatch("percent must be strictly between 0 and 100")
     n_removed = math.ceil(ds.n_instances * percent / 100.0)
     idx = range(n_removed) if invert else range(n_removed, ds.n_instances)
-    idx = list(idx)
     if not idx:
         raise EmptyResult("split leaves one side empty")
-    return replace(ds, X=ds.X[idx], labels=tuple(ds.labels[i] for i in idx))
+    return take_rows(ds, idx)
 
 
 def project(ds: Dataset, attribute_order: Iterable[str]) -> Dataset:

@@ -19,7 +19,6 @@ MAX_RANKED = 21
 @dataclass
 class AggregateRanking:
     entries: list[tuple[str, int]]  # (attribute, total weight), ordered
-    sources: tuple[tuple[str, ...], ...]
 
     def totals(self) -> dict[str, int]:
         return dict(self.entries)
@@ -28,17 +27,15 @@ class AggregateRanking:
 def aggregate_rank(lists: Sequence[Sequence[str]]) -> AggregateRanking:
     if len(lists) != LIST_COUNT:
         raise WrongListCount(f"expected {LIST_COUNT} ranked lists, got {len(lists)}")
-    sources = []
     totals: dict[str, int] = {}
     for ranked in lists:
         ranked = tuple(ranked)
         if len(ranked) > MAX_RANKED:
             raise ListTooLong(f"a ranked list holds {len(ranked)} attributes (max {MAX_RANKED})")
-        sources.append(ranked)
         for rank, attribute in enumerate(ranked, start=1):
             totals[attribute] = totals.get(attribute, 0) + (MAX_RANKED + 1 - rank)
     entries = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return AggregateRanking(entries=entries, sources=tuple(sources))
+    return AggregateRanking(entries=entries)
 
 
 def render_ranking(ranking: AggregateRanking) -> str:

@@ -75,13 +75,17 @@ def gain_ratio(attr: DiscretizedAttribute, labels) -> float:
     return info_gain(attr, labels) / split_info
 
 
-def symm_uncert(attr: DiscretizedAttribute, labels) -> float:
-    """2 * IG / (H(attr) + H(class)), in [0, 1]."""
-    codes = _label_codes(labels)
-    denom = _entropy_from_codes(attr.indices) + _entropy_from_codes(codes)
+def _symmetric_uncertainty(a: np.ndarray, b: np.ndarray) -> float:
+    """2 * I(a; b) / (H(a) + H(b)), in [0, 1]; 0 when both are constant."""
+    denom = _entropy_from_codes(a) + _entropy_from_codes(b)
     if denom == 0.0:
         return 0.0
-    return 2.0 * _mutual_information(attr.indices, codes) / denom
+    return 2.0 * _mutual_information(a, b) / denom
+
+
+def symm_uncert(attr: DiscretizedAttribute, labels) -> float:
+    """2 * IG / (H(attr) + H(class)), in [0, 1]."""
+    return _symmetric_uncertainty(attr.indices, _label_codes(labels))
 
 
 def _pearson_abs(column: np.ndarray, indicator: np.ndarray) -> float:
@@ -218,10 +222,11 @@ def pca_eval(
     ds: Dataset,
     matrix: str = "correlation",
     variance_cover: float = 0.95,
-) -> tuple[PcaModel, SelectionResult]:
+) -> SelectionResult:
     """Eigendecompose the correlation or covariance matrix of the feature
     columns and keep the smallest eigenvalue-descending prefix covering
-    the requested share of total variance.
+    the requested share of total variance. The result's ``pca`` holds the
+    decomposition that ``reduce_dataset`` projects with.
 
     Per-attribute ranking does not survive the transformation, so the
     result is excluded from rank aggregation; projected datasets name
@@ -260,7 +265,7 @@ def pca_eval(
         retained = min(retained, len(eigenvalues))
     loadings = [[float(v) for v in row] for row in vectors[:, :retained]]
     Z = centred @ np.array(loadings)  # the training set as transform_matrix maps it
-    model = PcaModel(
+    pca = PcaModel(
         means=tuple(float(v) for v in means),
         stds=None if stds is None else tuple(float(v) for v in stds),
         eigenvalues=tuple(float(v) for v in eigenvalues[:retained]),
@@ -270,16 +275,15 @@ def pca_eval(
     )
     names = tuple(f"pc{j + 1}" for j in range(retained))
     scores = tuple(AttributeScore(name, float(eigenvalues[j])) for j, name in enumerate(names))
-    result = SelectionResult(
+    return SelectionResult(
         evaluator="pca",
         search="ranker",
         retained=names,
         scores=scores,
         threshold=None,
         params={"matrix": matrix, "variance_cover": variance_cover},
-        pca=model,
+        pca=pca,
     )
-    return model, result
 
 
 class CfsMeritScorer:
@@ -298,21 +302,15 @@ class CfsMeritScorer:
         self._cf: dict[str, float] = {}
         self._ff: dict[tuple[str, str], float] = {}
 
-    def _su(self, a: np.ndarray, b: np.ndarray) -> float:
-        denom = _entropy_from_codes(a) + _entropy_from_codes(b)
-        if denom == 0.0:
-            return 0.0
-        return 2.0 * _mutual_information(a, b) / denom
-
     def class_correlation(self, name: str) -> float:
         if name not in self._cf:
-            self._cf[name] = self._su(self._codes[name], self._labels)
+            self._cf[name] = _symmetric_uncertainty(self._codes[name], self._labels)
         return self._cf[name]
 
     def pair_correlation(self, a: str, b: str) -> float:
         key = (a, b) if a <= b else (b, a)
         if key not in self._ff:
-            self._ff[key] = self._su(self._codes[key[0]], self._codes[key[1]])
+            self._ff[key] = _symmetric_uncertainty(self._codes[key[0]], self._codes[key[1]])
         return self._ff[key]
 
     def merit(self, subset) -> float:
@@ -321,10 +319,8 @@ class CfsMeritScorer:
         if k == 0:
             return 0.0
         r_cf = sum(self.class_correlation(a) for a in subset) / k
-        if k == 1:
-            return merit_from_correlations(1, r_cf, 0.0)
         pairs = [(subset[i], subset[j]) for i in range(k) for j in range(i + 1, k)]
-        r_ff = sum(self.pair_correlation(a, b) for a, b in pairs) / len(pairs)
+        r_ff = sum(self.pair_correlation(a, b) for a, b in pairs) / max(len(pairs), 1)
         return merit_from_correlations(k, r_cf, r_ff)
 
     __call__ = merit
@@ -337,8 +333,14 @@ def merit_from_correlations(k: int, mean_class_corr: float, mean_pair_corr: floa
     return k * mean_class_corr / math.sqrt(k + k * (k - 1) * mean_pair_corr)
 
 
-_DISCRETIZED_RANKERS = {"info_gain": info_gain, "gain_ratio": gain_ratio, "symm_uncert": symm_uncert}
-_RANKERS = (*_DISCRETIZED_RANKERS, "correlation", "one_r", "relieff")
+# evaluator -> score of one column, given (column, labels, bins, min_bucket)
+_COLUMN_SCORERS = {
+    "info_gain": lambda col, labels, bins, _: info_gain(discretize_equal_frequency(col, bins), labels),
+    "gain_ratio": lambda col, labels, bins, _: gain_ratio(discretize_equal_frequency(col, bins), labels),
+    "symm_uncert": lambda col, labels, bins, _: symm_uncert(discretize_equal_frequency(col, bins), labels),
+    "correlation": lambda col, labels, *_: correlation_eval(col, labels),
+    "one_r": lambda col, labels, _, min_bucket: one_r_eval(col, labels, min_bucket=min_bucket),
+}
 
 
 def rank_attributes(
@@ -351,16 +353,10 @@ def rank_attributes(
     seed: int = 42,
 ) -> list[AttributeScore]:
     """Per-attribute scores of a dataset for the ranker search."""
-    if evaluator not in _RANKERS:
-        raise SchemaMismatch(f"evaluator {evaluator!r} does not produce a per-attribute ranking")
     if evaluator == "relieff":
         return relieff_scores(ds.X, ds.labels, ds.attributes, k=relieff_k, sample=relieff_sample, seed=seed)
-
-    def score(col: np.ndarray) -> float:
-        if evaluator in _DISCRETIZED_RANKERS:
-            return _DISCRETIZED_RANKERS[evaluator](discretize_equal_frequency(col, bins), ds.labels)
-        if evaluator == "correlation":
-            return correlation_eval(col, ds.labels)
-        return one_r_eval(col, ds.labels, min_bucket=min_bucket)
-
-    return [AttributeScore(name, float(score(ds.X[:, j]))) for j, name in enumerate(ds.attributes)]
+    if evaluator not in _COLUMN_SCORERS:
+        raise SchemaMismatch(f"evaluator {evaluator!r} does not produce a per-attribute ranking")
+    score = _COLUMN_SCORERS[evaluator]
+    return [AttributeScore(name, float(score(ds.X[:, j], ds.labels, bins, min_bucket)))
+            for j, name in enumerate(ds.attributes)]

@@ -7,30 +7,22 @@ from typing import Callable, Sequence
 
 from ..dataset import Dataset, _scale_matrix, project
 from ..errors import EmptyResult, SchemaMismatch, UnknownAttribute
+from ..evaluation import report_metric
 from .selection import AttributeScore, SelectionResult
 
 MeritFn = Callable[[tuple[str, ...]], float]
-
-
-def _sorted_scores(scores: Sequence[AttributeScore]) -> list[AttributeScore]:
-    return sorted(scores, key=lambda s: (-s.score, s.attribute))
 
 
 def search_best_first(
     attributes: Sequence[str],
     merit_fn: MeritFn,
     backtrack_limit: int = 5,
-    direction: str = "forward",
-    evaluator: str = "cfs_subset",
 ) -> SelectionResult:
-    """Hill climb with a priority queue: repeatedly expand the most
-    promising unexpanded subset by single-attribute additions (forward)
-    or removals (backward); give up after ``backtrack_limit`` consecutive
-    expansions that fail to improve on the best subset seen."""
-    if direction not in ("forward", "backward"):
-        raise SchemaMismatch(f"unknown direction {direction!r}")
+    """Forward hill climb with a priority queue: repeatedly expand the
+    most promising unexpanded subset by single-attribute additions; give
+    up after ``backtrack_limit`` consecutive expansions that fail to
+    improve on the best subset seen."""
     attrs = tuple(attributes)
-    start: tuple[str, ...] = attrs if direction == "backward" else ()
 
     cache: dict[tuple[str, ...], float] = {}
 
@@ -39,9 +31,9 @@ def search_best_first(
             cache[subset] = merit_fn(subset)
         return cache[subset]
 
-    best_subset = start
-    best_merit = merit(start)
-    heap: list[tuple[float, tuple[str, ...]]] = [(-best_merit, start)]
+    best_subset: tuple[str, ...] = ()
+    best_merit = merit(best_subset)
+    heap: list[tuple[float, tuple[str, ...]]] = [(-best_merit, best_subset)]
     expanded: set[tuple[str, ...]] = set()
     stall = 0
     while heap and stall < backtrack_limit:
@@ -50,11 +42,7 @@ def search_best_first(
             continue
         expanded.add(node)
         improved = False
-        if direction == "forward":
-            children = [tuple(sorted(node + (a,))) for a in attrs if a not in node]
-        else:
-            children = [tuple(x for x in node if x != a) for a in node]
-        for child in children:
+        for child in [tuple(sorted(node + (a,))) for a in attrs if a not in node]:
             if child in expanded:
                 continue
             m = merit(child)
@@ -65,10 +53,10 @@ def search_best_first(
                 improved = True
         stall = 0 if improved else stall + 1
     return SelectionResult(
-        evaluator=evaluator,
+        evaluator="cfs_subset",
         search="best_first",
         retained=tuple(sorted(best_subset)),
-        params={"backtrack_limit": backtrack_limit, "direction": direction,
+        params={"backtrack_limit": backtrack_limit, "direction": "forward",
                 "merit": best_merit},
     )
 
@@ -79,7 +67,6 @@ def search_greedy_stepwise(
     num_to_select: int | None = None,
     threshold: float | None = None,
     generate_ranking: bool = False,
-    evaluator: str = "cfs_subset",
 ) -> SelectionResult:
     """Strictly greedy forward selection: keep adding the single best
     attribute while that improves the merit. With ``generate_ranking``
@@ -100,31 +87,18 @@ def search_greedy_stepwise(
         if not generate_ranking and best_m <= current_merit:
             break
         current = tuple(sorted(current + (best_a,)))
-        current_merit = best_m if best_m > current_merit or generate_ranking else current_merit
+        current_merit = best_m
         order.append(AttributeScore(best_a, float(best_m)))
         remaining.remove(best_a)
 
     if generate_ranking:
-        retained = [s.attribute for s in order]
-        if threshold is not None:
-            retained = [s.attribute for s in order if s.score > threshold]
-        if num_to_select is not None:
-            retained = retained[:num_to_select]
-        return SelectionResult(
-            evaluator=evaluator,
-            search="greedy_stepwise",
-            retained=tuple(retained),
-            scores=tuple(order),
-            threshold=threshold,
-            num_to_select=num_to_select,
-            params={"generate_ranking": True},
-        )
-    return SelectionResult(
-        evaluator=evaluator,
-        search="greedy_stepwise",
-        retained=tuple(sorted(current)),
-        params={"generate_ranking": False, "merit": current_merit},
-    )
+        retained = tuple(s.attribute for s in order if threshold is None or s.score > threshold)[:num_to_select]
+        fields = {"scores": tuple(order), "threshold": threshold, "num_to_select": num_to_select,
+                  "params": {"generate_ranking": True}}
+    else:
+        retained = current
+        fields = {"params": {"generate_ranking": False, "merit": current_merit}}
+    return SelectionResult(evaluator="cfs_subset", search="greedy_stepwise", retained=retained, **fields)
 
 
 def ranker_select(
@@ -135,7 +109,7 @@ def ranker_select(
 ) -> SelectionResult:
     """Sort score-descending (ties alphabetical), discard scores less
     than or equal to the threshold, then truncate to num_to_select."""
-    ranked = _sorted_scores(scores)
+    ranked = sorted(scores, key=lambda s: (-s.score, s.attribute))
     retained = [s.attribute for s in ranked if s.score > threshold]
     if num_to_select is not None:
         retained = retained[:num_to_select]
@@ -181,12 +155,12 @@ def tune_threshold(
 
     Walks the sorted unique score values from low to high (each step
     discards more attributes), evaluates ``classifier_fn(train, test)``
-    on the reduced data and returns the smallest retained attribute set
-    whose metric has not dropped below the full-feature baseline, plus
-    the full sweep for reporting.
+    on the reduced data and returns (threshold, selection, sweep): the
+    smallest retained attribute set whose metric has not dropped below
+    the full-feature baseline, its threshold, and the full sweep for
+    reporting. With no such step, every attribute is kept at a threshold
+    1 below the lowest score.
     """
-    from ..evaluation import report_metric  # local import: evaluation builds on featsel-free modules
-
     baseline_report = classifier_fn(ds_train, ds_test)
     baseline = report_metric(baseline_report, metric)
     score_list = list(scores)
@@ -197,8 +171,8 @@ def tune_threshold(
         "retained": len(score_list),
         "metric": baseline,
     }]
-    best: tuple[int, float] | None = None  # (retained count, threshold)
-    for t in sorted({s.score for s in score_list}):
+    best: SelectionResult | None = None
+    for t in sorted({float(s.score) for s in score_list}):
         selection = ranker_select(score_list, threshold=t, evaluator=evaluator)
         if not selection.retained:
             break
@@ -208,12 +182,9 @@ def tune_threshold(
             value = report_metric(classifier_fn(reduced_train, reduced_test), metric)
         except EmptyResult:
             break
-        sweep.append({"threshold": float(t), "retained": len(selection.retained), "metric": value})
-        if value >= baseline - 1e-12:
-            if best is None or len(selection.retained) < best[0]:
-                best = (len(selection.retained), float(t))
+        sweep.append({"threshold": t, "retained": len(selection.retained), "metric": value})
+        if value >= baseline - 1e-12 and (best is None or len(selection.retained) < len(best.retained)):
+            best = selection
     if best is None:
-        chosen = ranker_select(score_list, threshold=floor, evaluator=evaluator)
-        return floor, chosen, sweep
-    threshold = best[1]
-    return threshold, ranker_select(score_list, threshold=threshold, evaluator=evaluator), sweep
+        return floor, ranker_select(score_list, threshold=floor, evaluator=evaluator), sweep
+    return best.threshold, best, sweep

@@ -7,11 +7,7 @@ seed produces the same sequence on every platform and Python version.
 
 from __future__ import annotations
 
-from typing import Iterable, TypeVar
-
 _MASK64 = (1 << 64) - 1
-
-T = TypeVar("T")
 
 
 class SplitMix64:
@@ -38,19 +34,15 @@ class SplitMix64:
                 return v % n
 
 
-def fisher_yates(items: Iterable[T], seed: int) -> list[T]:
-    """Return a new list holding ``items`` permuted by the classic
-    Fisher-Yates walk driven by SplitMix64(seed)."""
-    out = list(items)
+def permutation(n: int, seed: int) -> list[int]:
+    """``0 .. n-1`` permuted by the classic Fisher-Yates walk driven by
+    SplitMix64(seed)."""
+    out = list(range(n))
     rng = SplitMix64(seed)
-    for i in range(len(out) - 1, 0, -1):
+    for i in range(n - 1, 0, -1):
         j = rng.below(i + 1)
         out[i], out[j] = out[j], out[i]
     return out
-
-
-def permutation(n: int, seed: int) -> list[int]:
-    return fisher_yates(range(n), seed)
 
 
 def sample_without_replacement(n: int, k: int, seed: int) -> list[int]:

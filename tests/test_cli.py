@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -111,6 +112,68 @@ def test_tune_threshold_command(pipeline):
     assert doc["retained"] <= 70
     best = load_selection((pipeline / "best.json").read_text())
     assert len(best.retained) == doc["retained"]
+
+
+def test_pca_selection_has_no_ranking_to_sweep_or_aggregate(pipeline, tmp_path, capsys):
+    assert run("select", pipeline / "train.csv", "--evaluator", "pca", "--out", tmp_path / "pca.json") == 0
+    capsys.readouterr()
+    assert run("tune-threshold", pipeline / "train.csv", pipeline / "test.csv", tmp_path / "pca.json",
+               "--out", tmp_path / "sweep.txt") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: UsageError: principal components") and "Traceback" not in err
+    assert not (tmp_path / "sweep.txt").exists()
+    assert run("rank-aggregate", *[tmp_path / "pca.json"] * 7, "--out", tmp_path / "agg.txt") == 1
+    assert capsys.readouterr().err.startswith("error: UsageError: principal components")
+
+
+@pytest.fixture(scope="module")
+def selection_outputs(tmp_path_factory):
+    """Every file the selection commands write for the six-class synthetic
+    corpus (30 samples per class, seed 42)."""
+    root = tmp_path_factory.mktemp("selection")
+    p = lambda name: str(root / name)
+    assert run("synth", "--out-dir", p("corpus"), "--classes", "6", "--n-per-class", "30", "--seed", "42") == 0
+    assert run("ingest", p("corpus"), "--out", p("full.csv")) == 0
+    assert run("preprocess", p("full.csv"), "--out", p("prep.csv"), "--seed", "42") == 0
+    assert run("split", p("prep.csv"), "--train-out", p("train.csv"), "--test-out", p("test.csv")) == 0
+    rankers = ("correlation", "gain-ratio", "info-gain", "one-r", "relieff", "symm-uncert")
+    for evaluator in rankers + ("pca",):
+        assert run("select", p("train.csv"), "--evaluator", evaluator, "--out", p(f"{evaluator}.json")) == 0
+    for name, flags in (("cfs-best-first", ["--search", "best-first"]),
+                        ("cfs-greedy", ["--search", "greedy-stepwise"]),
+                        ("cfs-greedy-ranking", ["--search", "greedy-stepwise", "--generate-ranking"])):
+        assert run("select", p("train.csv"), "--evaluator", "cfs-subset", *flags, "--out", p(f"{name}.json")) == 0
+    assert run("tune-threshold", p("train.csv"), p("test.csv"), p("correlation.json"),
+               "--out", p("sweep.txt"), "--selection-out", p("tuned.json")) == 0
+    assert run("rank-aggregate", *[p(f"{e}.json") for e in rankers], p("cfs-best-first.json"),
+               "--out", p("aggregate.txt")) == 0
+    return root
+
+
+# sha256 prefixes of the selection outputs, recorded before featsel was
+# folded to one copy of each rule; every byte must stay the same
+PINNED_SELECTION_OUTPUTS = {
+    "correlation.json": "45202dad780f8d2b",
+    "gain-ratio.json": "48e0d2b37ac1aeb9",
+    "info-gain.json": "57dbfbe667988ad6",
+    "one-r.json": "0aafbf527a453ab4",
+    "relieff.json": "142f61eea988a5e4",
+    "symm-uncert.json": "38e1b85a86f9db52",
+    "pca.json": "b54cd99d085ea734",
+    "cfs-best-first.json": "cd9c6c4f1e203993",
+    "cfs-greedy.json": "e2c6a24e513ecc03",
+    "cfs-greedy-ranking.json": "973bde93fb94f76a",
+    "sweep.txt": "a2e0a4cec950a3fe",
+    "sweep.txt.json": "5e281154b491c0cd",
+    "tuned.json": "e70ec615ff1d24fa",
+    "aggregate.txt": "ae022206fc2cc4fc",
+}
+
+
+def test_pinned_selection_output(selection_outputs):
+    digests = {name: hashlib.sha256((selection_outputs / name).read_bytes()).hexdigest()[:16]
+               for name in PINNED_SELECTION_OUTPUTS}
+    assert digests == PINNED_SELECTION_OUTPUTS
 
 
 def test_tune_kernel_command(pipeline):
@@ -316,7 +379,7 @@ def test_pca_selection_on_other_attributes_exits_2(pipeline, tmp_path, capsys):
     from opdense.dataio import write_csv
     from opdense.featsel import pca_eval, save_selection
     train = read_csv((pipeline / "train.csv").read_bytes())
-    (tmp_path / "pca.json").write_text(save_selection(pca_eval(train)[1]))
+    (tmp_path / "pca.json").write_text(save_selection(pca_eval(train)))
     (tmp_path / "narrow.csv").write_bytes(write_csv(project(train, train.attributes[-3:])))
     (tmp_path / "reversed.csv").write_bytes(write_csv(project(train, train.attributes[::-1])))
     capsys.readouterr()
@@ -349,7 +412,7 @@ SELECTION_DEFECTS = {
 @pytest.mark.parametrize("path, value", SELECTION_DEFECTS.values(), ids=SELECTION_DEFECTS.keys())
 def test_corrupt_selection_file_exits_2(pipeline, tmp_path, capsys, path, value):
     from opdense.featsel import pca_eval, save_selection
-    _, pca = pca_eval(read_csv((pipeline / "train.csv").read_bytes()))
+    pca = pca_eval(read_csv((pipeline / "train.csv").read_bytes()))
     text = _corrupt(json.loads(save_selection(pca)), path, value)
     with pytest.raises(SchemaMismatch):
         load_selection(text)

@@ -223,9 +223,9 @@ def test_relieff_single_instance_class_truncates_k():
 def test_pca_perfectly_correlated_columns():
     base = np.array([0.1, 0.2, 0.5, 0.7, 0.9])
     ds = make_dataset(np.column_stack([base, base]), ["good", "malware"] * 2 + ["good"])
-    model, result = pca_eval(ds, matrix="correlation", variance_cover=0.95)
-    assert model.eigenvalues[0] == pytest.approx(2.0, abs=1e-12)
-    assert len(model.eigenvalues) == 1
+    result = pca_eval(ds, matrix="correlation", variance_cover=0.95)
+    assert result.pca.eigenvalues[0] == pytest.approx(2.0, abs=1e-12)
+    assert len(result.pca.eigenvalues) == 1
     assert result.retained == ("pc1",)
 
 
@@ -235,8 +235,8 @@ def test_pca_equal_eigenvalues_need_ceiling_share():
         [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1], [-1, -1, -1, -1],
     ], dtype=float)
     ds = make_dataset((hadamard + 1.0) / 2.0, ["good", "malware"] * 4)
-    model, result = pca_eval(ds, matrix="correlation", variance_cover=0.95)
-    assert np.allclose(model.eigenvalues, 1.0)
+    result = pca_eval(ds, matrix="correlation", variance_cover=0.95)
+    assert np.allclose(result.pca.eigenvalues, 1.0)
     assert len(result.retained) == 4  # ceil(0.95 * 4)
 
 
@@ -245,8 +245,8 @@ def test_pca_covariance_reduces_harder_on_unequal_scales():
     big = rng.rand(40) * 0.9
     small = rng.rand(40, 4) * 1e-4
     ds = make_dataset(np.column_stack([big, small]), ["good", "malware"] * 20)
-    _, corr_result = pca_eval(ds, matrix="correlation")
-    _, cov_result = pca_eval(ds, matrix="covariance")
+    corr_result = pca_eval(ds, matrix="correlation")
+    cov_result = pca_eval(ds, matrix="covariance")
     assert len(cov_result.retained) < len(corr_result.retained)
     assert len(cov_result.retained) == 1
 
@@ -260,7 +260,7 @@ def test_pca_needs_two_attributes():
 def test_pca_reduce_projects_and_rescales():
     rng = np.random.RandomState(8)
     ds = make_dataset(rng.rand(12, 5), ["good", "malware"] * 6)
-    _, result = pca_eval(ds, variance_cover=0.99)
+    result = pca_eval(ds, variance_cover=0.99)
     reduced = reduce_dataset(ds, result)
     assert reduced.attributes == result.retained
     assert reduced.X.min() >= 0.0 and reduced.X.max() <= 1.0
@@ -269,7 +269,7 @@ def test_pca_reduce_projects_and_rescales():
 def test_pca_reduce_maps_a_row_alone_as_inside_the_full_set():
     rng = np.random.RandomState(5)
     ds = make_dataset(rng.rand(40, 6), ["good", "malware"] * 20)
-    _, result = pca_eval(ds)
+    result = pca_eval(ds)
     full = reduce_dataset(ds, result)
     for i in (0, 13, 39):
         alone = reduce_dataset(make_dataset(ds.X[i:i + 1], ds.labels[i:i + 1]), result)
@@ -436,14 +436,6 @@ def test_entropy_scores_respect_bounds():
         assert 0.0 <= symm_uncert(attr, labels) <= 1.0 + 1e-12
 
 
-def test_best_first_backward_direction():
-    ds = _signal_noise_dataset(noise_attrs=2)
-    scorer = CfsMeritScorer(ds)
-    result = search_best_first(ds.attributes, scorer, direction="backward")
-    assert "sig" in result.retained
-    assert len(result.retained) <= ds.n_attributes
-
-
 # --- threshold tuning --------------------------------------------------------------
 
 def test_tune_threshold_prunes_noise_without_precision_loss():
@@ -548,7 +540,7 @@ def test_selection_round_trip():
 def test_pca_selection_round_trip_projects_identically():
     rng = np.random.RandomState(12)
     ds = make_dataset(rng.rand(10, 4), ["good", "malware"] * 5)
-    _, result = pca_eval(ds)
+    result = pca_eval(ds)
     again = load_selection(save_selection(result))
     a = reduce_dataset(ds, result)
     b = reduce_dataset(ds, again)

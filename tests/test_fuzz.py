@@ -102,7 +102,7 @@ REPORT = format_report(OpcodeHistogram("r", {"mov": 120, "push": 40, "ret": 7}, 
 MANIFEST = b'sample_id,label\ngood_000,good\nmalware_001,malware\n"id, quoted",good\n'
 PE = build_pe([(".text", b"\x55\x8b\xec\x90\xc3", SECTION_EXECUTE), (".data", b"\x01\x02", 0x40000040)])
 MODEL = save_model(train_multiclass(_dataset(), KernelSpec(family="puk", C=10.0)))
-SELECTION = save_selection(pca_eval(_dataset())[1])
+SELECTION = save_selection(pca_eval(_dataset()))
 
 
 @settings(max_examples=150, deadline=None)
