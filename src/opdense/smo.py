@@ -27,11 +27,28 @@ is the midpoint of [max_{I_up} t, min_{I_low} t], the bias that
 minimises the worst box/margin violation. So, unless
 ``hit_iteration_cap`` is set, the returned ``(alphas, bias)`` meet the
 box/margin conditions to ``tolerance``.
+
+``smo_solve_lockstep`` solves many independent problems (a model's
+pairwise machines) in one loop, to the same bits as ``smo_solve`` on
+each. The problems are stacked, padded to the longest; a padded point
+has upper = lower = 0, so it is in neither I_up nor I_low and is never
+picked. Each problem picks its own i, j and step, but every numpy call
+of a step covers the whole stack, and on problems of a few dozen rows
+the calls, not the arithmetic, are the cost. In a pass where some
+problem's gap closes or the cap is reached, nothing steps: each stopped
+problem gets t recomputed exactly on its own unpadded Gram, or, if its
+t already was exact, leaves the stack. So the live problems have all
+taken the same number of steps. Stacks are cut in training order under
+``STACK_CELLS`` padded Gram cells. A stack of one problem (a binary
+model, or a pair too large to share) goes to ``smo_solve``, whose
+per-step cost is lower.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +65,13 @@ class TrainerConfig:
     def __post_init__(self):
         if not (0 < self.tolerance < math.inf and 0 < self.epsilon < math.inf):
             raise SchemaMismatch("tolerance and epsilon must be positive and finite")
-        if self.max_iterations < 0:
-            raise SchemaMismatch("max_iterations must not be negative")
+        if (isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral)
+                or self.max_iterations < 0):
+            raise SchemaMismatch("max_iterations must be a non-negative integer")
+
+
+# padded Gram cells in one lockstep stack (2 MB of float64)
+STACK_CELLS = 1 << 18
 
 
 @dataclass
@@ -116,5 +138,107 @@ def smo_solve(
         bias=float(0.5 * (lo + hi)),
         iterations=steps,
         hit_iteration_cap=bool(gap > 2.0 * tolerance),
+        objective=dual_objective(gram, y, alphas),
+    )
+
+
+def smo_solve_lockstep(
+    grams: Iterable[np.ndarray],
+    ys: Sequence[np.ndarray],
+    C: float,
+    tolerance: float = 1e-3,
+    epsilon: float = 1e-12,
+    max_iterations: int = 1_000_000,
+) -> list[SmoSolution]:
+    """``smo_solve`` on every ``(gram, y)`` pair, in one lockstep loop per
+    stack. ``grams`` is read one stack at a time, so a generator computes
+    each Gram only when its stack is built."""
+    grams = iter(grams)
+    solutions: list[SmoSolution] = []
+    start = 0
+    while start < len(ys):
+        stop, width = start + 1, len(ys[start])
+        while stop < len(ys) and (stop + 1 - start) * max(width, len(ys[stop])) ** 2 <= STACK_CELLS:
+            width = max(width, len(ys[stop]))
+            stop += 1
+        stack = [(np.asarray(next(grams), dtype=float), np.asarray(y, dtype=float)) for y in ys[start:stop]]
+        if len(stack) == 1:
+            solutions.append(smo_solve(*stack[0], C, tolerance, epsilon, max_iterations))
+        else:
+            solutions += _solve_stack(stack, width, float(C), tolerance, epsilon, max_iterations)
+        start = stop
+    return solutions
+
+
+def _solve_stack(stack, width, C, tolerance, epsilon, max_iterations) -> list[SmoSolution]:
+    count = len(stack)
+    gram_rows = np.zeros((count, width, width))  # row i is column i of the problem's Gram
+    t = np.zeros((count, width))
+    upper = np.zeros((count, width))
+    lower = np.zeros((count, width))
+    for p, (gram, y) in enumerate(stack):
+        n = len(y)
+        gram_rows[p, :n, :n] = gram.T
+        t[p, :n] = y
+        upper[p, :n] = np.where(y > 0, C, 0.0)
+        lower[p, :n] = upper[p, :n] - C
+    diag = gram_rows.diagonal(axis1=1, axis2=2).copy()
+    beta = np.zeros((count, width))
+    steps = 0  # every live problem has taken every step so far
+    exact = np.ones(count, dtype=bool)
+    live = np.arange(count)  # stack index of each row of the working arrays
+    rows = np.arange(count)
+    solutions: list[SmoSolution | None] = [None] * count
+    while len(live):
+        t_up = np.where(beta < upper, t, -np.inf)
+        t_low = np.where(beta > lower, t, np.inf)
+        i = t_up.argmax(axis=1)
+        top = t_up[rows, i]
+        bottom = t_low.min(axis=1)
+        gap = top - bottom
+        open_gap = gap > 2.0 * tolerance
+        if steps == max_iterations or not open_gap.all():
+            stopped = ~open_gap | (steps == max_iterations)
+            for r in np.flatnonzero(stopped & ~exact):
+                gram, y = stack[live[r]]
+                t[r, :len(y)] = y - gram @ beta[r, :len(y)].copy()
+            done = stopped & exact
+            for r in np.flatnonzero(done):
+                solutions[live[r]] = _solution(stack[live[r]], beta[r], top[r], bottom[r], steps, open_gap[r])
+            exact |= stopped
+            keep = ~done
+            live, beta, t, upper, lower, diag, exact = (a[keep] for a in (live, beta, t, upper, lower, diag, exact))
+            rows = np.arange(len(live))
+            continue
+        diff = top[:, None] - t_low
+        column_i = gram_rows[live, i]
+        curvature = np.maximum(diag[rows, i][:, None] + diag - 2.0 * column_i, epsilon)
+        j = np.where(diff > 0, diff * diff / curvature, -1.0).argmax(axis=1)
+        upper_i, beta_i = upper[rows, i], beta[rows, i]
+        lower_j, beta_j = lower[rows, j], beta[rows, j]
+        room_i = upper_i - beta_i
+        room_j = beta_j - lower_j
+        delta = np.minimum(np.minimum(diff[rows, j] / curvature[rows, j], room_i), room_j)
+        beta[rows, i] = np.where(delta == room_i, upper_i, beta_i + delta)
+        beta[rows, j] = np.where(delta == room_j, lower_j, beta_j - delta)
+        t -= delta[:, None] * (column_i - gram_rows[live, j])
+        exact[:] = False
+        steps += 1
+    return solutions
+
+
+def _solution(problem, beta, lo, hi, steps, hit_cap) -> SmoSolution:
+    """``smo_solve``'s result from a stacked problem's final state."""
+    gram, y = problem
+    if np.isinf(lo):
+        lo = hi
+    if np.isinf(hi):
+        hi = lo
+    alphas = np.abs(beta[:len(y)])
+    return SmoSolution(
+        alphas=alphas,
+        bias=float(0.5 * (lo + hi)),
+        iterations=steps,
+        hit_iteration_cap=bool(hit_cap),
         objective=dual_objective(gram, y, alphas),
     )

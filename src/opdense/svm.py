@@ -18,7 +18,7 @@ from .dataset import Dataset, ScalingParams, apply_scaling, project
 from .errors import DimensionMismatch, SchemaMismatch, SingleClass
 from .kernels import KernelSpec, gram_matrix
 from .labels import LabelScheme, class_order
-from .smo import TrainerConfig, smo_solve
+from .smo import TrainerConfig, smo_solve_lockstep
 
 MODEL_SCHEMA_VERSION = 2
 
@@ -50,20 +50,23 @@ class MulticlassSvmModel:
 
 def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig | None = None) -> MulticlassSvmModel:
     """One machine per unordered pair of the classes present in the data,
-    the later class of each pair (in scheme order) on the +1 side."""
+    the later class of each pair (in scheme order) on the +1 side. The
+    pairs' SMO problems are solved together by ``smo_solve_lockstep``."""
     config = config or TrainerConfig()
     classes = tuple(class_order(ds.scheme, ds.labels))
     if len(classes) < 2:
         raise SingleClass(f"need at least two classes, found {list(classes)}")
     labels = np.asarray(ds.labels, dtype=object)
+    pairs = _pairs(classes)
+    problems = []
+    for neg, pos in pairs:
+        mask = (labels == neg) | (labels == pos)
+        problems.append((ds.X[mask], np.where(labels[mask] == pos, 1.0, -1.0)))
+    solutions = smo_solve_lockstep((gram_matrix(spec, X) for X, _ in problems), [y for _, y in problems],
+                                   spec.C, config.tolerance, config.epsilon, config.max_iterations)
     machines: list[BinarySvmModel] = []
     warnings: list[str] = []
-    for neg, pos in _pairs(classes):
-        mask = (labels == neg) | (labels == pos)
-        X = ds.X[mask]
-        y = np.where(labels[mask] == pos, 1.0, -1.0)
-        solution = smo_solve(gram_matrix(spec, X), y, spec.C, config.tolerance, config.epsilon,
-                             config.max_iterations)
+    for (neg, pos), (X, y), solution in zip(pairs, problems, solutions):
         keep = solution.alphas > config.epsilon
         if solution.hit_iteration_cap:
             warnings.append(f"pair ({neg}, {pos}) hit the iteration cap; best effort kept")

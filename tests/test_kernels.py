@@ -122,3 +122,13 @@ def test_gram_psd_for_rbf_and_integer_poly():
                   spec_for("puk")):
             g = gram_matrix(s, X)
             assert np.linalg.eigvalsh((g + g.T) / 2).min() >= -1e-8
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gram_matrix_is_exactly_symmetric(family):
+    # SMO's curvature K_ii + K_jj - 2K_ij takes K_ij = K_ji
+    rng = np.random.RandomState(2)
+    spec = spec_for(family, exponent=2.0, use_lower_order=True)
+    for n in (5, 42, 210, 420):
+        g = gram_matrix(spec, rng.rand(n, 30))
+        assert np.array_equal(g, g.T)

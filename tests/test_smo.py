@@ -4,7 +4,8 @@ import pytest
 from conftest import make_dataset
 from opdense.errors import SchemaMismatch
 from opdense.kernels import KernelSpec, gram_matrix
-from opdense.smo import TrainerConfig, smo_solve
+from opdense.labels import FAMILY_LABELS, LabelScheme
+from opdense.smo import STACK_CELLS, TrainerConfig, smo_solve, smo_solve_lockstep
 from opdense.svm import decision_values, train_multiclass
 from qp_oracle import kkt_violation, qp_oracle
 
@@ -187,3 +188,71 @@ def test_trainer_config_validation():
         TrainerConfig(tolerance=float("nan"))
     with pytest.raises(SchemaMismatch):
         TrainerConfig(max_iterations=-1)
+    # a cap that steps can never equal would never fire
+    with pytest.raises(SchemaMismatch):
+        TrainerConfig(max_iterations=2.5)
+    with pytest.raises(SchemaMismatch):
+        TrainerConfig(max_iterations=True)
+    assert TrainerConfig(max_iterations=np.int64(3)).max_iterations == 3
+
+
+def _mixed_stack():
+    """Problems of different sizes over all four kernel families, with a
+    single-class problem and a pair without curvature among them."""
+    rng = np.random.RandomState(17)
+    grams, ys = [], []
+    for k, n in enumerate((2, 7, 19, 40, 12, 30, 5, 23)):
+        X = rng.rand(n, 3)
+        y = np.where(rng.rand(n) < 0.5, 1.0, -1.0)
+        y[0], y[1] = 1.0, -1.0
+        if k == 2:
+            X[1] = X[0]  # a_01 = 0
+        grams.append(gram_matrix(_random_spec(rng, ("poly", "normalized_poly", "rbf", "puk")[k % 4], 10.0), X))
+        ys.append(y)
+    grams.insert(3, gram_matrix(KernelSpec(family="puk"), rng.rand(9, 3)))
+    ys.insert(3, np.ones(9))
+    return grams, ys
+
+
+@pytest.mark.parametrize("max_iterations", [25, 1_000_000])
+def test_lockstep_matches_smo_solve_on_every_problem(max_iterations):
+    grams, ys = _mixed_stack()
+    assert len(ys) * max(map(len, ys)) ** 2 <= STACK_CELLS  # one stack
+    g = grams[2]
+    assert g[0, 0] + g[1, 1] - 2.0 * g[0, 1] == 0.0
+    stacked = smo_solve_lockstep(iter(grams), ys, 10.0, 1e-6, 1e-12, max_iterations)
+    single = [smo_solve(g, y, 10.0, 1e-6, 1e-12, max_iterations) for g, y in zip(grams, ys)]
+    assert len({s.iterations for s in single}) >= 4  # problems stop at different steps
+    if max_iterations == 25:
+        assert {s.hit_iteration_cap for s in single} == {True, False}
+    for got, want in zip(stacked, single, strict=True):
+        assert np.array_equal(got.alphas, want.alphas)
+        assert got.bias == want.bias
+        assert got.iterations == want.iterations
+        assert got.hit_iteration_cap == want.hit_iteration_cap
+        assert got.objective == want.objective
+
+
+def test_train_multiclass_matches_per_pair_solves_across_stacks():
+    # six classes of 100 rows: a pair has 200 rows, so a stack holds six
+    # pairs and the 15 pairs take three stacks
+    assert 6 * 200 ** 2 <= STACK_CELLS < 7 * 200 ** 2
+    rng = np.random.RandomState(23)
+    centres = rng.rand(6, 4)
+    X = np.clip(np.repeat(centres, 100, axis=0) + 0.2 * rng.randn(600, 4), 0.0, 1.0)
+    labels = [label for label in FAMILY_LABELS for _ in range(100)]
+    spec = KernelSpec(family="puk", C=1.0)
+    model = train_multiclass(make_dataset(X, labels, scheme=LabelScheme.family), spec)
+    assert len(model.machines) == 15
+    names = np.asarray(labels, dtype=object)
+    for machine in model.machines:
+        neg, pos = machine.class_pair
+        mask = (names == neg) | (names == pos)
+        y = np.where(names[mask] == pos, 1.0, -1.0)
+        want = smo_solve(gram_matrix(spec, X[mask]), y, spec.C)
+        keep = want.alphas > TrainerConfig().epsilon
+        assert np.array_equal(machine.alphas, want.alphas[keep])
+        assert np.array_equal(machine.support_vectors, X[mask][keep])
+        assert np.array_equal(machine.labels, y[keep])
+        assert machine.bias == want.bias
+        assert machine.hit_iteration_cap == want.hit_iteration_cap
