@@ -71,7 +71,6 @@ def _add_kernel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--tolerance", type=float, default=1e-3)
-    p.add_argument("--epsilon", type=float, default=1e-12)
     p.add_argument("--max-iterations", type=int, default=1_000_000)
 
 
@@ -88,11 +87,7 @@ def _kernel_spec(args) -> KernelSpec:
 
 
 def _trainer_config(args) -> TrainerConfig:
-    return TrainerConfig(
-        tolerance=args.tolerance,
-        epsilon=args.epsilon,
-        max_iterations=args.max_iterations,
-    )
+    return TrainerConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
 
 
 def _write_report(text: str, json_text: str, out: str, stamp: bool) -> None:
@@ -448,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("selection", help="selection file with attribute scores")
     _add_kernel_args(p)
     p.add_argument("--metric", default="precision",
-                   choices=("precision", "recall", "tpr", "fpr", "f_measure"))
+                   choices=("precision", "recall", "tpr", "f_measure"))
     p.add_argument("--selection-out", help="write the chosen reduced selection here")
     p.add_argument("--out", required=True)
     p.add_argument("--stamp", action="store_true")

@@ -20,9 +20,6 @@ from .errors import SchemaMismatch, decode_utf8
 from .labels import LabelScheme, infer_scheme, scheme_labels
 from .rounding import fixed
 
-ARFF_RELATION = "opcode_densities"
-
-
 def write_csv(ds: Dataset) -> bytes:
     lines = [",".join(ds.attributes + ("class",))]
     for row, label in zip(ds.X, ds.labels):
@@ -55,8 +52,8 @@ def read_csv(data: bytes) -> Dataset:
     return Dataset(attributes=attributes, X=X, labels=tuple(labels), scheme=scheme)
 
 
-def write_arff(ds: Dataset, relation: str = ARFF_RELATION) -> bytes:
-    lines = [f"@relation {relation}", ""]
+def write_arff(ds: Dataset) -> bytes:
+    lines = ["@relation opcode_densities", ""]
     for name in ds.attributes:
         lines.append(f"@attribute {name} numeric")
     lines.append("@attribute class {" + ",".join(scheme_labels(ds.scheme)) + "}")
@@ -154,7 +151,7 @@ def json_object(text: str, what: str) -> dict:
     """``text`` parsed as a JSON object."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise SchemaMismatch(f"{what} is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"{what} must be a JSON object, not {type(doc).__name__}")

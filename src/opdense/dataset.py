@@ -192,8 +192,6 @@ def quantile(values: Sequence[float] | np.ndarray, q: float) -> float:
 class IqrFlags:
     outlier: np.ndarray
     extreme: np.ndarray
-    outlier_factor: float = 3.0
-    extreme_factor: float = 6.0
 
     def __post_init__(self):
         if (self.extreme & ~self.outlier).any():
@@ -220,8 +218,7 @@ def iqr_flag(ds: Dataset, outlier_factor: float = 3.0, extreme_factor: float = 6
         outlier |= out_mask
         extreme |= ext_mask
     outlier |= extreme
-    return IqrFlags(outlier=outlier, extreme=extreme,
-                    outlier_factor=outlier_factor, extreme_factor=extreme_factor)
+    return IqrFlags(outlier=outlier, extreme=extreme)
 
 
 def take_rows(ds: Dataset, idx: Sequence[int]) -> Dataset:

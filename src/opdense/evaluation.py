@@ -160,8 +160,7 @@ def report_metric(report: EvalReport, metric: str) -> float:
 TrainerFn = Callable[[Dataset], MulticlassSvmModel]
 
 
-def make_trainer(spec: KernelSpec, config: TrainerConfig | None = None) -> TrainerFn:
-    config = config or TrainerConfig()
+def make_trainer(spec: KernelSpec, config: TrainerConfig = TrainerConfig()) -> TrainerFn:
     return lambda ds: train_multiclass(ds, spec, config)
 
 
@@ -214,14 +213,13 @@ def cross_validate(ds: Dataset, k: int = 10, seed: int = 42, trainer_fn: Trainer
     return report
 
 
-def holdout_evaluate(model: MulticlassSvmModel, test: Dataset, description: str = "") -> EvalReport:
+def holdout_evaluate(model: MulticlassSvmModel, test: Dataset) -> EvalReport:
     if test.n_instances == 0:
         raise EmptyTestSet("test set is empty")
     predicted = predict_dataset(model, test)
     classes = class_order(test.scheme, set(model.classes) | set(test.labels))
     cm = confusion_matrix(list(test.labels), predicted, classes)
-    return class_metrics(cm, n_attributes=test.n_attributes,
-                         description=description or model.kernel.describe())
+    return class_metrics(cm, n_attributes=test.n_attributes, description=model.kernel.describe())
 
 
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
@@ -257,13 +255,12 @@ class GridCell:
 
 
 def grid_search(ds_train: Dataset, ds_test: Dataset, grids: Sequence[KernelSpec],
-                config: TrainerConfig | None = None) -> list[GridCell]:
+                config: TrainerConfig = TrainerConfig()) -> list[GridCell]:
     """Exhaustive sweep; cells sort by weighted precision descending,
     then by fewer support vectors, then by grid order. Per-cell training
     failures are recorded, not fatal."""
     if not grids:
         raise SchemaMismatch("empty kernel grid")
-    config = config or TrainerConfig()
     cells: list[GridCell] = []
     for order, spec in enumerate(grids):
         try:

@@ -159,8 +159,11 @@ def tune_threshold(
     smallest retained attribute set whose metric has not dropped below
     the full-feature baseline, its threshold, and the full sweep for
     reporting. With no such step, every attribute is kept at a threshold
-    1 below the lowest score.
+    1 below the lowest score. ``metric`` must be one where higher is
+    better, so not ``fpr``.
     """
+    if metric == "fpr":
+        raise SchemaMismatch("the sweep keeps steps whose metric did not drop, so it cannot tune fpr")
     baseline_report = classifier_fn(ds_train, ds_test)
     baseline = report_metric(baseline_report, metric)
     score_list = list(scores)

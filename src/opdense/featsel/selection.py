@@ -69,6 +69,9 @@ class SelectionResult:
             raise SchemaMismatch(f"unknown evaluator {self.evaluator!r}")
         if self.search not in SEARCHES:
             raise SchemaMismatch(f"unknown search {self.search!r}")
+        n = self.num_to_select
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
+            raise SchemaMismatch(f"num_to_select must be a positive integer, not {n!r}")
 
 
 def save_selection(result: SelectionResult) -> str:

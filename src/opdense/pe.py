@@ -20,9 +20,7 @@ SCN_CNT_CODE = 0x00000020
 @dataclass(frozen=True)
 class Section:
     name: str
-    virtual_address: int
     raw_data: bytes
-    raw_offset: int
     characteristics: int
 
     @property
@@ -32,9 +30,7 @@ class Section:
 
 @dataclass(frozen=True)
 class PeImage:
-    machine: str  # "x86_32" | "other"
     sections: tuple[Section, ...]
-    entry_rva: int
 
     def executable_sections(self) -> list[Section]:
         return [s for s in self.sections if s.executable]
@@ -63,13 +59,10 @@ def parse_pe(data: bytes) -> PeImage:
         raise Not32Bit(machine)
 
     opt_offset = e_lfanew + 24
-    entry_rva = 0
     if opt_size >= 20:
-        opt = _need(data, opt_offset, 20, "optional header")
-        (magic,) = struct.unpack_from("<H", opt, 0)
+        (magic,) = struct.unpack_from("<H", _need(data, opt_offset, 20, "optional header"))
         if magic not in (0x010B, 0x0107):  # PE32 / ROM
             raise Not32Bit(machine)
-        (entry_rva,) = struct.unpack_from("<I", opt, 16)
 
     sections: list[Section] = []
     table = opt_offset + opt_size
@@ -77,7 +70,7 @@ def parse_pe(data: bytes) -> PeImage:
     for i in range(n_sections):
         raw = _need(data, table + i * 40, 40, f"section header {i}")
         name = raw[:8].rstrip(b"\0").decode("latin-1")
-        virtual_address, raw_size, raw_ptr = struct.unpack_from("<III", raw, 12)
+        raw_size, raw_ptr = struct.unpack_from("<II", raw, 16)
         (characteristics,) = struct.unpack_from("<I", raw, 36)
         body = _need(data, raw_ptr, raw_size, f"section {name!r} data") if raw_size else b""
         if raw_size:
@@ -85,11 +78,5 @@ def parse_pe(data: bytes) -> PeImage:
                 if raw_ptr < hi and raw_ptr + raw_size > lo:
                     raise NotPe(f"section {name!r} overlaps another section in the file")
             spans.append((raw_ptr, raw_ptr + raw_size))
-        sections.append(Section(
-            name=name,
-            virtual_address=virtual_address,
-            raw_data=bytes(body),
-            raw_offset=raw_ptr,
-            characteristics=characteristics,
-        ))
-    return PeImage(machine="x86_32", sections=tuple(sections), entry_rva=entry_rva)
+        sections.append(Section(name=name, raw_data=bytes(body), characteristics=characteristics))
+    return PeImage(sections=tuple(sections))

@@ -82,11 +82,11 @@ def parse_report(text: str, sample_id: str) -> OpcodeHistogram:
             mnemonic = m.group(4).lower()
             if mnemonic in counts:
                 raise DuplicateMnemonic(mnemonic, line_no)
-            counts[mnemonic] = int(m.group(2))
+            counts[mnemonic] = _count(m.group(2), line_no, line)
             continue
         t = TOTAL_LINE_RE.match(line)
         if t:
-            explicit_total = int(t.group(1))
+            explicit_total = _count(t.group(1), line_no, line)
             continue
         raise MalformedLine(line_no, line)
     if not counts:
@@ -95,6 +95,13 @@ def parse_report(text: str, sample_id: str) -> OpcodeHistogram:
     if explicit_total is not None and explicit_total < sum(counts.values()):
         raise MalformedLine(0, str(explicit_total), "total smaller than the sum of counts")
     return OpcodeHistogram(sample_id=sample_id, counts=counts, total=total, source="report")
+
+
+def _count(digits: str, line_no: int, line: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than Python converts (sys.get_int_max_str_digits)
+        raise MalformedLine(line_no, line, "count has too many digits") from None
 
 
 def format_report(histogram: OpcodeHistogram) -> str:
@@ -120,7 +127,6 @@ class ScanFailure:
 class ScanResult:
     histograms: list[LabeledHistogram]
     failures: list[ScanFailure] = field(default_factory=list)
-    scheme: LabelScheme = LabelScheme.binary
 
 
 def read_manifest(path: Path | str) -> dict[str, str]:
@@ -162,7 +168,7 @@ def scan_directory(root: Path | str, manifest: dict[str, str] | None = None) -> 
             failures.append(ScanFailure(path, UnresolvedLabel(sid, "duplicate sample id")))
             continue
         try:
-            histogram = parse_report(path.read_text(encoding="utf-8"), sid)
+            histogram = parse_report(decode_utf8(path.read_bytes(), str(path)), sid)
         except Exception as exc:  # recorded per file, scan continues
             failures.append(ScanFailure(path, exc))
             continue
@@ -193,4 +199,4 @@ def scan_directory(root: Path | str, manifest: dict[str, str] | None = None) -> 
         histograms.append(LabeledHistogram(histogram, label))
 
     histograms.sort(key=lambda lh: lh.histogram.sample_id)
-    return ScanResult(histograms=histograms, failures=failures, scheme=scheme)
+    return ScanResult(histograms=histograms, failures=failures)

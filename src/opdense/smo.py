@@ -10,12 +10,14 @@ With t = y - Kb, a point with b < upper can still move up and so bounds
 the bias from below (the set I_up); a point with b > lower can move down
 and bounds it from above (I_low). The multipliers are optimal to
 ``tolerance`` exactly when the gap max_{I_up} t - min_{I_low} t is at
-most 2*tolerance (Keerthi et al., Neural Computation 2001).
+most 2*tolerance (Keerthi et al., Neural Computation 2001). Both solvers
+take ``tolerance`` and the step cap ``max_iterations`` only through their
+``config`` argument, a ``TrainerConfig``.
 
 Each step takes the maximal violator i = argmax_{I_up} t and, among the
 points of I_low below it, the j with the largest second-order gain
 (t_i - t_j)^2 / a_ij, where a_ij = K_ii + K_jj - 2K_ij is floored at
-``epsilon`` (Fan, Chen & Lin, JMLR 2005, "WSS2"). b_i rises and b_j falls
+``EPSILON`` (Fan, Chen & Lin, JMLR 2005, "WSS2"). b_i rises and b_j falls
 by the Newton step, cut at the room each has left in its box; a variable
 that reaches its bound is set exactly to it. t is updated from the two
 Gram columns touched. When the gap closes, t is recomputed exactly from
@@ -56,15 +58,19 @@ import numpy as np
 from .errors import SchemaMismatch
 
 
-@dataclass
+# WEKA's round-off epsilon: the floor of a_ij, and the multiplier at or
+# below which a point is no support vector
+EPSILON = 1e-12
+
+
+@dataclass(frozen=True)
 class TrainerConfig:
     tolerance: float = 1e-3
-    epsilon: float = 1e-12
     max_iterations: int = 1_000_000
 
     def __post_init__(self):
-        if not (0 < self.tolerance < math.inf and 0 < self.epsilon < math.inf):
-            raise SchemaMismatch("tolerance and epsilon must be positive and finite")
+        if not 0 < self.tolerance < math.inf:
+            raise SchemaMismatch("tolerance must be positive and finite")
         if (isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral)
                 or self.max_iterations < 0):
             raise SchemaMismatch("max_iterations must be a non-negative integer")
@@ -88,14 +94,8 @@ def dual_objective(gram: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> float
     return float(alphas.sum() - 0.5 * beta @ gram @ beta)
 
 
-def smo_solve(
-    gram: np.ndarray,
-    y: np.ndarray,
-    C: float,
-    tolerance: float = 1e-3,
-    epsilon: float = 1e-12,
-    max_iterations: int = 1_000_000,
-) -> SmoSolution:
+def smo_solve(gram: np.ndarray, y: np.ndarray, C: float, config: TrainerConfig = TrainerConfig()) -> SmoSolution:
+    tolerance, max_iterations = config.tolerance, config.max_iterations
     gram = np.asarray(gram, dtype=float)
     y = np.asarray(y, dtype=float)
     C = float(C)
@@ -116,7 +116,7 @@ def smo_solve(
             t, exact = y - gram @ beta, True
             continue
         diff = t_up[i] - t_low
-        curvature = np.maximum(diag[i] + diag - 2.0 * gram[:, i], epsilon)
+        curvature = np.maximum(diag[i] + diag - 2.0 * gram[:, i], EPSILON)
         j = int(np.argmax(np.where(diff > 0, diff * diff / curvature, -1.0)))
         room_i = upper[i] - beta[i]
         room_j = beta[j] - lower[j]
@@ -126,30 +126,11 @@ def smo_solve(
         t -= delta * (gram[:, i] - gram[:, j])
         exact = False
         steps += 1
-    # an empty side (a single-class problem) leaves the bias to the other
-    lo, hi = t_up[i], t_low.min()
-    if np.isinf(lo):
-        lo = hi
-    if np.isinf(hi):
-        hi = lo
-    alphas = np.abs(beta)
-    return SmoSolution(
-        alphas=alphas,
-        bias=float(0.5 * (lo + hi)),
-        iterations=steps,
-        hit_iteration_cap=bool(gap > 2.0 * tolerance),
-        objective=dual_objective(gram, y, alphas),
-    )
+    return _solution((gram, y), beta, t_up[i], t_low.min(), steps, gap > 2.0 * tolerance)
 
 
-def smo_solve_lockstep(
-    grams: Iterable[np.ndarray],
-    ys: Sequence[np.ndarray],
-    C: float,
-    tolerance: float = 1e-3,
-    epsilon: float = 1e-12,
-    max_iterations: int = 1_000_000,
-) -> list[SmoSolution]:
+def smo_solve_lockstep(grams: Iterable[np.ndarray], ys: Sequence[np.ndarray], C: float,
+                       config: TrainerConfig = TrainerConfig()) -> list[SmoSolution]:
     """``smo_solve`` on every ``(gram, y)`` pair, in one lockstep loop per
     stack. ``grams`` is read one stack at a time, so a generator computes
     each Gram only when its stack is built."""
@@ -163,14 +144,15 @@ def smo_solve_lockstep(
             stop += 1
         stack = [(np.asarray(next(grams), dtype=float), np.asarray(y, dtype=float)) for y in ys[start:stop]]
         if len(stack) == 1:
-            solutions.append(smo_solve(*stack[0], C, tolerance, epsilon, max_iterations))
+            solutions.append(smo_solve(*stack[0], C, config))
         else:
-            solutions += _solve_stack(stack, width, float(C), tolerance, epsilon, max_iterations)
+            solutions += _solve_stack(stack, width, float(C), config)
         start = stop
     return solutions
 
 
-def _solve_stack(stack, width, C, tolerance, epsilon, max_iterations) -> list[SmoSolution]:
+def _solve_stack(stack, width, C, config) -> list[SmoSolution]:
+    tolerance, max_iterations = config.tolerance, config.max_iterations
     count = len(stack)
     gram_rows = np.zeros((count, width, width))  # row i is column i of the problem's Gram
     t = np.zeros((count, width))
@@ -212,7 +194,7 @@ def _solve_stack(stack, width, C, tolerance, epsilon, max_iterations) -> list[Sm
             continue
         diff = top[:, None] - t_low
         column_i = gram_rows[live, i]
-        curvature = np.maximum(diag[rows, i][:, None] + diag - 2.0 * column_i, epsilon)
+        curvature = np.maximum(diag[rows, i][:, None] + diag - 2.0 * column_i, EPSILON)
         j = np.where(diff > 0, diff * diff / curvature, -1.0).argmax(axis=1)
         upper_i, beta_i = upper[rows, i], beta[rows, i]
         lower_j, beta_j = lower[rows, j], beta[rows, j]
@@ -228,8 +210,10 @@ def _solve_stack(stack, width, C, tolerance, epsilon, max_iterations) -> list[Sm
 
 
 def _solution(problem, beta, lo, hi, steps, hit_cap) -> SmoSolution:
-    """``smo_solve``'s result from a stacked problem's final state."""
+    """The result of ``problem`` from its final ``beta`` (padded or not),
+    the ends ``lo``, ``hi`` of its bias interval and its step count."""
     gram, y = problem
+    # an empty side (a single-class problem) leaves the bias to the other
     if np.isinf(lo):
         lo = hi
     if np.isinf(hi):

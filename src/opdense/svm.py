@@ -18,7 +18,7 @@ from .dataset import Dataset, ScalingParams, apply_scaling, project
 from .errors import DimensionMismatch, SchemaMismatch, SingleClass
 from .kernels import KernelSpec, gram_matrix
 from .labels import LabelScheme, class_order
-from .smo import TrainerConfig, smo_solve_lockstep
+from .smo import EPSILON, TrainerConfig, smo_solve_lockstep
 
 MODEL_SCHEMA_VERSION = 2
 
@@ -48,11 +48,10 @@ class MulticlassSvmModel:
         return sum(len(m.alphas) for m in self.machines)
 
 
-def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig | None = None) -> MulticlassSvmModel:
+def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = TrainerConfig()) -> MulticlassSvmModel:
     """One machine per unordered pair of the classes present in the data,
     the later class of each pair (in scheme order) on the +1 side. The
     pairs' SMO problems are solved together by ``smo_solve_lockstep``."""
-    config = config or TrainerConfig()
     classes = tuple(class_order(ds.scheme, ds.labels))
     if len(classes) < 2:
         raise SingleClass(f"need at least two classes, found {list(classes)}")
@@ -62,12 +61,12 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig | None
     for neg, pos in pairs:
         mask = (labels == neg) | (labels == pos)
         problems.append((ds.X[mask], np.where(labels[mask] == pos, 1.0, -1.0)))
-    solutions = smo_solve_lockstep((gram_matrix(spec, X) for X, _ in problems), [y for _, y in problems],
-                                   spec.C, config.tolerance, config.epsilon, config.max_iterations)
+    grams = (gram_matrix(spec, X) for X, _ in problems)
+    solutions = smo_solve_lockstep(grams, [y for _, y in problems], spec.C, config)
     machines: list[BinarySvmModel] = []
     warnings: list[str] = []
     for (neg, pos), (X, y), solution in zip(pairs, problems, solutions):
-        keep = solution.alphas > config.epsilon
+        keep = solution.alphas > EPSILON
         if solution.hit_iteration_cap:
             warnings.append(f"pair ({neg}, {pos}) hit the iteration cap; best effort kept")
         machines.append(BinarySvmModel(

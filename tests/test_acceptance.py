@@ -22,7 +22,7 @@ from opdense.featsel.evaluators import DiscretizedAttribute, correlation_eval, g
 from opdense.kernels import KernelSpec, gram_matrix, kernel_eval
 from opdense.labels import LabelScheme
 from opdense.reports import format_report, parse_report
-from opdense.smo import smo_solve
+from opdense.smo import TrainerConfig, smo_solve
 from opdense.svm import decision_values, load_model, save_model, train_multiclass
 from qp_oracle import kkt_violation, qp_oracle
 
@@ -175,7 +175,7 @@ def test_criterion_3_smo_oracle_equivalence():
                     kw["sigma"] = float(rng.choice([0.5, 1.0]))
                     kw["omega"] = float(rng.choice([0.5, 1.0, 2.0]))
                 gram = gram_matrix(KernelSpec(**kw), X)
-                sol = smo_solve(gram, y, C, tolerance=1e-6, max_iterations=200_000)
+                sol = smo_solve(gram, y, C, TrainerConfig(tolerance=1e-6, max_iterations=200_000))
                 oracle = qp_oracle(gram, y, C)
                 assert abs(sol.objective - oracle) <= 1e-6 * max(1.0, abs(oracle)), (rep, family, C)
                 assert kkt_violation(gram, y, sol.alphas, sol.bias, C) <= 1e-6 + 1e-9, (rep, family, C)
@@ -190,7 +190,7 @@ def test_criterion_4_analytic_case():
         X = np.array([[0.0], [1.0]])
         y = np.array([-1.0, 1.0])
         sol = smo_solve(gram_matrix(KernelSpec(family="poly", C=100.0), X), y, 100.0,
-                        tolerance=1e-8)
+                        TrainerConfig(tolerance=1e-8))
         assert abs(sol.alphas[0] - 2.0) <= 1e-6
         assert abs(sol.alphas[1] - 2.0) <= 1e-6
         assert abs(sol.bias - (-1.0)) <= 1e-6

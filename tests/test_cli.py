@@ -112,6 +112,9 @@ def test_tune_threshold_command(pipeline):
     assert doc["retained"] <= 70
     best = load_selection((pipeline / "best.json").read_text())
     assert len(best.retained) == doc["retained"]
+    # the sweep keeps steps whose metric did not drop, which fits no lower-is-better metric
+    assert run("tune-threshold", pipeline / "train.csv", pipeline / "test.csv", pipeline / "scores.json",
+               "--metric", "fpr", "--out", pipeline / "fpr.txt") == 1
 
 
 def test_pca_selection_has_no_ranking_to_sweep_or_aggregate(pipeline, tmp_path, capsys):
@@ -313,6 +316,7 @@ MODEL_DEFECTS = {
     "array": (None, "[1, 2]"),
     "string": (None, '"model"'),
     "schema only": (None, '{"schema": 1}'),
+    "integer too long to convert": (None, '{"schema": ' + "2" * 5000 + "}"),
     "no kernel": (["kernel"], _DROP),
     "kernel C a string": (["kernel", "C"], "1.0"),
     "kernel exponent null": (["kernel", "exponent"], None),
@@ -394,6 +398,8 @@ SELECTION_DEFECTS = {
     "not json": (None, "]"),
     "number": (None, "7"),
     "schema only": (None, '{"schema": 1}'),
+    "integer too long to convert": (None, '{"schema": ' + "1" * 5000 + "}"),
+    "num_to_select negative": (["num_to_select"], -1),
     "no evaluator": (["evaluator"], _DROP),
     "retained a string": (["retained"], "pc1"),
     "retained holds a number": (["retained", 0], 1),

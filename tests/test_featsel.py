@@ -374,6 +374,17 @@ def test_ranker_num_to_select_truncates():
     assert result.retained == ("a", "b")
 
 
+@pytest.mark.parametrize("num_to_select", [-1, 0, True])
+def test_num_to_select_must_be_a_positive_integer(num_to_select):
+    scores = [AttributeScore("a", 0.5), AttributeScore("b", 0.4), AttributeScore("c", 0.3)]
+    with pytest.raises(SchemaMismatch):
+        ranker_select(scores, threshold=float("-inf"), num_to_select=num_to_select)
+    ds = _signal_noise_dataset()
+    with pytest.raises(SchemaMismatch):
+        search_greedy_stepwise(ds.attributes, CfsMeritScorer(ds), generate_ranking=True,
+                               num_to_select=num_to_select)
+
+
 def test_ranker_equal_scores_alphabetical():
     scores = [AttributeScore(n, 0.5) for n in ("c", "a", "b")]
     result = ranker_select(scores, threshold=0.0)
@@ -481,6 +492,17 @@ def test_tune_threshold_falls_back_to_full_set():
     threshold, best, sweep = tune_threshold(ds, ds, scores, decreasing_metric)
     assert set(best.retained) == set(ds.attributes)
     assert threshold < min(s.score for s in scores)
+
+
+def test_tune_threshold_rejects_fpr():
+    # lower is better for fpr, so "not below the baseline" would keep the worse steps
+    ds = _signal_noise_dataset(n=20, noise_attrs=2)
+
+    def classifier_fn(tr, te):
+        raise AssertionError("no training for a metric the sweep cannot tune")
+
+    with pytest.raises(SchemaMismatch):
+        tune_threshold(ds, ds, rank_attributes(ds, "correlation"), classifier_fn, metric="fpr")
 
 
 # --- aggregation --------------------------------------------------------------------

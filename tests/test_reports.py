@@ -7,6 +7,7 @@ from opdense.errors import (
     EmptyReport,
     MalformedLine,
     NoFilesFound,
+    SchemaMismatch,
     UnresolvedLabel,
 )
 from opdense.labels import LabelScheme
@@ -94,6 +95,14 @@ def test_data_after_total_rejected():
         parse_report(text, "s")
 
 
+def test_overlong_count_is_malformed():
+    digits = "9" * 5000  # more than Python converts to an int by default
+    with pytest.raises(MalformedLine):
+        parse_report(f"1. {digits} 50.00% mov\n", "x")
+    with pytest.raises(MalformedLine):
+        parse_report(f"1. 5 50.00% mov\nTOTAL {digits}\n", "x")
+
+
 def test_empty_report():
     with pytest.raises(EmptyReport):
         parse_report("\n  \n", "s")
@@ -142,7 +151,7 @@ def test_scan_directory_orders_by_sample_id(tmp_path):
     result = scan_directory(tmp_path)
     assert [lh.histogram.sample_id for lh in result.histograms] == ["a", "b"]
     assert [lh.label.value for lh in result.histograms] == ["good", "malware"]
-    assert result.scheme == LabelScheme.binary
+    assert {lh.label.scheme for lh in result.histograms} == {LabelScheme.binary}
     assert result.failures == []
 
 
@@ -155,16 +164,18 @@ def test_manifest_overrides_directory(tmp_path):
     _write(tmp_path / "whatever" / "a.txt", "1. 5 50.00% mov\n")
     result = scan_directory(tmp_path, manifest={"a": "Cerber"})
     assert result.histograms[0].label.value == "Cerber"
-    assert result.scheme == LabelScheme.family
+    assert result.histograms[0].label.scheme == LabelScheme.family
 
 
 def test_scan_partial_failure_recorded(tmp_path):
     _write(tmp_path / "good" / "ok.txt", "1. 5 50.00% mov\n")
     _write(tmp_path / "good" / "bad.txt", "garbage\n")
+    _write(tmp_path / "good" / "long.txt", "1. " + "9" * 5000 + " 50.00% mov\n")
+    (tmp_path / "good" / "utf16.txt").write_bytes("1. 5 50.00% mov\n".encode("utf-16"))
     result = scan_directory(tmp_path)
     assert len(result.histograms) == 1
-    assert len(result.failures) == 1
-    assert result.failures[0].path.name == "bad.txt"
+    assert {f.path.name: type(f.error) for f in result.failures} == {
+        "bad.txt": MalformedLine, "long.txt": MalformedLine, "utf16.txt": SchemaMismatch}
 
 
 def test_scan_unresolved_label_in_root(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import make_dataset
 from opdense.errors import SchemaMismatch
 from opdense.kernels import KernelSpec, gram_matrix
 from opdense.labels import FAMILY_LABELS, LabelScheme
-from opdense.smo import STACK_CELLS, TrainerConfig, smo_solve, smo_solve_lockstep
+from opdense.smo import EPSILON, STACK_CELLS, TrainerConfig, smo_solve, smo_solve_lockstep
 from opdense.svm import decision_values, train_multiclass
 from qp_oracle import kkt_violation, qp_oracle
 
@@ -15,7 +17,7 @@ LINEAR = KernelSpec(family="poly", C=100.0)
 def test_analytic_two_point_problem():
     X = np.array([[0.0], [1.0]])
     y = np.array([-1.0, 1.0])
-    sol = smo_solve(gram_matrix(LINEAR, X), y, 100.0, tolerance=1e-8)
+    sol = smo_solve(gram_matrix(LINEAR, X), y, 100.0, TrainerConfig(tolerance=1e-8))
     assert sol.alphas == pytest.approx([2.0, 2.0], abs=1e-6)
     assert sol.bias == pytest.approx(-1.0, abs=1e-6)
     # decision function is 2x - 1: boundary at 0.5
@@ -28,7 +30,7 @@ def test_xor_with_rbf_fits_training_data():
     y = np.array([-1.0, -1.0, 1.0, 1.0])
     spec = KernelSpec(family="rbf", gamma=1.0, C=100.0)
     g = gram_matrix(spec, X)
-    sol = smo_solve(g, y, 100.0, tolerance=1e-8)
+    sol = smo_solve(g, y, 100.0, TrainerConfig(tolerance=1e-8))
     f = g @ (sol.alphas * y) + sol.bias
     assert np.all(np.sign(f) == y)
     assert abs(sol.objective - qp_oracle(g, y, 100.0)) <= 1e-6 * max(1.0, sol.objective)
@@ -70,7 +72,7 @@ def test_iteration_cap_returns_flagged_best_effort():
     y = np.where(rng.rand(30) < 0.5, 1.0, -1.0)
     y[0], y[1] = 1.0, -1.0
     g = gram_matrix(KernelSpec(family="rbf", gamma=1.0, C=100.0), X)
-    sol = smo_solve(g, y, 100.0, max_iterations=3)
+    sol = smo_solve(g, y, 100.0, TrainerConfig(max_iterations=3))
     assert sol.hit_iteration_cap
     assert sol.iterations == 3
 
@@ -106,7 +108,7 @@ def test_oracle_equivalence_sample():
         for k, family in enumerate(("poly", "normalized_poly", "rbf", "puk")):
             C = 1.0 if (rep + k) % 2 == 0 else 100.0
             g = gram_matrix(_random_spec(rng, family, C), X)
-            sol = smo_solve(g, y, C, tolerance=1e-6, max_iterations=200_000)
+            sol = smo_solve(g, y, C, TrainerConfig(tolerance=1e-6, max_iterations=200_000))
             oracle = qp_oracle(g, y, C)
             assert abs(sol.objective - oracle) <= 1e-6 * max(1.0, abs(oracle))
             assert kkt_violation(g, y, sol.alphas, sol.bias, C) <= 1e-6 + 1e-9
@@ -123,7 +125,7 @@ def test_bias_meets_tolerance_on_criterion_3_case():
     spec = specs["rbf"]
     assert spec.C == 100.0
     g = gram_matrix(spec, X)
-    sol = smo_solve(g, y, spec.C, tolerance=1e-6, max_iterations=200_000)
+    sol = smo_solve(g, y, spec.C, TrainerConfig(tolerance=1e-6, max_iterations=200_000))
     assert not sol.hit_iteration_cap
     assert kkt_violation(g, y, sol.alphas, sol.bias, spec.C) <= 1e-6 + 1e-9
 
@@ -133,7 +135,7 @@ def test_bias_with_all_multipliers_at_a_bound_lies_in_kkt_interval():
     X = rng.rand(8, 2)
     y = np.array([1.0, -1.0] * 4)
     g = gram_matrix(KernelSpec(family="rbf", gamma=1.0, C=0.01), X)
-    sol = smo_solve(g, y, 0.01, tolerance=1e-6)
+    sol = smo_solve(g, y, 0.01, TrainerConfig(tolerance=1e-6))
     assert np.all((sol.alphas == 0.0) | (sol.alphas == 0.01))
     t = y - g @ (sol.alphas * y)
     lower = (sol.alphas == 0.0) == (y > 0)  # b >= t here, b <= t elsewhere
@@ -152,7 +154,7 @@ def test_pair_without_curvature_steps_to_the_box(spec):
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
     g = gram_matrix(spec, X)
     assert g[0, 0] + g[1, 1] - 2.0 * g[0, 1] == 0.0
-    sol = smo_solve(g, y, spec.C, tolerance=1e-6, max_iterations=200_000)
+    sol = smo_solve(g, y, spec.C, TrainerConfig(tolerance=1e-6, max_iterations=200_000))
     assert not sol.hit_iteration_cap
     assert kkt_violation(g, y, sol.alphas, sol.bias, spec.C) <= 1e-6 + 1e-9
     oracle = qp_oracle(g, y, spec.C)
@@ -165,7 +167,7 @@ def test_oracle_sign_agreement_excluding_boundary_points():
         X, y = _random_problem(rng)
         spec = _random_spec(rng, "rbf", 10.0)
         g = gram_matrix(spec, X)
-        sol = smo_solve(g, y, 10.0, tolerance=1e-8, max_iterations=200_000)
+        sol = smo_solve(g, y, 10.0, TrainerConfig(tolerance=1e-8, max_iterations=200_000))
         f = g @ (sol.alphas * y) + sol.bias
         # decisions must match the sign structure of a (near) optimal
         # solution; points essentially on the boundary are excluded
@@ -183,8 +185,6 @@ def test_trainer_config_validation():
     with pytest.raises(SchemaMismatch):
         TrainerConfig(tolerance=0.0)
     with pytest.raises(SchemaMismatch):
-        TrainerConfig(epsilon=-1.0)
-    with pytest.raises(SchemaMismatch):
         TrainerConfig(tolerance=float("nan"))
     with pytest.raises(SchemaMismatch):
         TrainerConfig(max_iterations=-1)
@@ -194,6 +194,10 @@ def test_trainer_config_validation():
     with pytest.raises(SchemaMismatch):
         TrainerConfig(max_iterations=True)
     assert TrainerConfig(max_iterations=np.int64(3)).max_iterations == 3
+    # frozen, so a value cannot get past the checks by assignment
+    config = TrainerConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.max_iterations = 2.5
 
 
 def _mixed_stack():
@@ -220,8 +224,9 @@ def test_lockstep_matches_smo_solve_on_every_problem(max_iterations):
     assert len(ys) * max(map(len, ys)) ** 2 <= STACK_CELLS  # one stack
     g = grams[2]
     assert g[0, 0] + g[1, 1] - 2.0 * g[0, 1] == 0.0
-    stacked = smo_solve_lockstep(iter(grams), ys, 10.0, 1e-6, 1e-12, max_iterations)
-    single = [smo_solve(g, y, 10.0, 1e-6, 1e-12, max_iterations) for g, y in zip(grams, ys)]
+    config = TrainerConfig(tolerance=1e-6, max_iterations=max_iterations)
+    stacked = smo_solve_lockstep(iter(grams), ys, 10.0, config)
+    single = [smo_solve(g, y, 10.0, config) for g, y in zip(grams, ys)]
     assert len({s.iterations for s in single}) >= 4  # problems stop at different steps
     if max_iterations == 25:
         assert {s.hit_iteration_cap for s in single} == {True, False}
@@ -250,7 +255,7 @@ def test_train_multiclass_matches_per_pair_solves_across_stacks():
         mask = (names == neg) | (names == pos)
         y = np.where(names[mask] == pos, 1.0, -1.0)
         want = smo_solve(gram_matrix(spec, X[mask]), y, spec.C)
-        keep = want.alphas > TrainerConfig().epsilon
+        keep = want.alphas > EPSILON
         assert np.array_equal(machine.alphas, want.alphas[keep])
         assert np.array_equal(machine.support_vectors, X[mask][keep])
         assert np.array_equal(machine.labels, y[keep])
