@@ -11,6 +11,7 @@ files): every malformed document raises ``SchemaMismatch``.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -166,6 +167,18 @@ def json_field(doc, key: str, kinds, what: str):
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise SchemaMismatch(f"{what}: {key!r} must not be {type(value).__name__}")
+    return value
+
+
+def json_number(doc, key: str, what: str) -> float:
+    """``doc[key]``, a finite number, as a float."""
+    value = json_field(doc, key, NUMBER, what)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaMismatch(f"{what}: {key!r} must be a finite number")
     return value
 
 

@@ -204,6 +204,8 @@ def iqr_flag(ds: Dataset, outlier_factor: float = 3.0, extreme_factor: float = 6
     A cell beyond [Q1 - f*IQR, Q3 + f*IQR] flags its instance, with f the
     outlier factor (3) or the extreme factor (6).
     """
+    if not (0 < outlier_factor < math.inf and 0 < extreme_factor < math.inf):
+        raise SchemaMismatch("IQR factors must be positive and finite")
     if ds.n_instances < 4:
         raise TooFewInstances("need at least 4 instances for quartiles")
     outlier = np.zeros(ds.n_instances, dtype=bool)

@@ -172,6 +172,8 @@ def relieff_scores(
     and agree on nearest hits. Distances are Euclidean over all columns;
     per-attribute differences are range-normalized. k is truncated for
     classes with fewer members."""
+    if k < 1:
+        raise SchemaMismatch("ReliefF needs at least 1 neighbour")
     X = np.asarray(X, dtype=float)
     values = np.asarray(labels, dtype=object)
     n, d = X.shape
@@ -232,6 +234,8 @@ def pca_eval(
     result is excluded from rank aggregation; projected datasets name
     their columns pc1, pc2, ...
     """
+    if not 0 < variance_cover <= 1:
+        raise SchemaMismatch("the variance to cover must be in (0, 1]")
     if ds.n_attributes < 2:
         raise DegenerateMatrix("principal components need at least 2 attributes")
     if matrix not in ("correlation", "covariance"):

@@ -22,6 +22,8 @@ def search_best_first(
     most promising unexpanded subset by single-attribute additions; give
     up after ``backtrack_limit`` consecutive expansions that fail to
     improve on the best subset seen."""
+    if backtrack_limit < 1:
+        raise SchemaMismatch("best-first search needs a backtrack limit of at least 1")
     attrs = tuple(attributes)
 
     cache: dict[tuple[str, ...], float] = {}

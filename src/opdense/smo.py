@@ -28,7 +28,8 @@ The stopping test and the reported bias are the same interval: the bias
 is the midpoint of [max_{I_up} t, min_{I_low} t], the bias that
 minimises the worst box/margin violation. So, unless
 ``hit_iteration_cap`` is set, the returned ``(alphas, bias)`` meet the
-box/margin conditions to ``tolerance``.
+box/margin conditions to ``tolerance``. The solution carries the final
+gap as ``kkt_gap`` (0 when one side is empty).
 
 ``smo_solve_lockstep`` solves many independent problems (a model's
 pairwise machines) in one loop, to the same bits as ``smo_solve`` on
@@ -87,6 +88,7 @@ class SmoSolution:
     iterations: int
     hit_iteration_cap: bool
     objective: float
+    kkt_gap: float  # max_{I_up} t - min_{I_low} t at exit; optimal to tolerance when <= 2*tolerance
 
 
 def dual_objective(gram: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> float:
@@ -225,4 +227,5 @@ def _solution(problem, beta, lo, hi, steps, hit_cap) -> SmoSolution:
         iterations=steps,
         hit_iteration_cap=bool(hit_cap),
         objective=dual_objective(gram, y, alphas),
+        kkt_gap=float(lo - hi),
     )

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import NUMBER, json_field, json_floats, json_object, json_strings
+from .dataio import json_field, json_floats, json_number, json_object, json_strings
 from .dataset import Dataset, ScalingParams, apply_scaling, project
 from .errors import DimensionMismatch, SchemaMismatch, SingleClass
 from .kernels import KernelSpec, gram_matrix
 from .labels import LabelScheme, class_order
 from .smo import EPSILON, TrainerConfig, smo_solve_lockstep
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -31,6 +31,8 @@ class BinarySvmModel:
     bias: float
     class_pair: tuple[str, str]  # (negative label, positive label)
     hit_iteration_cap: bool = False
+    iterations: int = 0  # SMO steps taken
+    kkt_gap: float = 0.0  # SmoSolution.kkt_gap at exit
 
 
 @dataclass
@@ -76,6 +78,8 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = Trai
             bias=solution.bias,
             class_pair=(neg, pos),
             hit_iteration_cap=solution.hit_iteration_cap,
+            iterations=solution.iterations,
+            kkt_gap=solution.kkt_gap,
         ))
     return MulticlassSvmModel(
         machines=machines,
@@ -139,11 +143,31 @@ def predict_dataset(model: MulticlassSvmModel, ds: Dataset) -> list[str]:
 
 # --- serialization --------------------------------------------------------
 
-def _round8(values) -> list:
-    return [round(float(v), 8) for v in values]
-
-
 def save_model(model: MulticlassSvmModel) -> str:
+    """The model as JSON, in LIBSVM's layout (Chang & Lin 2011): one
+    ``support_vectors`` table of the distinct rows at 8 decimals, and per
+    machine the ``rows`` of that table it uses with one alpha*y ``coef``
+    each. Rows are told apart by their rounded values, so load -> save
+    writes the same text."""
+    rounded: dict[bytes, tuple[float, ...]] = {}  # raw row -> its values at 8 decimals
+    table: dict[tuple[float, ...], int] = {}  # rounded row -> its index in the table
+    machines = []
+    for m in model.machines:
+        rows = []
+        for row in m.support_vectors:
+            key = row.tobytes()
+            if key not in rounded:
+                rounded[key] = tuple(round(v, 8) for v in row.tolist())
+            rows.append(table.setdefault(rounded[key], len(table)))
+        machines.append({
+            "pair": list(m.class_pair),
+            "rows": rows,
+            "coef": (m.alphas * m.labels).tolist(),
+            "bias": float(m.bias),
+            "hit_iteration_cap": bool(m.hit_iteration_cap),
+            "iterations": int(m.iterations),
+            "kkt_gap": float(m.kkt_gap),
+        })
     doc = {
         "schema": MODEL_SCHEMA_VERSION,
         "scheme": model.scheme.value,
@@ -162,23 +186,17 @@ def save_model(model: MulticlassSvmModel) -> str:
             "min": list(model.scaling.mins),
             "max": list(model.scaling.maxs),
         },
-        "machines": [
-            {
-                "pair": list(m.class_pair),
-                "support_vectors": [_round8(row) for row in m.support_vectors],
-                "alphas": [float(a) for a in m.alphas],
-                "labels": [int(v) for v in m.labels],
-                "bias": float(m.bias),
-                "hit_iteration_cap": bool(m.hit_iteration_cap),
-            }
-            for m in model.machines
-        ],
+        "support_vectors": [list(row) for row in table],
+        "machines": machines,
         "warnings": list(model.warnings),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def load_model(text: str) -> MulticlassSvmModel:
+    """A model saved by ``save_model``. Each machine's support vectors are
+    its rows of the table, its alphas |coef| and its labels sign(coef):
+    exact, as every label is +-1."""
     doc = json_object(text, "model")
     if doc.get("schema") != MODEL_SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported model schema {doc.get('schema')!r}")
@@ -192,12 +210,12 @@ def load_model(text: str) -> MulticlassSvmModel:
     k = json_field(doc, "kernel", dict, "model")
     kernel = KernelSpec(
         family=json_field(k, "family", str, "model kernel"),
-        exponent=json_field(k, "exponent", NUMBER, "model kernel"),
+        exponent=json_number(k, "exponent", "model kernel"),
         use_lower_order=json_field(k, "use_lower_order", bool, "model kernel"),
-        gamma=json_field(k, "gamma", NUMBER, "model kernel"),
-        sigma=json_field(k, "sigma", NUMBER, "model kernel"),
-        omega=json_field(k, "omega", NUMBER, "model kernel"),
-        C=json_field(k, "C", NUMBER, "model kernel"),
+        gamma=json_number(k, "gamma", "model kernel"),
+        sigma=json_number(k, "sigma", "model kernel"),
+        omega=json_number(k, "omega", "model kernel"),
+        C=json_number(k, "C", "model kernel"),
     )
     scaling = None
     if json_field(doc, "scaling", (dict, type(None)), "model") is not None:
@@ -206,23 +224,32 @@ def load_model(text: str) -> MulticlassSvmModel:
         if not len(mins) == len(maxs) == len(attributes):
             raise SchemaMismatch("model scaling does not cover the attributes")
         scaling = ScalingParams(mins=tuple(mins.tolist()), maxs=tuple(maxs.tolist()))
+    table = json_floats(doc, "support_vectors", "model", ndim=2)
+    if len(table) == 0:
+        table = np.zeros((0, len(attributes)))
+    if table.shape[1] != len(attributes):
+        raise SchemaMismatch("model support vectors are not as wide as the attribute list")
     machines = []
     for m in json_field(doc, "machines", list, "model"):
         pair = json_strings(m, "pair", "model machine")
-        sv = json_floats(m, "support_vectors", "model machine", ndim=2)
-        if sv.size == 0:
-            sv = np.zeros((0, len(attributes)))
-        alphas = json_floats(m, "alphas", "model machine")
-        labels = json_floats(m, "labels", "model machine")
-        if sv.shape != (len(alphas), len(attributes)) or labels.shape != alphas.shape:
-            raise SchemaMismatch("model machine arrays disagree in shape")
+        rows = json_field(m, "rows", list, "model machine")
+        if not all(type(r) is int and 0 <= r < len(table) for r in rows):
+            raise SchemaMismatch("model machine: 'rows' must be indices into the support vectors")
+        coef = json_floats(m, "coef", "model machine")
+        if len(coef) != len(rows) or not coef.all():
+            raise SchemaMismatch("model machine: 'coef' must hold one nonzero number per row")
+        iterations = json_field(m, "iterations", int, "model machine")
+        if iterations < 0:
+            raise SchemaMismatch("model machine: 'iterations' must not be negative")
         machines.append(BinarySvmModel(
-            support_vectors=sv,
-            alphas=alphas,
-            labels=labels,
-            bias=float(json_field(m, "bias", NUMBER, "model machine")),
+            support_vectors=table[rows],
+            alphas=np.abs(coef),
+            labels=np.sign(coef),
+            bias=json_number(m, "bias", "model machine"),
             class_pair=pair,
             hit_iteration_cap=json_field(m, "hit_iteration_cap", bool, "model machine"),
+            iterations=iterations,
+            kkt_gap=json_number(m, "kkt_gap", "model machine"),
         ))
     if (len(classes) < 2 or list(classes) != class_order(scheme, classes)
             or [m.class_pair for m in machines] != _pairs(classes)):

@@ -298,7 +298,10 @@ _DROP = object()
 
 def _corrupt(doc, path, value):
     """The document with the entry at ``path`` replaced by ``value`` (or
-    dropped), as JSON text; a ``None`` path makes ``value`` the whole text."""
+    dropped), as JSON text; a ``None`` path makes ``value`` the whole text.
+    A callable ``value`` is first called with the document."""
+    if callable(value):
+        value = value(doc)
     if path is None:
         return value
     target = doc
@@ -308,6 +311,20 @@ def _corrupt(doc, path, value):
         del target[path[-1]]
     else:
         target[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _schema_2(doc):
+    """The model in the layout of schema 2, where each machine holds its own
+    support vectors, alphas and labels, as JSON text."""
+    table = doc.pop("support_vectors")
+    for m in doc["machines"]:
+        coef = m.pop("coef")
+        m["support_vectors"] = [table[r] for r in m.pop("rows")]
+        m["alphas"] = [abs(c) for c in coef]
+        m["labels"] = [1 if c > 0 else -1 for c in coef]
+        del m["iterations"], m["kkt_gap"]
+    doc["schema"] = 2
     return json.dumps(doc)
 
 
@@ -326,9 +343,34 @@ MODEL_DEFECTS = {
     "scaling too short": (["scaling"], {"min": [0.0], "max": [1.0]}),
     "machines an object": (["machines"], {}),
     "machine an array": (["machines", 0], []),
-    "alpha a string": (["machines", 0, "alphas", 0], "x"),
-    "ragged support vectors": (["machines", 0, "support_vectors", 0], [0.5]),
-    "alphas too short": (["machines", 0, "alphas"], [1.0]),
+    "alpha a string": (["machines", 0, "coef", 0], "x"),
+    "ragged support vectors": (["support_vectors", 0], [0.5]),
+    "alphas too short": (["machines", 0, "coef"], [1.0]),
+    "rows too short": (["machines", 0, "rows"], [0]),
+    "row index past the table": (["machines", 0, "rows", 0], lambda doc: len(doc["support_vectors"])),
+    "row index negative": (["machines", 0, "rows", 0], -1),
+    "row index a float": (["machines", 0, "rows", 0], 0.0),
+    "row index a bool": (["machines", 0, "rows", 0], True),
+    "rows a string": (["machines", 0, "rows"], "0"),
+    "coef zero": (["machines", 0, "coef", 0], 0.0),
+    "coef NaN": (["machines", 0, "coef", 0], float("nan")),
+    "coef infinite": (["machines", 0, "coef", 0], float("inf")),
+    "no coef": (["machines", 0, "coef"], _DROP),
+    "support vectors too narrow": (["support_vectors"], lambda doc: [r[:-1] for r in doc["support_vectors"]]),
+    "support vectors too wide": (["support_vectors"], lambda doc: [r + [0.0] for r in doc["support_vectors"]]),
+    "no support vector table": (["support_vectors"], _DROP),
+    "iterations negative": (["machines", 0, "iterations"], -1),
+    "iterations a float": (["machines", 0, "iterations"], 2.0),
+    "iterations a bool": (["machines", 0, "iterations"], True),
+    "no iterations": (["machines", 0, "iterations"], _DROP),
+    "kkt gap NaN": (["machines", 0, "kkt_gap"], float("nan")),
+    "kkt gap a string": (["machines", 0, "kkt_gap"], "0.0"),
+    "kkt gap past the float range": (["machines", 0, "kkt_gap"], 10 ** 400),
+    "no kkt gap": (["machines", 0, "kkt_gap"], _DROP),
+    "bias NaN": (["machines", 0, "bias"], float("nan")),
+    "bias past the float range": (["machines", 0, "bias"], -10 ** 400),
+    "kernel C past the float range": (["kernel", "C"], 10 ** 400),
+    "schema 2 document": (None, _schema_2),
     "pair outside classes": (["machines", 0, "pair"], ["good", "Locky"]),
     "bias null": (["machines", 0, "bias"], None),
     "no cap flag": (["machines", 0, "hit_iteration_cap"], _DROP),
@@ -376,6 +418,23 @@ def test_nonpositive_poly_exponent_exits_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command, data, flags", [
+    ("select", "train.csv", ("--evaluator", "relieff", "--relieff-k", "0")),
+    ("select", "train.csv", ("--evaluator", "cfs-subset", "--search", "best-first", "--backtrack", "-1")),
+    ("select", "train.csv", ("--evaluator", "pca", "--pca-variance", "2")),
+    ("select", "train.csv", ("--evaluator", "pca", "--pca-variance", "0")),
+    ("preprocess", "full.csv", ("--iqr-report", "{tmp}/iqr.csv", "--outlier-factor", "-1")),
+    ("preprocess", "full.csv", ("--iqr-report", "{tmp}/iqr.csv", "--outlier-factor", "nan")),
+], ids=["relieff k 0", "backtrack -1", "pca variance 2", "pca variance 0", "outlier factor -1", "outlier factor nan"])
+def test_out_of_range_selection_or_iqr_setting_exits_2(pipeline, tmp_path, capsys, command, data, flags):
+    capsys.readouterr()
+    flags = [f.format(tmp=tmp_path) for f in flags]
+    assert run(command, pipeline / data, *flags, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pca_selection_on_other_attributes_exits_2(pipeline, tmp_path, capsys):

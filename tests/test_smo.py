@@ -77,6 +77,24 @@ def test_iteration_cap_returns_flagged_best_effort():
     assert sol.iterations == 3
 
 
+def test_kkt_gap_is_the_final_violating_pair_gap():
+    rng = np.random.RandomState(3)
+    X = rng.rand(30, 3)
+    y = np.where(rng.rand(30) < 0.5, 1.0, -1.0)
+    y[0], y[1] = 1.0, -1.0
+    g = gram_matrix(KernelSpec(family="rbf", gamma=1.0, C=100.0), X)
+    for config in (TrainerConfig(tolerance=1e-6), TrainerConfig(max_iterations=3)):
+        sol = smo_solve(g, y, 100.0, config)
+        beta = sol.alphas * y
+        t = y - g @ beta
+        upper = np.where(y > 0, 100.0, 0.0)
+        gap = t[beta < upper].max() - t[beta > upper - 100.0].min()
+        assert sol.kkt_gap == pytest.approx(gap, abs=1e-12)
+        assert (sol.kkt_gap > 2.0 * config.tolerance) == sol.hit_iteration_cap
+    # one class only: I_low is empty, so the gap is 0
+    assert smo_solve(g, np.ones(30), 100.0).kkt_gap == 0.0
+
+
 def _random_problem(rng):
     n = int(rng.randint(2, 7))
     d = int(rng.randint(1, 4))
@@ -236,6 +254,7 @@ def test_lockstep_matches_smo_solve_on_every_problem(max_iterations):
         assert got.iterations == want.iterations
         assert got.hit_iteration_cap == want.hit_iteration_cap
         assert got.objective == want.objective
+        assert got.kkt_gap == want.kkt_gap
 
 
 def test_train_multiclass_matches_per_pair_solves_across_stacks():
@@ -261,3 +280,4 @@ def test_train_multiclass_matches_per_pair_solves_across_stacks():
         assert np.array_equal(machine.labels, y[keep])
         assert machine.bias == want.bias
         assert machine.hit_iteration_cap == want.hit_iteration_cap
+        assert (machine.iterations, machine.kkt_gap) == (want.iterations, want.kkt_gap)

@@ -9,7 +9,10 @@ from opdense.dataset import minmax_scale
 from opdense.errors import DimensionMismatch, SchemaMismatch, SingleClass
 from opdense.kernels import KernelSpec
 from opdense.labels import LabelScheme
+from opdense.smo import TrainerConfig
 from opdense.svm import (
+    BinarySvmModel,
+    MulticlassSvmModel,
     decision_values,
     load_model,
     predict_dataset,
@@ -121,6 +124,39 @@ def test_model_round_trip_predictions_bit_identical():
     assert predict_dataset(m1, ds) == predict_dataset(m2, ds)
 
 
+def test_rows_equal_at_8_decimals_are_stored_once():
+    a, b = [0.25, 0.5], [0.75, 0.125]
+    nudged = [0.25 + 1e-12, 0.5]  # another raw row, the same as a at 8 decimals
+    pairs = [("good", "Locky"), ("good", "Cerber"), ("Locky", "Cerber")]
+    machines = [BinarySvmModel(np.array(sv), np.array([0.5, 0.25]), np.array([-1.0, 1.0]), 0.1, pair)
+                for sv, pair in zip([[a, b], [nudged, b], [b, nudged]], pairs)]
+    model = MulticlassSvmModel(machines, ("good", "Locky", "Cerber"), ("mov", "ret"),
+                               LabelScheme.family, KernelSpec())
+    text = save_model(model)
+    doc = json.loads(text)
+    assert doc["support_vectors"] == [a, b]
+    assert [m["rows"] for m in doc["machines"]] == [[0, 1], [0, 1], [1, 0]]
+    assert [m["coef"] for m in doc["machines"]] == [[-0.5, 0.25]] * 3
+    loaded = load_model(text)
+    assert np.array_equal(loaded.machines[1].support_vectors, [a, b])
+    assert save_model(loaded) == text
+
+
+def test_machines_keep_their_convergence_counts():
+    rng = np.random.RandomState(29)
+    ds = gaussian_balls(rng, [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)], 12,
+                        ("good", "Locky", "Cerber"), LabelScheme.family)
+    config = TrainerConfig(tolerance=1e-4)
+    model = train_multiclass(ds, KernelSpec(family="puk", C=10.0), config)
+    for m in model.machines:
+        assert m.iterations > 0 and not m.hit_iteration_cap
+        assert m.kkt_gap <= 2.0 * config.tolerance
+    loaded = load_model(save_model(model))
+    assert [(m.iterations, m.kkt_gap) for m in loaded.machines] == [(m.iterations, m.kkt_gap) for m in model.machines]
+    capped = train_multiclass(ds, KernelSpec(family="puk", C=10.0), TrainerConfig(max_iterations=2))
+    assert all(m.iterations == 2 and m.hit_iteration_cap and m.kkt_gap > 2e-3 for m in capped.machines)
+
+
 def test_model_file_preserves_kernel_and_scheme():
     ds = make_dataset([[0.0], [0.1], [0.9], [1.0]],
                       ["good", "good", "malware", "malware"])
@@ -142,12 +178,12 @@ def _bias_only_model(classes, biases):
     machine's decision value is its bias on every row."""
     pairs = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]]
     return load_model(json.dumps({
-        "schema": 2, "scheme": "family", "classes": list(classes), "attributes": ["a00"],
+        "schema": 3, "scheme": "family", "classes": list(classes), "attributes": ["a00"],
         "kernel": {"family": "puk", "exponent": 1.0, "use_lower_order": False, "gamma": 0.01,
                    "sigma": 1.0, "omega": 1.0, "C": 1.0},
-        "scaling": None, "warnings": [],
-        "machines": [{"pair": list(pair), "support_vectors": [], "alphas": [], "labels": [],
-                      "bias": bias, "hit_iteration_cap": False} for pair, bias in zip(pairs, biases)],
+        "scaling": None, "warnings": [], "support_vectors": [],
+        "machines": [{"pair": list(pair), "rows": [], "coef": [], "bias": bias, "hit_iteration_cap": False,
+                      "iterations": 0, "kkt_gap": 0.0} for pair, bias in zip(pairs, biases)],
     }))
 
 
