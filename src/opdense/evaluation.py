@@ -20,6 +20,7 @@ from .errors import (
     EmptyTestSet,
     KTooLarge,
     LengthMismatch,
+    OpdenseError,
     SchemaMismatch,
     UnknownLabel,
 )
@@ -45,30 +46,9 @@ class ConfusionMatrix:
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "classes", tuple(self.classes))
 
-    def _index(self, label: str) -> int:
-        try:
-            return self.classes.index(label)
-        except ValueError:
-            raise UnknownLabel(f"label {label!r} not in matrix classes") from None
-
     @property
     def total(self) -> int:
         return int(self.cells.sum())
-
-    def tp(self, label: str) -> int:
-        i = self._index(label)
-        return int(self.cells[i, i])
-
-    def fp(self, label: str) -> int:
-        i = self._index(label)
-        return int(self.cells[:, i].sum() - self.cells[i, i])
-
-    def fn(self, label: str) -> int:
-        i = self._index(label)
-        return int(self.cells[i, :].sum() - self.cells[i, i])
-
-    def tn(self, label: str) -> int:
-        return self.total - self.tp(label) - self.fp(label) - self.fn(label)
 
     def accuracy(self) -> float:
         return float(np.trace(self.cells)) / self.total if self.total else 0.0
@@ -114,24 +94,20 @@ def _ratio(num: float, den: float) -> float:
 
 
 def class_metrics(cm: ConfusionMatrix, n_attributes: int | None = None, description: str = "") -> EvalReport:
+    hits = np.diag(cm.cells).tolist()  # tp per class
+    supports = cm.cells.sum(axis=1).tolist()  # tp + fn
+    predicted = cm.cells.sum(axis=0).tolist()  # tp + fp
+    total = sum(supports)
     per_class: dict[str, ClassMetrics] = {}
-    supports: dict[str, int] = {}
-    for label in cm.classes:
-        tp, fp, fn, tn = cm.tp(label), cm.fp(label), cm.fn(label), cm.tn(label)
-        tpr = _ratio(tp, tp + fn)
-        fpr = _ratio(fp, fp + tn)
-        precision = _ratio(tp, tp + fp)
-        recall = tpr
-        f_measure = _ratio(2.0 * precision * recall, precision + recall)
-        per_class[label] = ClassMetrics(tpr, fpr, precision, recall, f_measure)
-        supports[label] = tp + fn
-
-    total = sum(supports.values())
+    for label, tp, support, n_predicted in zip(cm.classes, hits, supports, predicted):
+        tpr = _ratio(tp, support)
+        fpr = _ratio(n_predicted - tp, total - support)  # fp / (fp + tn)
+        precision = _ratio(tp, n_predicted)
+        f_measure = _ratio(2.0 * precision * tpr, precision + tpr)
+        per_class[label] = ClassMetrics(tpr, fpr, precision, tpr, f_measure)
 
     def weighted(attr: str) -> float:
-        if total == 0:
-            return 0.0
-        return sum(getattr(per_class[c], attr) * supports[c] for c in cm.classes) / total
+        return _ratio(sum(getattr(per_class[c], attr) * s for c, s in zip(cm.classes, supports)), total)
 
     weighted_metrics = ClassMetrics(
         tpr=weighted("tpr"),
@@ -262,21 +238,18 @@ def grid_search(ds_train: Dataset, ds_test: Dataset, grids: Sequence[KernelSpec]
     if not grids:
         raise SchemaMismatch("empty kernel grid")
     cells: list[GridCell] = []
-    for order, spec in enumerate(grids):
+    for spec in grids:
         try:
             model = train_multiclass(ds_train, spec, config)
             report = holdout_evaluate(model, ds_test)
             cells.append(GridCell(spec=spec, report=report,
                                   n_support_vectors=model.n_support_vectors))
-        except Exception as exc:
+        except OpdenseError as exc:
             cells.append(GridCell(spec=spec, report=None, error=exc))
-    indexed = list(enumerate(cells))
-    indexed.sort(key=lambda pair: (
-        -(pair[1].report.weighted.precision if pair[1].report else -1.0),
-        pair[1].n_support_vectors,
-        pair[0],
-    ))
-    return [cell for _, cell in indexed]
+    # a stable sort keeps grid order among ties
+    cells.sort(key=lambda cell: (-(cell.report.weighted.precision if cell.report else -1.0),
+                                 cell.n_support_vectors))
+    return cells
 
 
 # --- rendering --------------------------------------------------------------

@@ -3,7 +3,6 @@
 from .aggregate import AggregateRanking, aggregate_rank, render_ranking
 from .evaluators import (
     CfsMeritScorer,
-    DiscretizedAttribute,
     correlation_eval,
     discretize_equal_frequency,
     gain_ratio,
@@ -36,7 +35,6 @@ __all__ = [
     "AggregateRanking",
     "AttributeScore",
     "CfsMeritScorer",
-    "DiscretizedAttribute",
     "EVALUATORS",
     "PcaModel",
     "SEARCHES",

@@ -9,7 +9,6 @@ All scores are deterministic for a given dataset and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +18,10 @@ from ..rng import sample_without_replacement
 from .selection import AttributeScore, PcaModel, SelectionResult
 
 
-@dataclass
-class DiscretizedAttribute:
-    edges: tuple[float, ...]  # cut points; a value equal to a cut stays in the lower bin
-    indices: np.ndarray
-
-
-def discretize_equal_frequency(values, bins: int = 10) -> DiscretizedAttribute:
-    """Cut points at the empirical quantiles k/bins; duplicate cut points
-    collapse, so constant data ends up in a single bin."""
+def discretize_equal_frequency(values, bins: int = 10) -> np.ndarray:
+    """Each value's bin code. Cut points sit at the empirical quantiles
+    k/bins, a value equal to a cut stays in the lower bin, and duplicate
+    cut points collapse, so constant data ends up in a single bin."""
     if bins < 2:
         raise SchemaMismatch("need at least 2 bins")
     values = np.asarray(values, dtype=float)
@@ -36,9 +30,7 @@ def discretize_equal_frequency(values, bins: int = 10) -> DiscretizedAttribute:
         c = quantile(values, k / bins)
         if not cuts or c > cuts[-1]:
             cuts.append(c)
-    edges = tuple(cuts)
-    indices = np.searchsorted(np.array(edges), values, side="left") if edges else np.zeros(len(values), dtype=int)
-    return DiscretizedAttribute(edges=edges, indices=np.asarray(indices, dtype=int))
+    return np.searchsorted(np.array(cuts), values, side="left")
 
 
 def _entropy_from_codes(codes: np.ndarray) -> float:
@@ -61,18 +53,18 @@ def _mutual_information(a: np.ndarray, b: np.ndarray) -> float:
     return _entropy_from_codes(a) + _entropy_from_codes(b) - _entropy_from_codes(joint)
 
 
-def info_gain(attr: DiscretizedAttribute, labels) -> float:
-    """H(class) - H(class | attr), in bits."""
-    return _mutual_information(attr.indices, _label_codes(labels))
+def info_gain(codes: np.ndarray, labels) -> float:
+    """H(class) - H(class | attr), in bits, from the attribute's bin codes."""
+    return _mutual_information(codes, _label_codes(labels))
 
 
-def gain_ratio(attr: DiscretizedAttribute, labels) -> float:
+def gain_ratio(codes: np.ndarray, labels) -> float:
     """Information gain over the attribute's own entropy; 0 when the
     attribute carries no split at all."""
-    split_info = _entropy_from_codes(attr.indices)
+    split_info = _entropy_from_codes(codes)
     if split_info == 0.0:
         return 0.0
-    return info_gain(attr, labels) / split_info
+    return info_gain(codes, labels) / split_info
 
 
 def _symmetric_uncertainty(a: np.ndarray, b: np.ndarray) -> float:
@@ -83,9 +75,9 @@ def _symmetric_uncertainty(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * _mutual_information(a, b) / denom
 
 
-def symm_uncert(attr: DiscretizedAttribute, labels) -> float:
-    """2 * IG / (H(attr) + H(class)), in [0, 1]."""
-    return _symmetric_uncertainty(attr.indices, _label_codes(labels))
+def symm_uncert(codes: np.ndarray, labels) -> float:
+    """2 * IG / (H(attr) + H(class)), in [0, 1], from the attribute's bin codes."""
+    return _symmetric_uncertainty(codes, _label_codes(labels))
 
 
 def _pearson_abs(column: np.ndarray, indicator: np.ndarray) -> float:
@@ -299,7 +291,7 @@ class CfsMeritScorer:
     def __init__(self, ds: Dataset, bins: int = 10):
         self.attributes = ds.attributes
         self._codes = {
-            name: discretize_equal_frequency(ds.X[:, j], bins).indices
+            name: discretize_equal_frequency(ds.X[:, j], bins)
             for j, name in enumerate(ds.attributes)
         }
         self._labels = _label_codes(ds.labels)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataio import NUMBER, json_field, json_floats, json_object, json_strings
+from ..dataio import NUMBER, json_field, json_floats, json_number, json_object, json_strings
 from ..dataset import ScalingParams
 from ..errors import SchemaMismatch
 
@@ -107,8 +107,11 @@ def load_selection(text: str) -> SelectionResult:
     scores = None
     if json_field(doc, "scores", (list, type(None)), "selection") is not None:
         scores = tuple(AttributeScore(json_field(s, "attribute", str, "selection score"),
-                                      json_field(s, "score", NUMBER, "selection score"))
+                                      json_number(s, "score", "selection score"))
                        for s in doc["scores"])
+    threshold = None
+    if json_field(doc, "threshold", (*NUMBER, type(None)), "selection") is not None:
+        threshold = json_number(doc, "threshold", "selection")
     pca = None
     if json_field(doc, "pca", (dict, type(None)), "selection") is not None:
         p = doc["pca"]
@@ -136,7 +139,7 @@ def load_selection(text: str) -> SelectionResult:
         search=json_field(doc, "search", str, "selection"),
         retained=retained,
         scores=scores,
-        threshold=json_field(doc, "threshold", (*NUMBER, type(None)), "selection"),
+        threshold=threshold,
         num_to_select=json_field(doc, "num_to_select", (int, type(None)), "selection"),
         params=json_field(doc, "params", dict, "selection") if "params" in doc else {},
         pca=pca,

@@ -20,6 +20,8 @@ from .errors import (
     EmptyReport,
     MalformedLine,
     NoFilesFound,
+    OpdenseError,
+    SchemaMismatch,
     UnresolvedLabel,
     decode_utf8,
 )
@@ -169,7 +171,7 @@ def scan_directory(root: Path | str, manifest: dict[str, str] | None = None) -> 
             continue
         try:
             histogram = parse_report(decode_utf8(path.read_bytes(), str(path)), sid)
-        except Exception as exc:  # recorded per file, scan continues
+        except (OpdenseError, OSError) as exc:  # recorded per file, scan continues
             failures.append(ScanFailure(path, exc))
             continue
         seen.add(sid)
@@ -184,7 +186,7 @@ def scan_directory(root: Path | str, manifest: dict[str, str] | None = None) -> 
 
     try:
         scheme = infer_scheme(lbl for _, _, lbl in parsed)
-    except Exception:
+    except SchemaMismatch:
         # Mixed or unknown labels: keep whatever fits the family scheme,
         # fail the rest individually.
         scheme = LabelScheme.family
@@ -193,10 +195,8 @@ def scan_directory(root: Path | str, manifest: dict[str, str] | None = None) -> 
     for path, histogram, raw_label in parsed:
         try:
             label = ClassLabel(scheme, raw_label)
-        except Exception:
+        except SchemaMismatch:
             failures.append(ScanFailure(path, UnresolvedLabel(histogram.sample_id, f"label {raw_label!r} fits no scheme")))
             continue
         histograms.append(LabeledHistogram(histogram, label))
-
-    histograms.sort(key=lambda lh: lh.histogram.sample_id)
     return ScanResult(histograms=histograms, failures=failures)

@@ -72,9 +72,9 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = Trai
         if solution.hit_iteration_cap:
             warnings.append(f"pair ({neg}, {pos}) hit the iteration cap; best effort kept")
         machines.append(BinarySvmModel(
-            support_vectors=X[keep].copy(),
-            alphas=solution.alphas[keep].copy(),
-            labels=y[keep].copy(),
+            support_vectors=X[keep],
+            alphas=solution.alphas[keep],
+            labels=y[keep],
             bias=solution.bias,
             class_pair=(neg, pos),
             hit_iteration_cap=solution.hit_iteration_cap,
@@ -111,10 +111,7 @@ def decision_values(model: MulticlassSvmModel, ds: Dataset) -> np.ndarray:
         ds = apply_scaling(ds, model.scaling)
     out = np.empty((ds.n_instances, len(model.machines)))
     for k, m in enumerate(model.machines):
-        if len(m.alphas) == 0:
-            out[:, k] = m.bias
-        else:
-            out[:, k] = gram_matrix(model.kernel, m.support_vectors, ds.X).T @ (m.alphas * m.labels) + m.bias
+        out[:, k] = gram_matrix(model.kernel, m.support_vectors, ds.X).T @ (m.alphas * m.labels) + m.bias
     return out
 
 

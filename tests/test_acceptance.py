@@ -18,7 +18,7 @@ from opdense.dataio import read_csv, write_arff, write_csv, read_arff
 from opdense.dataset import Dataset
 from opdense.evaluation import class_metrics, confusion_matrix, holdout_evaluate
 from opdense.featsel import aggregate_rank, merit_from_correlations, rank_attributes, relieff_scores, tune_threshold
-from opdense.featsel.evaluators import DiscretizedAttribute, correlation_eval, gain_ratio, info_gain, symm_uncert
+from opdense.featsel.evaluators import correlation_eval, gain_ratio, info_gain, symm_uncert
 from opdense.kernels import KernelSpec, gram_matrix, kernel_eval
 from opdense.labels import LabelScheme
 from opdense.reports import format_report, parse_report
@@ -227,7 +227,7 @@ def test_criterion_6_feature_selection_oracles():
     with Budget("6 feature-selection oracles", 5.0):
         import math
         labels = ["malware", "malware", "good", "good"]
-        attr = DiscretizedAttribute(edges=(0.5,), indices=np.array([0, 0, 0, 1]))
+        attr = np.array([0, 0, 0, 1])
         ig = 1.0 - 0.75 * (math.log2(3.0) - 2.0 / 3.0)
         h_split = 2.0 - 0.75 * math.log2(3.0)
         assert abs(info_gain(attr, labels) - ig) <= 1e-9

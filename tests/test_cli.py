@@ -463,6 +463,8 @@ SELECTION_DEFECTS = {
     "retained a string": (["retained"], "pc1"),
     "retained holds a number": (["retained", 0], 1),
     "threshold a string": (["threshold"], "0.5"),
+    "threshold past the float range": (["threshold"], 10**400),
+    "score past the float range": (["scores", 0, "score"], 10**400),
     "scores an object": (["scores"], {}),
     "params a list": (["params"], []),
     "pca an array": (["pca"], []),
@@ -485,6 +487,19 @@ def test_corrupt_selection_file_exits_2(pipeline, tmp_path, capsys, path, value)
     bad.write_text(text)
     capsys.readouterr()
     assert run("reduce", pipeline / "train.csv", bad, "--out", tmp_path / "r.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", [["threshold"], ["scores", 0, "score"]], ids=["threshold", "score"])
+def test_selection_number_past_the_float_range_exits_2_on_tune_threshold(pipeline, tmp_path, capsys, path):
+    assert run("select", pipeline / "train.csv", "--evaluator", "correlation",
+               "--out", tmp_path / "sel.json") == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(_corrupt(json.loads((tmp_path / "sel.json").read_text()), path, 10**400))
+    capsys.readouterr()
+    assert run("tune-threshold", pipeline / "train.csv", pipeline / "test.csv", bad,
+               "--out", tmp_path / "sweep.txt") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from opdense.errors import EmptyTestSet, KTooLarge, LengthMismatch, UnknownLabel
 from opdense.evaluation import (
+    ClassMetrics,
+    ConfusionMatrix,
     class_metrics,
     confusion_matrix,
     cross_validate,
@@ -91,12 +95,56 @@ def test_weighted_recall_equals_accuracy():
 
 def test_fpr_plus_tnr_is_one_where_defined():
     cm = six_class_matrix()
-    for label in cm.classes:
-        fp, tn = cm.fp(label), cm.tn(label)
+    for i, label in enumerate(cm.classes):
+        fp = int(cm.cells[:, i].sum() - cm.cells[i, i])
+        tn = cm.total - int(cm.cells[i].sum()) - fp
         if fp + tn:
             tnr = tn / (fp + tn)
             fpr = class_metrics(cm).per_class[label].fpr
             assert fpr + tnr == pytest.approx(1.0, abs=1e-12)
+
+
+def _recount(cells):
+    """(tp, fp, fn, tn) of each class, summed cell by cell from their definitions."""
+    k = len(cells)
+    counts = []
+    for i in range(k):
+        tp = int(cells[i][i])
+        fp = sum(int(cells[r][i]) for r in range(k) if r != i)
+        fn = sum(int(cells[i][c]) for c in range(k) if c != i)
+        tn = sum(int(cells[r][c]) for r in range(k) for c in range(k) if i not in (r, c))
+        counts.append((tp, fp, fn, tn))
+    return counts
+
+
+@st.composite
+def confusion_cells(draw):
+    """A k x k matrix, k = 1..6, mostly zeros so that empty rows, empty
+    columns and all-zero matrices come up often."""
+    k = draw(st.integers(1, 6))
+    cell = st.one_of(st.just(0), st.integers(0, 40))
+    return np.array(draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=k, max_size=k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(confusion_cells())
+@example(np.zeros((3, 3), dtype=int))
+@example(np.array([[0, 4], [0, 0]]))
+def test_class_metrics_equal_the_rates_of_a_per_class_recount(cells):
+    classes = tuple(f"c{i}" for i in range(len(cells)))
+    report = class_metrics(ConfusionMatrix(classes, cells))
+    ratio = lambda num, den: num / den if den else 0.0
+    expected: dict[str, ClassMetrics] = {}
+    supports = []
+    for label, (tp, fp, fn, tn) in zip(classes, _recount(cells)):
+        tpr, precision = ratio(tp, tp + fn), ratio(tp, tp + fp)
+        expected[label] = ClassMetrics(tpr, ratio(fp, fp + tn), precision, tpr,
+                                       ratio(2.0 * precision * tpr, precision + tpr))
+        supports.append(tp + fn)
+    assert report.per_class == expected
+    assert report.weighted == ClassMetrics(**{
+        name: ratio(sum(getattr(expected[c], name) * s for c, s in zip(classes, supports)), sum(supports))
+        for name in ("tpr", "fpr", "precision", "recall", "f_measure")})
 
 
 def test_all_correct_binary_matrix():
@@ -248,6 +296,14 @@ def test_grid_records_failures_without_aborting():
     single = make_dataset(train.X[:4], ["good"] * 4)
     cells = grid_search(single, test, [LINEAR])
     assert cells[0].report is None and cells[0].error is not None
+
+
+def test_grid_lets_a_programming_error_propagate(monkeypatch):
+    def broken(*args):
+        raise TypeError("not an input error")
+    monkeypatch.setattr("opdense.evaluation.train_multiclass", broken)
+    with pytest.raises(TypeError):
+        grid_search(separable_dataset(), separable_dataset(n_each=2, seed=9), [LINEAR])
 
 
 # --- rendering --------------------------------------------------------------------

@@ -26,7 +26,6 @@ from opdense.featsel import (
     symm_uncert,
     tune_threshold,
 )
-from opdense.featsel.evaluators import DiscretizedAttribute
 from opdense.featsel.selection import AttributeScore
 from opdense.kernels import KernelSpec
 from opdense.svm import train_multiclass
@@ -37,37 +36,37 @@ from opdense.evaluation import holdout_evaluate
 IG_4 = 1.0 - 0.75 * (math.log2(3.0) - 2.0 / 3.0)          # 0.311278...
 H_SPLIT_4 = 2.0 - 0.75 * math.log2(3.0)                    # 0.811278...
 LABELS_4 = ["malware", "malware", "good", "good"]
-BINS_4 = DiscretizedAttribute(edges=(0.5,), indices=np.array([0, 0, 0, 1]))
+BINS_4 = np.array([0, 0, 0, 1])
 
 
 # --- discretization -----------------------------------------------------------
 
 def test_equal_frequency_two_bins():
     d = discretize_equal_frequency(np.arange(1.0, 11.0), bins=2)
-    assert list(d.indices) == [0] * 5 + [1] * 5
+    assert list(d) == [0] * 5 + [1] * 5
 
 
 def test_equal_frequency_constant_column():
     d = discretize_equal_frequency(np.full(8, 0.3), bins=10)
-    assert set(d.indices) == {0}
+    assert set(d) == {0}
 
 
 def test_equal_frequency_outlier_in_top_bin():
     values = np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 1000.0])
     d = discretize_equal_frequency(values, bins=2)
-    assert d.indices[-1] == 1
-    assert list(d.indices[:5]) == [0] * 5
+    assert d[-1] == 1
+    assert list(d[:5]) == [0] * 5
 
 
 # --- entropy family -----------------------------------------------------------
 
 def test_info_gain_perfect_predictor():
-    attr = DiscretizedAttribute(edges=(0.5,), indices=np.array([0, 0, 1, 1]))
+    attr = np.array([0, 0, 1, 1])
     assert info_gain(attr, ["malware", "malware", "good", "good"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_info_gain_single_bin_is_zero():
-    attr = DiscretizedAttribute(edges=(), indices=np.zeros(4, dtype=int))
+    attr = np.zeros(4, dtype=int)
     assert info_gain(attr, LABELS_4) == 0.0
 
 
@@ -82,12 +81,12 @@ def test_gain_ratio_four_instance_case():
 
 
 def test_gain_ratio_perfect_balanced_predictor():
-    attr = DiscretizedAttribute(edges=(0.5,), indices=np.array([0, 0, 1, 1]))
+    attr = np.array([0, 0, 1, 1])
     assert gain_ratio(attr, ["malware", "malware", "good", "good"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gain_ratio_zero_split_info():
-    attr = DiscretizedAttribute(edges=(), indices=np.zeros(4, dtype=int))
+    attr = np.zeros(4, dtype=int)
     assert gain_ratio(attr, LABELS_4) == 0.0
 
 
@@ -98,9 +97,9 @@ def test_symm_uncert_four_instance_case():
 
 
 def test_symm_uncert_bounds_and_independence():
-    perfect = DiscretizedAttribute(edges=(0.5,), indices=np.array([0, 0, 1, 1]))
+    perfect = np.array([0, 0, 1, 1])
     assert symm_uncert(perfect, ["malware", "malware", "good", "good"]) == pytest.approx(1.0)
-    indep = DiscretizedAttribute(edges=(), indices=np.zeros(4, dtype=int))
+    indep = np.zeros(4, dtype=int)
     assert symm_uncert(indep, LABELS_4) == 0.0
 
 
@@ -108,10 +107,8 @@ def test_symm_uncert_is_symmetric():
     rng = np.random.RandomState(6)
     a = rng.randint(0, 3, size=30)
     b = rng.randint(0, 2, size=30)
-    attr_a = DiscretizedAttribute(edges=(), indices=a)
-    attr_b = DiscretizedAttribute(edges=(), indices=b)
-    forward = symm_uncert(attr_a, [str(v) for v in b])
-    backward = symm_uncert(attr_b, [str(v) for v in a])
+    forward = symm_uncert(a, [str(v) for v in b])
+    backward = symm_uncert(b, [str(v) for v in a])
     assert forward == pytest.approx(backward, abs=1e-12)
 
 

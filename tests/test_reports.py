@@ -178,6 +178,17 @@ def test_scan_partial_failure_recorded(tmp_path):
         "bad.txt": MalformedLine, "long.txt": MalformedLine, "utf16.txt": SchemaMismatch}
 
 
+@pytest.mark.parametrize("callee", ["parse_report", "infer_scheme", "ClassLabel"])
+def test_scan_lets_a_programming_error_propagate(tmp_path, monkeypatch, callee):
+    _write(tmp_path / "good" / "ok.txt", "1. 5 50.00% mov\n")
+
+    def broken(*args):
+        raise TypeError("not an input error")
+    monkeypatch.setattr(f"opdense.reports.{callee}", broken)
+    with pytest.raises(TypeError):
+        scan_directory(tmp_path)
+
+
 def test_scan_unresolved_label_in_root(tmp_path):
     _write(tmp_path / "a.txt", "1. 5 50.00% mov\n")
     _write(tmp_path / "good" / "b.txt", "1. 5 50.00% mov\n")
