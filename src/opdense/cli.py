@@ -121,7 +121,7 @@ def cmd_disasm(args) -> int:
         try:
             counted = count_opcodes(parse_pe(path.read_bytes()))
             histogram = counted.histogram(path.stem)
-        except OpdenseError as exc:
+        except (OpdenseError, OSError) as exc:  # recorded per file, batch continues
             failures += 1
             print(f"error: {type(exc).__name__}: {path}: {exc}", file=sys.stderr)
             continue

@@ -17,16 +17,28 @@ full condition (ja, jnb, setnbe, cmovnle, ...), and an x87 instruction
 fused with a preceding wait byte (9B) is counted as its wait form
 (fstsw, finit, ...) while a bare 9B counts as wait.
 
-Every opcode resolves through flat 256-entry tables built once at
-import: ``ONE_BYTE``, ``TWO_BYTE`` (the 0F map under each mandatory
-prefix - none, 66, F2, F3 - with the plain entry standing in where a
-prefix has none of its own), ``THREE_BYTE_38`` and ``THREE_BYTE_3A``;
-the bytes of ModRM, SIB and displacement come from ``MODRM_LENGTH``.
+``decode_one`` resolves every opcode through flat 256-entry tables
+built once at import: ``ONE_BYTE``, ``TWO_BYTE`` (the 0F map under each
+mandatory prefix - none, 66, F2, F3 - with the plain entry standing in
+where a prefix has none of its own), ``THREE_BYTE_38`` and
+``THREE_BYTE_3A``; the bytes of ModRM, SIB and displacement come from
+``MODRM_LENGTH``.
 An entry is ``(mnemonic, immediate code, modrm)`` or None. ``modrm`` is
 False when no ModRM byte follows, True when one follows and leaves the
 mnemonic alone, and otherwise a 256-entry table indexed by the ModRM byte
 that gives ``(mnemonic, immediate code)`` or None: the opcode groups and
 the x87 escapes all resolve that way.
+
+``sweep`` first looks an instruction up in ``PAIR_TABLE``, 65,536
+entries indexed by its first two bytes, derived from ``ONE_BYTE``,
+``MODRM_LENGTH`` and the immediate sizes without operand- or
+address-size prefixes. An entry is the ``(mnemonic, length)`` those two
+bytes decode to whatever follows them, or None, which sends the
+instruction to ``decode_one``: a prefix, 0F or 9B as first byte, an
+unknown opcode or group form, and a ModRM byte with mod 0 and rm 4,
+whose SIB byte adds a displacement when its base is 5. ``decode_one``
+also decodes the last ``MAX_INSTRUCTION_LENGTH`` bytes of a buffer,
+where an instruction may be cut short.
 """
 
 from __future__ import annotations
@@ -443,6 +455,34 @@ MODRM_LENGTH = (
 )
 
 
+def _pair_table() -> tuple:
+    """``PAIR_TABLE``: each unprefixed one-byte opcode crossed with every
+    byte that can follow it, as ``(first << 8) | second``. Equal
+    ``(mnemonic, length)`` entries are one shared tuple."""
+    interned: dict = {}
+    table: list = []
+    for first, entry in enumerate(ONE_BYTE):
+        if entry is None or first in PREFIX_BYTES or first in (0x0F, 0x9B):
+            table += [None] * 256
+            continue
+        name, imm, modrm = entry
+        if not modrm:
+            key = (name, 1 + _IMMEDIATE_LENGTHS[imm][0])
+            table += [interned.setdefault(key, key)] * 256
+            continue
+        forms = [(name, imm)] * 256 if modrm is True else modrm
+        for m, (form, modrm_length) in enumerate(zip(forms, MODRM_LENGTH[0])):
+            if form is None or m & 0xC7 == 0x04:
+                table.append(None)
+            else:
+                key = (form[0], 1 + modrm_length + _IMMEDIATE_LENGTHS[form[1]][0])
+                table.append(interned.setdefault(key, key))
+    return tuple(table)
+
+
+PAIR_TABLE = _pair_table()
+
+
 def decode_one(code: bytes, pos: int) -> DecodedInstruction | None:
     """Decode the instruction starting at ``pos``; None when the byte does
     not begin a supported, fully-contained instruction."""
@@ -515,22 +555,25 @@ def sweep(*codes: bytes) -> DecodedCount:
     """Linear sweep of each buffer in turn, into one count: decode,
     advance by the instruction length; count an undecodable byte as
     unknown and advance one byte."""
-    result = DecodedCount()
-    counts = result.counts
+    counts: dict[str, int] = {}
+    unknown = decoded = 0
     for code in codes:
         pos = 0
         end = len(code)
+        stop = end - MAX_INSTRUCTION_LENGTH  # past it, an instruction may be cut short
         while pos < end:
-            decoded = decode_one(code, pos)
-            if decoded is None:
-                result.unknown_bytes += 1
-                pos += 1
-                continue
-            name, length = decoded
+            hit = PAIR_TABLE[code[pos] << 8 | code[pos + 1]] if pos <= stop else None
+            if hit is None:
+                hit = decode_one(code, pos)
+                if hit is None:
+                    unknown += 1
+                    pos += 1
+                    continue
+            name, length = hit
             counts[name] = counts.get(name, 0) + 1
-            result.decoded_instructions += 1
+            decoded += 1
             pos += length
-    return result
+    return DecodedCount(counts, unknown, decoded)
 
 
 def count_opcodes(image: PeImage) -> DecodedCount:

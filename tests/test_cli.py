@@ -231,6 +231,23 @@ def test_disasm_rejects_non_pe(tmp_path):
     assert run("disasm", bad, "--out-dir", tmp_path / "reports") == 2
 
 
+@pytest.mark.parametrize("make_unreadable", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+], ids=["missing", "directory"])
+def test_disasm_unreadable_file_fails_alone(tmp_path, capsys, make_unreadable):
+    # sorted first, the unreadable path must not stop the valid PE after it
+    make_unreadable(tmp_path / "a.exe")
+    (tmp_path / "z.exe").write_bytes(text_only_pe(b"\x90\xC3"))
+    capsys.readouterr()
+    assert run("disasm", tmp_path / "a.exe", tmp_path / "z.exe", "--out-dir", tmp_path / "reports") == 2
+    assert "TOTAL\t2" in (tmp_path / "reports" / "z.txt").read_text()
+    assert not (tmp_path / "reports" / "a.txt").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("error: ") and "a.exe" in err[0]
+    assert err[1] == "1 file(s) failed"
+
+
 def test_ingest_partial_failure_warns_but_succeeds(tmp_path, capsys):
     (tmp_path / "good").mkdir()
     (tmp_path / "good" / "a.txt").write_text("1. 5 50.00% mov\n")

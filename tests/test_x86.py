@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from opdense.x86 import MAX_INSTRUCTION_LENGTH, ONE_BYTE, THREE_BYTE_38, THREE_BYTE_3A, TWO_BYTE, decode_one, sweep
+from opdense.x86 import (MAX_INSTRUCTION_LENGTH, ONE_BYTE, PAIR_TABLE, PREFIX_BYTES, THREE_BYTE_38,
+                         THREE_BYTE_3A, TWO_BYTE, decode_one, sweep)
 
 # (bytes, mnemonic, length) - lengths worked out by hand from the
 # ModRM/SIB/displacement/immediate rules
@@ -241,6 +242,71 @@ def test_pinned_decoder_output(make_blob, seed, expected):
                        for d in (decode_one(blob, i) for i in range(len(blob)))]
     assert (result.unknown_bytes, result.decoded_instructions, len(result.counts),
             _digest(sorted(result.counts.items())), _digest(at_every_offset)) == expected
+
+
+# what can follow the first two bytes: zeros, ones, and SIB bytes of
+# base 0, 7 and 5 (05 and 65), base 5 adding a displacement under mod 0
+_PAIR_TAILS = [bytes([b]) * 14 for b in (0x00, 0xFF, 0x05)] + [b"\x65" + b"\xff" * 13]
+
+
+def test_pair_table_entries_decode_alike_after_any_tail():
+    assert len(PAIR_TABLE) == 1 << 16
+    for key, entry in enumerate(PAIR_TABLE):
+        pair = key.to_bytes(2, "big")
+        decoded = {decode_one(pair + tail, 0) for tail in _PAIR_TAILS}
+        if entry is not None:
+            assert decoded == {entry}, pair.hex()
+        else:
+            # left to decode_one: a prefix or escape, no instruction, or
+            # one whose length the third byte decides
+            assert pair[0] in PREFIX_BYTES | {0x0F, 0x9B} or None in decoded or len(decoded) > 1, pair.hex()
+    hits = [entry for entry in PAIR_TABLE if entry is not None]
+    assert len({id(entry) for entry in hits}) == len(set(hits))  # equal entries are shared
+
+
+def _decode_one_sweep(code):
+    """The sweep by decode_one alone: (counts, unknown bytes, instructions)."""
+    counts = {}
+    unknown = pos = 0
+    while pos < len(code):
+        decoded = decode_one(code, pos)
+        if decoded is None:
+            unknown += 1
+            pos += 1
+            continue
+        counts[decoded.mnemonic] = counts.get(decoded.mnemonic, 0) + 1
+        pos += decoded.length
+    return counts, unknown, sum(counts.values())
+
+
+def _assert_sweeps_alike(code):
+    result = sweep(code)
+    assert (result.counts, result.unknown_bytes, result.decoded_instructions) == _decode_one_sweep(code), code.hex()
+
+
+@pytest.mark.parametrize("make_blob", [_random_blob, _steered_blob], ids=["random", "steered"])
+def test_sweep_equals_decode_one_on_short_buffers(make_blob):
+    for size in range(41):
+        for seed in range(5):
+            _assert_sweeps_alike(make_blob(100 * size + seed, size))
+
+
+def test_sweep_equals_decode_one_at_the_table_edge():
+    # add [esp+disp32], imm32 (81 84 24 disp32 imm32), the longest
+    # instruction the table gives, starting at every offset of the buffer:
+    # on, before and after the last offset the table serves, across it,
+    # and cut short by the end of the buffer
+    add = bytes.fromhex("81842478563412AABBCCDD")
+    for size in (24, 30):
+        for start in range(size):
+            code = (b"\x90" * start + add).ljust(size, b"\x90")[:size]
+            _assert_sweeps_alike(code)
+            if start + len(add) <= size:
+                assert sweep(code).counts == {"nop": size - len(add), "add": 1}
+    truncated = b"\x90" * 20 + bytes.fromhex("B80100")  # mov imm32 cut after two bytes
+    _assert_sweeps_alike(truncated)
+    result = sweep(truncated)
+    assert (result.counts, result.unknown_bytes) == ({"nop": 20, "add": 1}, 1)
 
 
 # plain entries - (mnemonic, immediate code, has ModRM) - of the decoder's
