@@ -23,7 +23,7 @@ from . import featsel
 from .dataio import format_for_path, read_dataset, write_dataset
 from .dataset import Dataset, iqr_flag, minmax_scale, shuffle, sort_attributes_by_mean_density, split_percentage
 from .dataset import assemble, build_master_list
-from .errors import OpdenseError, UsageError, decode_utf8
+from .errors import DataError, OpdenseError, UsageError, decode_utf8
 from .evaluation import (
     cross_validate,
     default_grid,
@@ -114,10 +114,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_disasm(args) -> int:
+    paths = sorted(Path(p) for p in args.pe_files)
+    stems = [path.stem for path in paths]
+    if len(set(stems)) < len(stems):  # reports are named by stem: one would overwrite another
+        raise DataError("inputs share a report name: " + " ".join(str(p) for p in paths if stems.count(p.stem) > 1))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for path in sorted(Path(p) for p in args.pe_files):
+    for path in paths:
         try:
             counted = count_opcodes(parse_pe(path.read_bytes()))
             histogram = counted.histogram(path.stem)

@@ -19,12 +19,16 @@ import numpy as np
 from .dataset import Dataset
 from .errors import SchemaMismatch, decode_utf8
 from .labels import LabelScheme, infer_scheme, scheme_labels
-from .rounding import fixed
+
+
+def _data_lines(ds: Dataset) -> list[str]:
+    """One line per instance: each value with 8 fixed decimals, then the label."""
+    line = ",".join(["%.8f"] * ds.n_attributes) + ",%s"
+    return [line % (*row, label) for row, label in zip(ds.X.tolist(), ds.labels)]
+
 
 def write_csv(ds: Dataset) -> bytes:
-    lines = [",".join(ds.attributes + ("class",))]
-    for row, label in zip(ds.X, ds.labels):
-        lines.append(",".join(fixed(v) for v in row) + "," + label)
+    lines = [",".join(ds.attributes + ("class",)), *_data_lines(ds)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -60,8 +64,7 @@ def write_arff(ds: Dataset) -> bytes:
     lines.append("@attribute class {" + ",".join(scheme_labels(ds.scheme)) + "}")
     lines.append("")
     lines.append("@data")
-    for row, label in zip(ds.X, ds.labels):
-        lines.append(",".join(fixed(v) for v in row) + "," + label)
+    lines += _data_lines(ds)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

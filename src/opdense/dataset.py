@@ -114,27 +114,21 @@ def assemble(
     index = {name: i for i, name in enumerate(master)}
     ordered = sorted(histograms, key=lambda lh: lh.histogram.sample_id)
 
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    seen_rows: set[bytes] = set()
-    for lh in ordered:
-        h = lh.histogram
-        row = np.zeros(len(master))
-        for name, count in h.counts.items():
-            if name not in index:
-                raise UnknownMnemonic(name)
-            row[index[name]] = density(count, h.total)
-        if dedupe:
-            key = row.tobytes()
-            if key in seen_rows:
-                continue
-            seen_rows.add(key)
-        rows.append(row)
-        labels.append(lh.label.value)
-
-    scheme = infer_scheme(labels)
-    X = np.vstack(rows) if rows else np.zeros((0, len(master)))
-    return Dataset(attributes=tuple(master), X=X, labels=tuple(labels), scheme=scheme)
+    X = np.zeros((len(ordered), len(master)))
+    scale = 10**DENSITY_DECIMALS
+    for i, lh in enumerate(ordered):
+        # density() inline: the histogram holds 0 <= count <= total, total > 0
+        counts, total = lh.histogram.counts, lh.histogram.total
+        try:
+            columns = [index[name] for name in counts]
+        except KeyError as exc:
+            raise UnknownMnemonic(exc.args[0]) from None
+        X[i, columns] = [(2 * count * scale + total) // (2 * total) / scale for count in counts.values()]
+    labels = [lh.label.value for lh in ordered]
+    if dedupe:  # the first row of each distinct value
+        keep = np.sort(np.unique(X, axis=0, return_index=True)[1])
+        X, labels = X[keep], [labels[i] for i in keep]
+    return Dataset(attributes=tuple(master), X=X, labels=tuple(labels), scheme=infer_scheme(labels))
 
 
 def sort_attributes_by_mean_density(ds: Dataset) -> Dataset:

@@ -30,6 +30,10 @@ from .rounding import round_half_up_fraction
 
 REPORT_LINE_RE = re.compile(r"^\s*(\d+)\.\s+(\d+)\s+(\d+\.\d+)%\s+(\S+)\s*$")
 TOTAL_LINE_RE = re.compile(r"^\s*TOTAL\s+(\d+)\s*$")
+# the rows of a whole report at once, in the grammar above with blanks
+# and tabs only as separators: (count, mnemonic) per row
+REPORT_ROWS_RE = re.compile(r"^[ \t]*\d+\.[ \t]+(\d+)[ \t]+\d+\.\d+%[ \t]+(\S+)[ \t]*$", re.MULTILINE)
+WHITESPACE_RE = re.compile(r"\s")
 
 
 @dataclass
@@ -44,11 +48,15 @@ class OpcodeHistogram:
     def __post_init__(self):
         if not self.counts:
             raise EmptyReport(f"{self.sample_id}: no opcode rows")
-        for name, count in self.counts.items():
-            if not name or name != name.lower() or any(c.isspace() for c in name):
-                raise MalformedLine(0, name, "mnemonic must be lowercase without whitespace")
-            if count < 0:
-                raise MalformedLine(0, name, "negative count")
+        # every name at once: a string equals its lower() exactly when each
+        # of its characters does (final sigma, the one context rule, is
+        # applied only to an uppercase sigma)
+        names = "".join(self.counts)
+        if "" in self.counts or names != names.lower() or WHITESPACE_RE.search(names):
+            bad = next(n for n in self.counts if not n or n != n.lower() or WHITESPACE_RE.search(n))
+            raise MalformedLine(0, bad, "mnemonic must be lowercase without whitespace")
+        if min(self.counts.values()) < 0:
+            raise MalformedLine(0, next(n for n, c in self.counts.items() if c < 0), "negative count")
         if self.total <= 0:
             raise EmptyReport(f"{self.sample_id}: nonpositive total")
         if self.total < sum(self.counts.values()):
@@ -70,6 +78,26 @@ def parse_report(text: str, sample_id: str) -> OpcodeHistogram:
     explicit TOTAL line, when present, must be the last non-blank line
     and wins over the sum of the rows (a report may be truncated).
     """
+    # One findall takes the rows. It is the answer only if the rows and a
+    # last TOTAL line are every non-empty line, with no duplicate, no
+    # overlong count and a total no smaller than the sum; anything else
+    # goes to the line loop, which names the failing line.
+    lines = text.splitlines()
+    rows = REPORT_ROWS_RE.findall(text)
+    last = lines and TOTAL_LINE_RE.match(lines[-1])
+    try:
+        counts = {mnemonic.lower(): int(count) for count, mnemonic in rows}
+        total = int(last.group(1)) if last else sum(counts.values())
+    except ValueError:  # a count with more digits than Python converts
+        counts = {}
+    if counts and len(counts) == len(rows) == len(lines) - lines.count("") - bool(last) \
+            and total >= sum(counts.values()):
+        return OpcodeHistogram(sample_id=sample_id, counts=counts, total=total, source="report")
+    return _parse_lines(text, sample_id)
+
+
+def _parse_lines(text: str, sample_id: str) -> OpcodeHistogram:
+    """``parse_report`` one line at a time."""
     if not text.strip():
         raise EmptyReport(f"{sample_id}: empty report")
     counts: dict[str, int] = {}

@@ -21,6 +21,7 @@ from .labels import LabelScheme, class_order
 from .smo import EPSILON, TrainerConfig, smo_solve_lockstep
 
 MODEL_SCHEMA_VERSION = 3
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # no indent: the C encoder
 
 
 @dataclass
@@ -145,7 +146,8 @@ def save_model(model: MulticlassSvmModel) -> str:
     ``support_vectors`` table of the distinct rows at 8 decimals, and per
     machine the ``rows`` of that table it uses with one alpha*y ``coef``
     each. Rows are told apart by their rounded values, so load -> save
-    writes the same text."""
+    writes the same text. Keys are sorted, and each top-level field,
+    support vector and machine takes one line."""
     rounded: dict[bytes, tuple[float, ...]] = {}  # raw row -> its values at 8 decimals
     table: dict[tuple[float, ...], int] = {}  # rounded row -> its index in the table
     machines = []
@@ -183,11 +185,14 @@ def save_model(model: MulticlassSvmModel) -> str:
             "min": list(model.scaling.mins),
             "max": list(model.scaling.maxs),
         },
-        "support_vectors": [list(row) for row in table],
+        "support_vectors": list(table),
         "machines": machines,
         "warnings": list(model.warnings),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    fields = [_ENCODE(key) + ":" + (_ENCODE(value) if key not in ("machines", "support_vectors")
+                                    else "[" + ",".join("\n" + _ENCODE(v) for v in value) + "\n]")
+              for key, value in sorted(doc.items())]
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def load_model(text: str) -> MulticlassSvmModel:

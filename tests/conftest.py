@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from opdense.dataset import Dataset
+from opdense.errors import OpdenseError
 from opdense.labels import LabelScheme
 
 
@@ -31,3 +32,13 @@ def make_dataset(X, labels, attributes=None, scheme=LabelScheme.binary):
     if attributes is None:
         attributes = tuple(f"a{j:02d}" for j in range(X.shape[1]))
     return Dataset(attributes=tuple(attributes), X=X, labels=tuple(labels), scheme=scheme)
+
+
+def parse_outcome(parse, text):
+    """What ``parse(text, "s")`` gives: the counts in order and the total,
+    or the error's type, line number and message."""
+    try:
+        h = parse(text, "s")
+    except OpdenseError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return list(h.counts.items()), h.total

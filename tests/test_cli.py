@@ -4,7 +4,7 @@ import json
 import pytest
 
 from opdense.cli import main
-from opdense.dataio import read_csv
+from opdense.dataio import read_csv, write_arff
 from opdense.errors import SchemaMismatch
 from opdense.featsel import load_selection
 from pe_builder import text_only_pe
@@ -179,6 +179,32 @@ def test_pinned_selection_output(selection_outputs):
     assert digests == PINNED_SELECTION_OUTPUTS
 
 
+# sha256 prefixes of the pipeline fixture's text outputs, recorded before
+# the report parser, density assembly and dataset writers went to one call
+# per row; "full.arff" is full.csv written as ARFF, and "model.json" is the
+# model document re-encoded with sorted keys, since its layout may change
+# but its content may not
+PINNED_PIPELINE_OUTPUTS = {
+    "full.csv": "ccbdd35651691588",
+    "prep.csv": "18e9146beb725e6e",
+    "train.csv": "a05382afb3b81c69",
+    "test.csv": "8302624eccaba37c",
+    "iqr.csv": "6944b4b0142ebe2e",
+    "report.txt": "865a5487829daa3f",
+    "report.txt.json": "324f65a387e1bc2f",
+    "full.arff": "49a9063e5a7ecc31",
+    "model.json": "90fd9bf1a8f40c23",
+}
+
+
+def test_pinned_pipeline_output(pipeline):
+    texts = {name: (pipeline / name).read_bytes() for name in PINNED_PIPELINE_OUTPUTS if name != "full.arff"}
+    texts["full.arff"] = write_arff(read_csv(texts["full.csv"]))
+    texts["model.json"] = json.dumps(json.loads(texts["model.json"]), sort_keys=True).encode()
+    digests = {name: hashlib.sha256(texts[name]).hexdigest()[:16] for name in PINNED_PIPELINE_OUTPUTS}
+    assert digests == PINNED_PIPELINE_OUTPUTS
+
+
 def test_tune_kernel_command(pipeline):
     assert run("tune-kernel", pipeline / "train.csv", pipeline / "test.csv",
                "--kernels", "puk", "--out", pipeline / "grid.txt") == 0
@@ -246,6 +272,20 @@ def test_disasm_unreadable_file_fails_alone(tmp_path, capsys, make_unreadable):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0].startswith("error: ") and "a.exe" in err[0]
     assert err[1] == "1 file(s) failed"
+
+
+def test_disasm_refuses_inputs_with_the_same_stem(tmp_path, capsys):
+    # both would be written to x.txt, so nothing is written at all
+    for folder, code in (("a", b"\x90\xC3"), ("b", b"\x90\x90\x90\xC3")):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "x.exe").write_bytes(text_only_pe(code))
+    capsys.readouterr()
+    assert run("disasm", tmp_path / "a" / "x.exe", tmp_path / "b" / "x.exe", "--out-dir", tmp_path / "reports") == 2
+    assert not (tmp_path / "reports").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "x.exe" in err[0]
 
 
 def test_ingest_partial_failure_warns_but_succeeds(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from opdense.dataio import read_arff, read_csv, write_arff, write_csv, read_dataset, write_dataset
 from opdense.dataset import minmax_scale
 from opdense.errors import SchemaMismatch
 from opdense.labels import LabelScheme
+from opdense.rounding import fixed
 
 
 def sample_ds():
@@ -36,6 +39,19 @@ def test_csv_write_read_write_byte_identical():
     first = write_csv(ds)
     second = write_csv(read_csv(first))
     assert first == second
+
+
+@given(st.integers(0, 4).flatmap(lambda width: st.lists(
+    st.lists(st.floats(0, 1e300) | st.sampled_from([0.0, 5e-9, 1.5e-8, 0.125, 1.0, 123456789.0]),
+             min_size=width, max_size=width), min_size=0, max_size=4)))
+@settings(max_examples=100, deadline=None)
+def test_data_rows_are_each_value_fixed_then_the_label(rows):
+    width = len(rows[0]) if rows else 2
+    labels = ["good", "malware"] * len(rows)
+    ds = make_dataset(np.array(rows).reshape(len(rows), width), labels[:len(rows)])
+    expected = [",".join(fixed(v) for v in row) + "," + label for row, label in zip(ds.X, ds.labels)]
+    assert write_csv(ds).decode().split("\n")[1:-1] == expected
+    assert write_arff(ds).decode().split("@data\n")[1].split("\n")[:-1] == expected
 
 
 def test_arff_class_attribute_last_with_scheme_labels():

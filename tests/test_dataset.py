@@ -132,6 +132,30 @@ def test_assemble_dedupe():
     assert ds.n_instances == 2
 
 
+def test_assemble_dedupe_keeps_the_first_of_each_row_in_sample_order():
+    hs = [lh("d", {"mov": 3, "ret": 1}, "malware"), lh("c", {"mov": 1, "ret": 1}, "malware"),
+          lh("b", {"mov": 1, "ret": 1}), lh("a", {"mov": 3, "ret": 1})]
+    ds = assemble(hs, ["mov", "ret"], dedupe=True)
+    assert ds.X.tolist() == [[0.75, 0.25], [0.5, 0.5]]
+    assert ds.labels == ("good", "good")
+
+
+@given(st.lists(st.tuples(st.dictionaries(st.sampled_from(["mov", "push", "ret", "xor"]),
+                                          st.integers(0, 10**30), min_size=1),
+                          st.integers(0, 10**30)), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_assemble_cells_are_density_bit_for_bit(samples):
+    hs = [lh(f"s{i}", counts, total=sum(counts.values()) + extra) for i, (counts, extra) in enumerate(samples)
+          if sum(counts.values()) + extra > 0]
+    if not hs:
+        return
+    master = ["mov", "push", "ret", "xor"]
+    ds = assemble(hs, master)
+    for row, item in zip(ds.X.tolist(), hs):
+        h = item.histogram
+        assert row == [density(h.counts[name], h.total) if name in h.counts else 0.0 for name in master]
+
+
 def test_assemble_density_sum_conservation():
     rng = np.random.RandomState(3)
     hs = []

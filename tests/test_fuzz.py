@@ -11,13 +11,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, parse_outcome
 from opdense.dataio import read_arff, read_csv, write_arff, write_csv
 from opdense.errors import OpdenseError
 from opdense.featsel import load_selection, pca_eval, save_selection
 from opdense.kernels import KernelSpec
 from opdense.pe import parse_pe
-from opdense.reports import OpcodeHistogram, format_report, parse_report, read_manifest
+from opdense.reports import OpcodeHistogram, _parse_lines, format_report, parse_report, read_manifest
 from opdense.svm import load_model, save_model, train_multiclass
 from opdense.x86 import count_opcodes
 from pe_builder import SECTION_EXECUTE, build_pe
@@ -122,6 +122,7 @@ def test_read_arff_survives_mutation(changes):
 def test_parse_report_survives_mutation(changes):
     text = mutate(REPORT, changes).decode("utf-8", errors="replace")
     loads_or_rejects(lambda t: parse_report(t, "fuzz"), text)
+    assert parse_outcome(parse_report, text) == parse_outcome(_parse_lines, text)
 
 
 @settings(max_examples=150, deadline=None)

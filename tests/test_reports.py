@@ -11,8 +11,10 @@ from opdense.errors import (
     UnresolvedLabel,
 )
 from opdense.labels import LabelScheme
+from conftest import parse_outcome
 from opdense.reports import (
     OpcodeHistogram,
+    _parse_lines,
     format_report,
     parse_report,
     read_manifest,
@@ -138,6 +140,85 @@ def test_parser_is_total_on_arbitrary_text(text):
         parse_report(text, "fuzz")
     except (MalformedLine, DuplicateMnemonic, EmptyReport):
         pass
+
+
+LONG = "9" * 5000  # more digits than Python converts to an int by default
+
+# reports on which the whole-text parse must agree with the line loop
+EDGE_REPORTS = {
+    "crlf": "1. 5 50.00% mov\r\n2. 3 30.00% ret\r\nTOTAL 10\r\n",
+    "crlf-last-line-bare": "1. 5 50.00% mov\r\nTOTAL 10",
+    "lone-cr": "1. 5 50.00% mov\r2. 3 30.00% ret\r",
+    "form-feed-in-line": "1.\f5 50.00% mov\n",
+    "form-feed-line-break": "1. 5 50.00% mov\f2. 3 30.00% ret\n",
+    "vertical-tab-in-line": "1. 5\x0b50.00% mov\n",
+    "nel-after-mnemonic": "1. 5 50.00% mov\x852. 3 30.00% ret\n",
+    "nel-in-mnemonic": "1. 5 50.00% m\x85ov\n",
+    "file-separator": "1. 5 50.00% mov\x1c2. 3 30.00% ret\n",
+    "no-break-space": "1.\u00a05 50.00% mov\n2. 3 30.00% ret\u00a0\n",
+    "leading-blanks": "   1. 5 50.00% mov\n\t2. 3 30.00% ret\n \t TOTAL 9 \t\n",
+    "blank-lines-between": "\n1. 5 50.00% mov\n\n   \n2. 3 30.00% ret\n\t\nTOTAL 9\n\n\n",
+    "empty-lines-between": "\n\n1. 5 50.00% mov\n\n2. 3 30.00% ret\n\nTOTAL 9\n\n",
+    "no-final-newline": "1. 5 50.00% mov\n2. 3 30.00% ret",
+    "arabic-indic-digits": "\u0661. \u0665 \u0665\u0660.\u0660\u0660% mov\nTOTAL \u0661\u0660\n",
+    "fullwidth-digits": "\uff11. \uff15\uff10 50.00% mov\n",
+    "uppercase-mnemonics": "1. 5 50.00% MOV\n2. 3 30.00% Ret\n3. 1 1.00% \u0130nc\n",
+    "sigma-mnemonic": "1. 5 50.00% A\u03a3\n2. 3 30.00% b\u03c2\n",
+    "duplicate-row": "1. 5 50.00% mov\n2. 3 30.00% ret\n3. 1 10.00% MOV\n",
+    "data-after-total": "1. 5 50.00% mov\nTOTAL 5\n2. 3 30.00% ret\n",
+    "two-totals": "1. 5 50.00% mov\nTOTAL 9\nTOTAL 9\n",
+    "total-zero": "1. 5 50.00% mov\nTOTAL 0\n",
+    "total-zero-zero-rows": "1. 0 0.00% mov\nTOTAL 0\n",
+    "zero-rows": "1. 0 0.00% mov\n2. 00 0.00% ret\n",
+    "total-below-sum": "1. 5 50.00% mov\n2. 3 30.00% ret\nTOTAL 7\n",
+    "total-only": "TOTAL 5\n",
+    "blank-only": " \t\n\x85\u3000\n",
+    "long-count": f"1. {LONG} 50.00% mov\n",
+    "long-total": f"1. 5 50.00% mov\nTOTAL {LONG}\n",
+    "long-rank": f"{LONG}. 5 50.00% mov\n",
+    "garbage-line": "1. 5 50.00% mov\nnot a row\n",
+    "two-rows-on-one-line": "1. 5 50.00% mov 2. 3 30.00% ret\n",
+}
+
+
+@pytest.mark.parametrize("text", EDGE_REPORTS.values(), ids=EDGE_REPORTS.keys())
+def test_parse_report_agrees_with_the_line_loop(text):
+    assert parse_outcome(parse_report, text) == parse_outcome(_parse_lines, text)
+
+
+def test_formatted_report_is_parsed_without_the_line_loop(monkeypatch):
+    def line_loop(text, sample_id):
+        raise AssertionError("fell back to the line loop")
+    monkeypatch.setattr("opdense.reports._parse_lines", line_loop)
+    assert parse_report(TEN_LINE_BLOCK, "s").counts == TEN_LINE_COUNTS
+    h = parse_report(format_report(OpcodeHistogram("s", TEN_LINE_COUNTS, 10**6, "report")), "s")
+    assert list(h.counts.items()) == sorted(TEN_LINE_COUNTS.items(), key=lambda kv: -kv[1])
+    assert h.total == 10**6
+
+
+@pytest.mark.parametrize("counts, total, error", [
+    ({"": 1}, 1, MalformedLine),
+    ({"mov": 1, "Push": 1}, 2, MalformedLine),
+    ({"mov": 1, "a\u03a3": 1}, 2, MalformedLine),  # lower() makes it a final sigma
+    ({"mov": 1, "\u0130": 1}, 2, MalformedLine),  # lower() makes it two characters
+    ({"mov": 1, "mo v": 1}, 2, MalformedLine),
+    ({"mov\u3000": 1}, 1, MalformedLine),
+    ({"mov": 1, "ret\x85": 1}, 2, MalformedLine),
+    ({"mov": 1, "ret": -1}, 1, MalformedLine),
+    ({"mov": 0}, 0, EmptyReport),
+    ({"mov": 1}, -1, EmptyReport),
+    ({"mov": 2, "ret": 2}, 3, MalformedLine),
+    ({}, 1, EmptyReport),
+])
+def test_histogram_rejects(counts, total, error):
+    with pytest.raises(error):
+        OpcodeHistogram(sample_id="s", counts=counts, total=total, source="report")
+
+
+@pytest.mark.parametrize("name", ["a\u03c2", "\u03c3\u03c2", "\u00df", "x86_64", "f2xm1"])
+def test_histogram_accepts_lowercase_names(name):
+    # "a\u03c2" ends in a final sigma, which lower() keeps as it is
+    assert OpcodeHistogram(sample_id="s", counts={name: 1, "mov": 2}, total=3, source="report").total == 3
 
 
 def _write(path, text):

@@ -142,6 +142,26 @@ def test_rows_equal_at_8_decimals_are_stored_once():
     assert save_model(loaded) == text
 
 
+def test_model_file_holds_one_support_vector_or_machine_per_line():
+    rng = np.random.RandomState(31)
+    ds = gaussian_balls(rng, [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)], 6,
+                        ("good", "Locky", "Cerber"), LabelScheme.family)
+    text = save_model(train_multiclass(ds, KernelSpec(family="puk", C=10.0)))
+    doc = json.loads(text)
+    lines = text.splitlines()
+    assert (lines[0], lines[-1], text[-1]) == ("{", "}", "\n")
+    fields = [line.split(":", 1)[0] for line in lines if line.startswith('"')]
+    assert fields == [json.dumps(key) for key in sorted(doc)]
+    for key in ("support_vectors", "machines"):
+        start = lines.index(f'"{key}":[') + 1
+        items = lines[start:start + len(doc[key])]
+        assert [json.loads(line.rstrip(",")) for line in items] == doc[key]
+        assert lines[start + len(doc[key])].startswith("]")
+    assert len(doc["machines"]) == 3 and len(doc["support_vectors"]) > 3
+    # the same document in the earlier indented layout loads and saves as this text
+    assert save_model(load_model(json.dumps(doc, indent=2, sort_keys=True) + "\n")) == text
+
+
 def test_machines_keep_their_convergence_counts():
     rng = np.random.RandomState(29)
     ds = gaussian_balls(rng, [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)], 12,
