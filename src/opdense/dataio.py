@@ -2,7 +2,8 @@
 
 Both formats are byte-exact: values are written with 8 fixed decimals,
 UTF-8, LF line endings, class column last. write -> read -> write is
-byte identical.
+byte identical. The readers share one line rule and one data-row parser,
+so a CRLF file reads as its LF form does.
 
 Also the checked reading of the JSON documents (model and selection
 files): every malformed document raises ``SchemaMismatch``.
@@ -27,34 +28,43 @@ def _data_lines(ds: Dataset) -> list[str]:
     return [line % (*row, label) for row, label in zip(ds.X.tolist(), ds.labels)]
 
 
+def _lines(data: bytes, what: str) -> list[str]:
+    """The one line rule of both formats: UTF-8 text split on LF, each
+    line stripped, blank lines dropped (so CRLF files read too)."""
+    return [line for line in (raw.strip() for raw in decode_utf8(data, what).split("\n")) if line]
+
+
+def _rows(lines: list[str], width: int) -> tuple[np.ndarray, list[str]]:
+    """The data rows under a header of ``width`` attributes: each row's
+    ``width`` values, converted as ``float()`` converts them, then its label."""
+    X = np.empty((len(lines), width))
+    labels = []
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != width + 1:  # checked first: a single value would broadcast
+            raise SchemaMismatch(f"data row {i + 1} has {len(cells)} cells, header has {width + 1}")
+        try:
+            X[i] = cells[:-1]  # numpy converts each Python str with float()
+        except ValueError as exc:
+            raise SchemaMismatch(f"data row {i + 1}: non-numeric cell: {exc}") from None
+        labels.append(cells[-1].strip())
+    return X, labels
+
+
 def write_csv(ds: Dataset) -> bytes:
     lines = [",".join(ds.attributes + ("class",)), *_data_lines(ds)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def read_csv(data: bytes) -> Dataset:
-    text = decode_utf8(data, "CSV dataset")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = _lines(data, "CSV dataset")
     if not lines:
         raise SchemaMismatch("empty CSV")
-    header = lines[0].split(",")
-    if not header or header[-1] != "class":
+    *attributes, last = lines[0].split(",")
+    if last != "class":
         raise SchemaMismatch("CSV header must end with a 'class' column")
-    attributes = tuple(header[:-1])
-    rows: list[list[float]] = []
-    labels: list[str] = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise SchemaMismatch(f"row has {len(cells)} cells, header has {len(header)}")
-        try:
-            rows.append([float(c) for c in cells[:-1]])
-        except ValueError as exc:
-            raise SchemaMismatch(f"non-numeric cell in row: {exc}") from exc
-        labels.append(cells[-1])
-    scheme = infer_scheme(labels)
-    X = np.array(rows) if rows else np.zeros((0, len(attributes)))
-    return Dataset(attributes=attributes, X=X, labels=tuple(labels), scheme=scheme)
+    X, labels = _rows(lines[1:], len(attributes))
+    return Dataset(attributes=tuple(attributes), X=X, labels=tuple(labels), scheme=infer_scheme(labels))
 
 
 def write_arff(ds: Dataset) -> bytes:
@@ -72,44 +82,28 @@ _ATTR_RE = re.compile(r"^@attribute\s+(\S+)\s+(.+)$", re.IGNORECASE)
 
 
 def read_arff(data: bytes) -> Dataset:
-    text = decode_utf8(data, "ARFF dataset")
+    lines = [line for line in _lines(data, "ARFF dataset") if not line.startswith("%")]
+    end = next((n for n, line in enumerate(lines) if line.lower().startswith("@data")), len(lines))
     attributes: list[str] = []
     class_values: tuple[str, ...] | None = None
-    rows: list[list[float]] = []
-    labels: list[str] = []
-    in_data = False
-    for raw in text.split("\n"):
-        line = raw.strip()
-        if not line or line.startswith("%"):
+    for line in lines[:end]:
+        if line.lower().startswith("@relation"):
             continue
-        if not in_data:
-            low = line.lower()
-            if low.startswith("@relation"):
-                continue
-            if low.startswith("@data"):
-                in_data = True
-                continue
-            m = _ATTR_RE.match(line)
-            if not m:
-                raise SchemaMismatch(f"unparseable header line: {line!r}")
-            name, kind = m.group(1), m.group(2).strip()
-            if kind.startswith("{"):
-                if name != "class":
-                    raise SchemaMismatch("only the class attribute may be nominal")
-                class_values = tuple(v.strip() for v in kind.strip("{}").split(","))
-            elif kind.lower() == "numeric":
-                attributes.append(name)
-            else:
-                raise SchemaMismatch(f"unsupported attribute type {kind!r}")
+        m = _ATTR_RE.match(line)
+        if not m:
+            raise SchemaMismatch(f"unparseable header line: {line!r}")
+        if class_values is not None:  # the reader takes the last cell of a row as its label
+            raise SchemaMismatch(f"attribute declared after the class attribute: {line!r}")
+        name, kind = m.group(1), m.group(2).strip()
+        if kind.startswith("{"):
+            if name != "class":
+                raise SchemaMismatch("only the class attribute may be nominal")
+            class_values = tuple(v.strip() for v in kind.strip("{}").split(","))
+        elif kind.lower() == "numeric":
+            attributes.append(name)
         else:
-            cells = line.split(",")
-            if len(cells) != len(attributes) + 1:
-                raise SchemaMismatch("data row width does not match the header")
-            try:
-                rows.append([float(c) for c in cells[:-1]])
-            except ValueError as exc:
-                raise SchemaMismatch(f"non-numeric cell: {exc}") from exc
-            labels.append(cells[-1].strip())
+            raise SchemaMismatch(f"unsupported attribute type {kind!r}")
+    X, labels = _rows(lines[end + 1:], len(attributes))
     if class_values is None:
         raise SchemaMismatch("missing nominal class attribute")
     for scheme in LabelScheme:
@@ -121,7 +115,6 @@ def read_arff(data: bytes) -> Dataset:
     bad = set(labels) - set(class_values)
     if bad:
         raise SchemaMismatch(f"data labels outside the declared class set: {sorted(bad)}")
-    X = np.array(rows) if rows else np.zeros((0, len(attributes)))
     return Dataset(attributes=tuple(attributes), X=X, labels=tuple(labels), scheme=declared)
 
 

@@ -18,11 +18,12 @@ from .errors import (
     EmptyResult,
     SchemaMismatch,
     TooFewInstances,
+    UnknownAttribute,
     UnknownMnemonic,
     ZeroTotal,
 )
 from .labels import ClassLabel, LabelScheme, infer_scheme
-from .reports import LabeledHistogram
+from .reports import NAME_BREAK_RE, LabeledHistogram
 from .rng import permutation
 from .rounding import round_half_up_fraction
 
@@ -62,6 +63,9 @@ class Dataset:
             raise SchemaMismatch("attribute count does not match matrix width")
         if len(set(self.attributes)) != len(self.attributes):
             raise SchemaMismatch("attribute names must be unique")
+        if "" in self.attributes or NAME_BREAK_RE.search("".join(self.attributes)):
+            bad = next(n for n in self.attributes if not n or NAME_BREAK_RE.search(n))
+            raise SchemaMismatch(f"attribute name must be nonempty without whitespace or comma: {bad!r}")
         if X.size and (not np.isfinite(X).all() or (X < 0).any()):
             raise SchemaMismatch("matrix entries must be finite and non-negative")
         for value in self.labels:
@@ -247,11 +251,10 @@ def project(ds: Dataset, attribute_order: Iterable[str]) -> Dataset:
     """Columns restricted (and reordered) to ``attribute_order``."""
     names = list(attribute_order)
     index = {name: j for j, name in enumerate(ds.attributes)}
-    cols = []
-    for name in names:
-        if name not in index:
-            raise UnknownMnemonic(name)
-        cols.append(index[name])
+    try:
+        cols = [index[name] for name in names]
+    except KeyError as exc:
+        raise UnknownAttribute(exc.args[0]) from None
     scaling = None
     if ds.scaling is not None:
         scaling = ScalingParams(

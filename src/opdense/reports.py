@@ -33,7 +33,9 @@ TOTAL_LINE_RE = re.compile(r"^\s*TOTAL\s+(\d+)\s*$")
 # the rows of a whole report at once, in the grammar above with blanks
 # and tabs only as separators: (count, mnemonic) per row
 REPORT_ROWS_RE = re.compile(r"^[ \t]*\d+\.[ \t]+(\d+)[ \t]+\d+\.\d+%[ \t]+(\S+)[ \t]*$", re.MULTILINE)
-WHITESPACE_RE = re.compile(r"\s")
+# no mnemonic or attribute name may hold one: it would split a CSV cell
+# or an ARFF declaration
+NAME_BREAK_RE = re.compile(r"[\s,]")
 
 
 @dataclass
@@ -52,9 +54,9 @@ class OpcodeHistogram:
         # of its characters does (final sigma, the one context rule, is
         # applied only to an uppercase sigma)
         names = "".join(self.counts)
-        if "" in self.counts or names != names.lower() or WHITESPACE_RE.search(names):
-            bad = next(n for n in self.counts if not n or n != n.lower() or WHITESPACE_RE.search(n))
-            raise MalformedLine(0, bad, "mnemonic must be lowercase without whitespace")
+        if "" in self.counts or names != names.lower() or NAME_BREAK_RE.search(names):
+            bad = next(n for n in self.counts if not n or n != n.lower() or NAME_BREAK_RE.search(n))
+            raise MalformedLine(0, bad, "mnemonic must be lowercase without whitespace or comma")
         if min(self.counts.values()) < 0:
             raise MalformedLine(0, next(n for n, c in self.counts.items() if c < 0), "negative count")
         if self.total <= 0:

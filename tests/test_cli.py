@@ -4,7 +4,7 @@ import json
 import pytest
 
 from opdense.cli import main
-from opdense.dataio import read_csv, write_arff
+from opdense.dataio import read_arff, read_csv, write_arff
 from opdense.errors import SchemaMismatch
 from opdense.featsel import load_selection
 from pe_builder import text_only_pe
@@ -508,6 +508,33 @@ def test_pca_selection_on_other_attributes_exits_2(pipeline, tmp_path, capsys):
     assert err.startswith(f"error: UnknownAttribute: attribute not present in the dataset: {train.attributes[0]!r}")
     assert run("reduce", tmp_path / "reversed.csv", tmp_path / "pca.json", "--out", tmp_path / "r.csv") == 2
     assert capsys.readouterr().err.startswith("error: SchemaMismatch:")
+
+
+def test_ranked_selection_of_a_missing_attribute_exits_2(pipeline, tmp_path, capsys):
+    from opdense.dataset import project
+    from opdense.dataio import write_csv
+    from opdense.featsel import AttributeScore, ranker_select, save_selection
+    train = read_csv((pipeline / "train.csv").read_bytes())
+    assert "xor" in train.attributes
+    (tmp_path / "sel.json").write_text(save_selection(ranker_select([AttributeScore("xor", 1.0)], threshold=0.0)))
+    (tmp_path / "no_xor.csv").write_bytes(write_csv(project(train, [a for a in train.attributes if a != "xor"])))
+    capsys.readouterr()
+    assert run("reduce", tmp_path / "no_xor.csv", tmp_path / "sel.json", "--out", tmp_path / "r.csv") == 2
+    assert capsys.readouterr().err == "error: UnknownAttribute: attribute not present in the dataset: 'xor'\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_ingest_skips_a_report_with_a_comma_in_a_mnemonic(tmp_path, capsys):
+    (tmp_path / "good").mkdir()
+    (tmp_path / "good" / "a.txt").write_text("1. 5 50.00% mov\n")
+    (tmp_path / "good" / "comma.txt").write_text("1. 5 50.00% a,b\n2. 5 50.00% mov\n")
+    (tmp_path / "malware").mkdir()
+    (tmp_path / "malware" / "b.txt").write_text("1. 5 50.00% ret\n")
+    assert run("ingest", tmp_path, "--out", tmp_path / "out.csv") == 0
+    assert "comma.txt: MalformedLine" in capsys.readouterr().err
+    ds = read_csv((tmp_path / "out.csv").read_bytes())
+    assert ds.attributes == ("mov", "ret") and ds.n_instances == 2
+    assert read_arff(write_arff(ds)).attributes == ds.attributes
 
 
 SELECTION_DEFECTS = {

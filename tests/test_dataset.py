@@ -13,6 +13,7 @@ from opdense.dataset import (
     density,
     iqr_flag,
     minmax_scale,
+    project,
     quantile,
     shuffle,
     sort_attributes_by_mean_density,
@@ -22,6 +23,7 @@ from opdense.errors import (
     EmptyResult,
     SchemaMismatch,
     TooFewInstances,
+    UnknownAttribute,
     UnknownMnemonic,
     ZeroTotal,
 )
@@ -333,6 +335,17 @@ def test_dataset_rejects_mismatched_labels():
 def test_dataset_rejects_duplicate_attributes():
     with pytest.raises(SchemaMismatch):
         make_dataset([[0.1, 0.2]], ["good"], ("mov", "mov"))
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a,b", "mov\t", "\u3000mov", "ret\x85"])
+def test_dataset_rejects_a_name_a_csv_or_arff_header_cannot_carry(name):
+    with pytest.raises(SchemaMismatch, match="attribute name"):
+        make_dataset([[0.1, 0.2]], ["good"], ("mov", name))
+
+
+def test_project_onto_a_missing_attribute():
+    with pytest.raises(UnknownAttribute, match="'xor'"):
+        project(make_dataset([[0.1]], ["good"], ("mov",)), ["mov", "xor"])
 
 
 def test_dataset_rejects_negative_entries():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from opdense.errors import DegenerateMatrix, ListTooLong, SchemaMismatch, UnknownMnemonic, WrongListCount
+from opdense.errors import DegenerateMatrix, ListTooLong, SchemaMismatch, UnknownAttribute, WrongListCount
 from opdense.featsel import (
     CfsMeritScorer,
     aggregate_rank,
@@ -413,7 +413,7 @@ def test_reduce_dataset_identity():
 def test_reduce_dataset_unknown_attribute():
     ds = _signal_noise_dataset()
     bad = ranker_select([AttributeScore("missing", 1.0)], threshold=0.0)
-    with pytest.raises(UnknownMnemonic):
+    with pytest.raises(UnknownAttribute):
         reduce_dataset(ds, bad)
 
 

@@ -204,6 +204,7 @@ def test_formatted_report_is_parsed_without_the_line_loop(monkeypatch):
     ({"mov": 1, "mo v": 1}, 2, MalformedLine),
     ({"mov\u3000": 1}, 1, MalformedLine),
     ({"mov": 1, "ret\x85": 1}, 2, MalformedLine),
+    ({"mov": 1, "a,b": 1}, 2, MalformedLine),  # would split a CSV header cell
     ({"mov": 1, "ret": -1}, 1, MalformedLine),
     ({"mov": 0}, 0, EmptyReport),
     ({"mov": 1}, -1, EmptyReport),
@@ -257,6 +258,14 @@ def test_scan_partial_failure_recorded(tmp_path):
     assert len(result.histograms) == 1
     assert {f.path.name: type(f.error) for f in result.failures} == {
         "bad.txt": MalformedLine, "long.txt": MalformedLine, "utf16.txt": SchemaMismatch}
+
+
+def test_scan_records_a_report_with_a_comma_in_a_mnemonic_and_goes_on(tmp_path):
+    _write(tmp_path / "good" / "ok.txt", "1. 5 50.00% mov\n")
+    _write(tmp_path / "good" / "comma.txt", "1. 5 50.00% a,b\n")
+    result = scan_directory(tmp_path)
+    assert [lh.histogram.sample_id for lh in result.histograms] == ["ok"]
+    assert {f.path.name: type(f.error) for f in result.failures} == {"comma.txt": MalformedLine}
 
 
 @pytest.mark.parametrize("callee", ["parse_report", "infer_scheme", "ClassLabel"])
