@@ -24,7 +24,7 @@ from .labels import LabelScheme, infer_scheme, scheme_labels
 
 def _data_lines(ds: Dataset) -> list[str]:
     """One line per instance: each value with 8 fixed decimals, then the label."""
-    line = ",".join(["%.8f"] * ds.n_attributes) + ",%s"
+    line = ",".join(["%.8f"] * ds.n_attributes + ["%s"])
     return [line % (*row, label) for row, label in zip(ds.X.tolist(), ds.labels)]
 
 

@@ -150,13 +150,17 @@ def save_model(model: MulticlassSvmModel) -> str:
     support vector and machine takes one line."""
     rounded: dict[bytes, tuple[float, ...]] = {}  # raw row -> its values at 8 decimals
     table: dict[tuple[float, ...], int] = {}  # rounded row -> its index in the table
+    # "%.8f" rounds each value as round(v, 8) does: both take the correctly
+    # rounded 8-decimal string. A comma ends each cell, so a row of no
+    # values splits to no cells.
+    row_text = "%.8f," * len(model.attributes)
     machines = []
     for m in model.machines:
         rows = []
         for row in m.support_vectors:
             key = row.tobytes()
             if key not in rounded:
-                rounded[key] = tuple(round(v, 8) for v in row.tolist())
+                rounded[key] = tuple(map(float, (row_text % tuple(row.tolist())).split(",")[:-1]))
             rows.append(table.setdefault(rounded[key], len(table)))
         machines.append({
             "pair": list(m.class_pair),

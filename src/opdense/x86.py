@@ -33,16 +33,24 @@ the x87 escapes all resolve that way.
 entries indexed by its first two bytes, derived from ``ONE_BYTE``,
 ``MODRM_LENGTH`` and the immediate sizes without operand- or
 address-size prefixes. An entry is the ``(mnemonic, length)`` those two
-bytes decode to whatever follows them, or None, which sends the
-instruction to ``decode_one``: a prefix, 0F or 9B as first byte, an
-unknown opcode or group form, and a ModRM byte with mod 0 and rm 4,
-whose SIB byte adds a displacement when its base is 5. ``decode_one``
-also decodes the last ``MAX_INSTRUCTION_LENGTH`` bytes of a buffer,
-where an instruction may be cut short.
+bytes decode to whatever follows them, or None: an unknown opcode or
+group form, a prefix, 0F or 9B as first byte, and a ModRM byte with mod
+0 and rm 4, whose SIB byte adds a displacement when its base is 5. On a
+miss, ``sweep`` looks the two bytes after the first up in that byte's
+``lead_tables()`` entry, derived the same way: the one-byte map under 66
+(16-bit immediates) and under 67 (16-bit addressing, so no SIB byte),
+the 0F map after 0F, and ``PAIR_TABLE`` itself after a segment, lock or
+repeat prefix, none of which changes a one-byte instruction's length. A
+hit there is one byte longer. The lead tables are built on the first
+sweep, so importing the module stays cheap. Whatever both lookups miss
+goes to ``decode_one``: two or more prefixes, 66, F2 or F3 before 0F,
+0F 38 and 0F 3A, 9B, SIB forms, and the last ``MAX_INSTRUCTION_LENGTH``
+bytes of a buffer, where an instruction may be cut short.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -455,32 +463,51 @@ MODRM_LENGTH = (
 )
 
 
-def _pair_table() -> tuple:
-    """``PAIR_TABLE``: each unprefixed one-byte opcode crossed with every
-    byte that can follow it, as ``(first << 8) | second``. Equal
-    ``(mnemonic, length)`` entries are one shared tuple."""
+def _pair_table(entries: tuple, osize16: bool = False, asize16: bool = False) -> tuple:
+    """Each opcode of the 256-entry map ``entries`` crossed with every byte
+    that can follow it, as ``(first << 8) | second``, under the given
+    operand and address sizes. Equal ``(mnemonic, length)`` entries are
+    one shared tuple."""
     interned: dict = {}
     table: list = []
-    for first, entry in enumerate(ONE_BYTE):
-        if entry is None or first in PREFIX_BYTES or first in (0x0F, 0x9B):
+    column = osize16 + 2 * asize16  # of _IMMEDIATE_LENGTHS
+    for entry in entries:
+        if entry is None:
             table += [None] * 256
             continue
         name, imm, modrm = entry
         if not modrm:
-            key = (name, 1 + _IMMEDIATE_LENGTHS[imm][0])
+            key = (name, 1 + _IMMEDIATE_LENGTHS[imm][column])
             table += [interned.setdefault(key, key)] * 256
             continue
         forms = [(name, imm)] * 256 if modrm is True else modrm
-        for m, (form, modrm_length) in enumerate(zip(forms, MODRM_LENGTH[0])):
-            if form is None or m & 0xC7 == 0x04:
+        for m, (form, modrm_length) in enumerate(zip(forms, MODRM_LENGTH[asize16])):
+            if form is None or (m & 0xC7 == 0x04 and not asize16):
                 table.append(None)
             else:
-                key = (form[0], 1 + modrm_length + _IMMEDIATE_LENGTHS[form[1]][0])
+                key = (form[0], 1 + modrm_length + _IMMEDIATE_LENGTHS[form[1]][column])
                 table.append(interned.setdefault(key, key))
     return tuple(table)
 
 
-PAIR_TABLE = _pair_table()
+PAIR_TABLE = _pair_table(ONE_BYTE)
+
+
+@functools.cache
+def lead_tables() -> tuple:
+    """For each lead byte, the pair table of the two bytes after it: the
+    one-byte map under 66 and under 67, the 0F map after 0F, and
+    ``PAIR_TABLE`` itself after a segment, lock or repeat prefix, which
+    leaves a one-byte instruction's length alone. Any other lead byte
+    gets a table of None. Built on the first sweep, not at import."""
+    miss = (None,) * (1 << 16)
+    tables = [miss] * 256
+    for prefix in PREFIX_BYTES:
+        tables[prefix] = PAIR_TABLE
+    tables[0x66] = _pair_table(ONE_BYTE, osize16=True)
+    tables[0x67] = _pair_table(ONE_BYTE, asize16=True)
+    tables[0x0F] = _pair_table(TWO_BYTE[None])
+    return tuple(tables)
 
 
 def decode_one(code: bytes, pos: int) -> DecodedInstruction | None:
@@ -555,6 +582,7 @@ def sweep(*codes: bytes) -> DecodedCount:
     """Linear sweep of each buffer in turn, into one count: decode,
     advance by the instruction length; count an undecodable byte as
     unknown and advance one byte."""
+    lead = lead_tables()
     counts: dict[str, int] = {}
     unknown = decoded = 0
     for code in codes:
@@ -562,7 +590,13 @@ def sweep(*codes: bytes) -> DecodedCount:
         end = len(code)
         stop = end - MAX_INSTRUCTION_LENGTH  # past it, an instruction may be cut short
         while pos < end:
-            hit = PAIR_TABLE[code[pos] << 8 | code[pos + 1]] if pos <= stop else None
+            hit = None
+            if pos <= stop:
+                hit = PAIR_TABLE[code[pos] << 8 | code[pos + 1]]
+                if hit is None:
+                    hit = lead[code[pos]][code[pos + 1] << 8 | code[pos + 2]]
+                    if hit is not None:
+                        pos += 1  # the lead byte
             if hit is None:
                 hit = decode_one(code, pos)
                 if hit is None:

@@ -84,6 +84,20 @@ def test_select_reduce_roundtrip(pipeline):
     assert reduced.attributes == selection.retained
 
 
+def test_reduce_to_an_empty_selection_reads_back(pipeline):
+    # no correlation score passes a threshold of 2, so no attribute is kept
+    assert run("select", pipeline / "train.csv", "--evaluator", "correlation",
+               "--search", "ranker", "--threshold", "2",
+               "--out", pipeline / "none.json") == 0
+    assert load_selection((pipeline / "none.json").read_text()).retained == ()
+    train = read_csv((pipeline / "train.csv").read_bytes())
+    for name, read in (("empty.csv", read_csv), ("empty.arff", read_arff)):
+        assert run("reduce", pipeline / "train.csv", pipeline / "none.json", "--out", pipeline / name) == 0
+        reduced = read((pipeline / name).read_bytes())
+        assert reduced.attributes == () and reduced.X.shape == (train.n_instances, 0)
+        assert reduced.labels == train.labels
+
+
 def test_select_cfs_best_first(pipeline):
     assert run("select", pipeline / "train.csv", "--evaluator", "cfs-subset",
                "--search", "best-first", "--out", pipeline / "cfs.json") == 0

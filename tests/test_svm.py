@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from opdense.dataset import minmax_scale
@@ -140,6 +142,24 @@ def test_rows_equal_at_8_decimals_are_stored_once():
     loaded = load_model(text)
     assert np.array_equal(loaded.machines[1].support_vectors, [a, b])
     assert save_model(loaded) == text
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-9, -5e-9, 1.5e-8, 2.5e-8, 0.123456785, 1e-300, 1e300, -1e300])
+
+
+@given(st.integers(0, 3).flatmap(lambda width: st.lists(
+    st.lists(_FINITE, min_size=width, max_size=width), min_size=1, max_size=4)))
+@settings(max_examples=200, deadline=None)
+def test_support_vectors_are_stored_as_round_to_8_decimals_gives_them(rows):
+    sv = np.array(rows).reshape(len(rows), -1 if rows[0] else 0)
+    machine = BinarySvmModel(sv, np.full(len(rows), 0.5), np.ones(len(rows)), 0.0, ("good", "malware"))
+    attributes = tuple(f"a{j}" for j in range(sv.shape[1]))
+    doc = json.loads(save_model(MulticlassSvmModel([machine], ("good", "malware"), attributes,
+                                                   LabelScheme.binary, KernelSpec())))
+    expected = list(dict.fromkeys(tuple(round(v, 8) for v in row) for row in sv.tolist()))
+    assert [[v.hex() for v in row] for row in doc["support_vectors"]] == \
+        [[v.hex() for v in row] for row in expected]
 
 
 def test_model_file_holds_one_support_vector_or_machine_per_line():

@@ -8,8 +8,9 @@ import json
 import numpy as np
 import pytest
 
+from opdense import x86
 from opdense.x86 import (MAX_INSTRUCTION_LENGTH, ONE_BYTE, PAIR_TABLE, PREFIX_BYTES, THREE_BYTE_38,
-                         THREE_BYTE_3A, TWO_BYTE, decode_one, sweep)
+                         THREE_BYTE_3A, TWO_BYTE, decode_one, lead_tables, sweep)
 
 # (bytes, mnemonic, length) - lengths worked out by hand from the
 # ModRM/SIB/displacement/immediate rules
@@ -213,12 +214,12 @@ _STEERING = [b"\x66", b"\x67", b"\xf0", b"\xf2", b"\xf3", b"\x0f", b"\x0f\x38", 
              b"\x9b"] + [bytes([b]) for b in range(0xD8, 0xE0)]
 
 
-def _steered_blob(seed, size):
+def _steered_blob(seed, size, steering=_STEERING):
     rng = np.random.RandomState(seed)
     out = bytearray()
     while len(out) < size:
         if rng.rand() < 0.5:
-            out += _STEERING[rng.randint(len(_STEERING))]
+            out += steering[rng.randint(len(steering))]
         else:
             out.append(rng.randint(256))
     return bytes(out[:size])
@@ -249,19 +250,38 @@ def test_pinned_decoder_output(make_blob, seed, expected):
 _PAIR_TAILS = [bytes([b]) * 14 for b in (0x00, 0xFF, 0x05)] + [b"\x65" + b"\xff" * 13]
 
 
+_LEADS = sorted(PREFIX_BYTES | {0x0F})
+
+
 def test_pair_table_entries_decode_alike_after_any_tail():
-    assert len(PAIR_TABLE) == 1 << 16
-    for key, entry in enumerate(PAIR_TABLE):
-        pair = key.to_bytes(2, "big")
-        decoded = {decode_one(pair + tail, 0) for tail in _PAIR_TAILS}
-        if entry is not None:
-            assert decoded == {entry}, pair.hex()
-        else:
-            # left to decode_one: a prefix or escape, no instruction, or
-            # one whose length the third byte decides
-            assert pair[0] in PREFIX_BYTES | {0x0F, 0x9B} or None in decoded or len(decoded) > 1, pair.hex()
-    hits = [entry for entry in PAIR_TABLE if entry is not None]
-    assert len({id(entry) for entry in hits}) == len(set(hits))  # equal entries are shared
+    # PAIR_TABLE, then each lead table: a hit is one byte longer after the lead
+    for lead in [None] + _LEADS:
+        table = PAIR_TABLE if lead is None else lead_tables()[lead]
+        before = b"" if lead is None else bytes([lead])
+        assert len(table) == 1 << 16
+        for key, entry in enumerate(table):
+            pair = key.to_bytes(2, "big")
+            decoded = {decode_one(before + pair + tail, 0) for tail in _PAIR_TAILS}
+            if entry is not None:
+                assert decoded == {(entry[0], entry[1] + len(before))}, (before + pair).hex()
+            else:
+                # left to decode_one: a prefix or escape (0F 38 and 0F 3A
+                # after 0F), no instruction, or one whose length the next
+                # byte decides
+                escapes = {0x38, 0x3A} if lead == 0x0F else PREFIX_BYTES | {0x0F, 0x9B}
+                assert pair[0] in escapes or None in decoded or len(decoded) > 1, (before + pair).hex()
+        hits = [entry for entry in table if entry is not None]
+        assert len({id(entry) for entry in hits}) == len(set(hits))  # equal entries are shared
+
+
+def test_lead_tables_cover_prefixes_and_0f_and_miss_for_any_other_lead():
+    tables = lead_tables()
+    assert len(tables) == 256 and lead_tables() is tables  # built once
+    assert all(tables[b] is PAIR_TABLE for b in PREFIX_BYTES - {0x66, 0x67})
+    assert len({id(tables[b]) for b in (0x66, 0x67, 0x0F)} | {id(PAIR_TABLE)}) == 4
+    assert tables[0x0F][0x66C1] == ("pcmpgtd", 2)  # 66 as the byte after 0F is an opcode
+    others = [tables[b] for b in range(256) if b not in PREFIX_BYTES | {0x0F}]
+    assert len({id(t) for t in others}) == 1 and set(others[0]) == {None}
 
 
 def _decode_one_sweep(code):
@@ -309,6 +329,18 @@ def test_sweep_equals_decode_one_at_the_table_edge():
     assert (result.counts, result.unknown_bytes) == ({"nop": 20, "add": 1}, 1)
 
 
+# every prefix, segment overrides included, and the 0F escape: the lead
+# bytes of the lead tables
+_LEAD_STEERING = [bytes([b]) for b in _LEADS]
+
+
+def test_sweep_equals_decode_one_on_blobs_steered_by_every_lead_byte():
+    for seed in range(4):
+        _assert_sweeps_alike(_steered_blob(seed, 5000, _LEAD_STEERING))
+    for size in range(41):
+        _assert_sweeps_alike(_steered_blob(size, size, _LEAD_STEERING))
+
+
 # plain entries - (mnemonic, immediate code, has ModRM) - of the decoder's
 # tables, each with the opcode bytes and the mandatory prefix that reach it
 _ONE_BYTE_CANDIDATES = [(None, bytes([op]), entry) for op, entry in enumerate(ONE_BYTE)
@@ -337,14 +369,18 @@ def _random_instruction(rng, candidates):
         out.append(0x66)  # F2/F3 select the table; 66 still shrinks iz
     if mandatory is not None:
         out.append(mandatory)
-    osize16 = 0x66 in out
-    asize16 = 0x67 in out
-    out.extend(opcode)
+    out += opcode + _operands(rng, imm, has_modrm, 0x66 in out, 0x67 in out)
+    return bytes(out), name, len(out)
 
+
+def _operands(rng, imm, has_modrm, osize16, asize16, sib=True):
+    """The random ModRM block and immediate that follow an opcode; with
+    ``sib`` False, never a SIB byte."""
+    out = bytearray()
     if has_modrm:
         mod = int(rng.randint(0, 4))
         reg = int(rng.randint(0, 8))
-        rm = int(rng.randint(0, 8))
+        rm = int(rng.randint(0, 8)) if sib else int(rng.choice([0, 1, 2, 3, 5, 6, 7]))
         out.append((mod << 6) | (reg << 3) | rm)
         if mod != 3:
             if asize16:
@@ -377,8 +413,7 @@ def _random_instruction(rng, candidates):
         out.extend(bytes(range(0x41, 0x41 + (4 if osize16 else 6))))
     else:
         assert imm is None, imm
-
-    return bytes(out), name, len(out)
+    return out
 
 
 def test_length_soundness_over_generated_instructions():
@@ -394,3 +429,33 @@ def test_length_soundness_over_generated_instructions():
             assert (decoded.mnemonic, decoded.length) == (name, expected_length), code.hex()
             checked += 1
         assert checked > 3500
+
+
+_PLAIN_0F_CANDIDATES = [c for c in _ESCAPED_CANDIDATES if c[0] is None and len(c[1]) == 2]
+
+
+def test_singly_prefixed_and_0f_forms_sweep_without_decode_one(monkeypatch):
+    # one prefix before a plain one-byte form, or a plain 0F form, none
+    # with a SIB byte: the pair and lead tables serve every instruction
+    rng = np.random.RandomState(18)
+    stream, expected = bytearray(), {}
+    for _ in range(3000):
+        if rng.rand() < 0.5:
+            lead = int(rng.choice(sorted(PREFIX_BYTES)))
+            _, opcode, (name, imm, has_modrm) = _ONE_BYTE_CANDIDATES[int(rng.randint(len(_ONE_BYTE_CANDIDATES)))]
+            stream += bytes([lead]) + opcode + _operands(rng, imm, has_modrm, lead == 0x66, lead == 0x67, sib=False)
+        else:
+            _, opcode, (name, imm, has_modrm) = _PLAIN_0F_CANDIDATES[int(rng.randint(len(_PLAIN_0F_CANDIDATES)))]
+            stream += opcode + _operands(rng, imm, has_modrm, False, False, sib=False)
+        expected[name] = expected.get(name, 0) + 1
+    calls = []
+
+    def counting_decode_one(code, pos):
+        calls.append(pos)
+        return decode_one(code, pos)
+
+    monkeypatch.setattr(x86, "decode_one", counting_decode_one)
+    result = sweep(bytes(stream) + b"\x90" * MAX_INSTRUCTION_LENGTH)
+    expected["nop"] = expected.get("nop", 0) + MAX_INSTRUCTION_LENGTH
+    assert (result.counts, result.unknown_bytes) == (expected, 0)
+    assert calls == list(range(len(stream) + 1, len(stream) + MAX_INSTRUCTION_LENGTH))  # the padding's tail
