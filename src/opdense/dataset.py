@@ -22,7 +22,7 @@ from .errors import (
     UnknownMnemonic,
     ZeroTotal,
 )
-from .labels import ClassLabel, LabelScheme, infer_scheme
+from .labels import ClassLabel, LabelScheme, infer_scheme, scheme_labels
 from .reports import NAME_BREAK_RE, LabeledHistogram
 from .rng import permutation
 from .rounding import round_half_up_fraction
@@ -68,8 +68,10 @@ class Dataset:
             raise SchemaMismatch(f"attribute name must be nonempty without whitespace or comma: {bad!r}")
         if X.size and (not np.isfinite(X).all() or (X < 0).any()):
             raise SchemaMismatch("matrix entries must be finite and non-negative")
-        for value in self.labels:
-            ClassLabel(self.scheme, value)
+        # one pass over the labels; the per-label check only to name the first bad one
+        if not all(map(scheme_labels(self.scheme).__contains__, self.labels)):
+            for value in self.labels:
+                ClassLabel(self.scheme, value)
         if self.scaling is not None and len(self.scaling.mins) != len(self.attributes):
             raise SchemaMismatch("scaling width does not match attribute count")
         X.flags.writeable = False

@@ -37,8 +37,8 @@ def _entropy_from_codes(codes: np.ndarray) -> float:
     n = codes.size
     if n == 0:
         return 0.0
-    _, counts = np.unique(codes, return_counts=True)
-    p = counts / n
+    counts = np.bincount(codes)  # codes are non-negative ints
+    p = counts[counts > 0] / n
     return float(-(p * np.log2(p)).sum())
 
 

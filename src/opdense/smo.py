@@ -37,14 +37,16 @@ each. The problems are stacked, padded to the longest; a padded point
 has upper = lower = 0, so it is in neither I_up nor I_low and is never
 picked. Each problem picks its own i, j and step, but every numpy call
 of a step covers the whole stack, and on problems of a few dozen rows
-the calls, not the arithmetic, are the cost. In a pass where some
-problem's gap closes or the cap is reached, nothing steps: each stopped
-problem gets t recomputed exactly on its own unpadded Gram, or, if its
-t already was exact, leaves the stack. So the live problems have all
-taken the same number of steps. Stacks are cut in training order under
-``STACK_CELLS`` padded Gram cells. A stack of one problem (a binary
-model, or a pair too large to share) goes to ``smo_solve``, whose
-per-step cost is lower.
+the calls, not the arithmetic, are the cost. Every pass steps every
+live problem, so the live problems have all taken the same number of
+steps. When a pass finds some gaps closed or the cap reached, only those
+problems get t recomputed exactly, each on its own unpadded Gram (before
+the first step t = y is exact already), and are tested again. The ones
+still closed or at the cap leave the stack; the others step in the same
+pass, as ``smo_solve`` steps after its own recompute. Stacks are cut in
+training order under ``STACK_CELLS`` padded Gram cells. A stack of one
+problem (a binary model, or a pair too large to share) goes to
+``smo_solve``, whose per-step cost is lower.
 """
 
 from __future__ import annotations
@@ -166,49 +168,62 @@ def _solve_stack(stack, width, C, config) -> list[SmoSolution]:
         t[p, :n] = y
         upper[p, :n] = np.where(y > 0, C, 0.0)
         lower[p, :n] = upper[p, :n] - C
+    columns = gram_rows.reshape(count * width, width)  # row p*width + i is column i of problem p
     diag = gram_rows.diagonal(axis1=1, axis2=2).copy()
     beta = np.zeros((count, width))
-    steps = 0  # every live problem has taken every step so far
-    exact = np.ones(count, dtype=bool)
+    steps = 0  # every live problem has taken every step so far; t is exact only before the first
     live = np.arange(count)  # stack index of each row of the working arrays
-    rows = np.arange(count)
+    base = column_base = live * width  # each row's first flat index, in the working arrays and in columns
     solutions: list[SmoSolution | None] = [None] * count
-    while len(live):
-        t_up = np.where(beta < upper, t, -np.inf)
-        t_low = np.where(beta > lower, t, np.inf)
-        i = t_up.argmax(axis=1)
-        top = t_up[rows, i]
-        bottom = t_low.min(axis=1)
-        gap = top - bottom
-        open_gap = gap > 2.0 * tolerance
+    while True:
+        t_low, i, top, bottom = _ends(beta, t, upper, lower, base)
+        open_gap = top - bottom > 2.0 * tolerance
         if steps == max_iterations or not open_gap.all():
-            stopped = ~open_gap | (steps == max_iterations)
-            for r in np.flatnonzero(stopped & ~exact):
-                gram, y = stack[live[r]]
-                t[r, :len(y)] = y - gram @ beta[r, :len(y)].copy()
-            done = stopped & exact
+            stopped = np.flatnonzero(~open_gap | (steps == max_iterations))
+            if steps:  # t has drifted: recompute it exactly and test the stopped rows again
+                for r in stopped:
+                    gram, y = stack[live[r]]
+                    t[r, :len(y)] = y - gram @ beta[r, :len(y)].copy()
+                t_low[stopped], i[stopped], top[stopped], bottom[stopped] = _ends(
+                    beta[stopped], t[stopped], upper[stopped], lower[stopped], base[:len(stopped)])
+                open_gap = top - bottom > 2.0 * tolerance
+            done = ~open_gap | (steps == max_iterations)
             for r in np.flatnonzero(done):
                 solutions[live[r]] = _solution(stack[live[r]], beta[r], top[r], bottom[r], steps, open_gap[r])
-            exact |= stopped
             keep = ~done
-            live, beta, t, upper, lower, diag, exact = (a[keep] for a in (live, beta, t, upper, lower, diag, exact))
-            rows = np.arange(len(live))
-            continue
+            live, beta, t, upper, lower, diag, t_low, i, top = (
+                a[keep] for a in (live, beta, t, upper, lower, diag, t_low, i, top))
+            if not len(live):
+                break
+            base, column_base = np.arange(len(live)) * width, live * width
+        # every live problem steps; per-row scalars are gathered through flat indices
+        at_i = base + i
+        column_i = columns.take(column_base + i, axis=0)
+        curvature = np.maximum(diag.ravel()[at_i][:, None] + diag - 2.0 * column_i, EPSILON)
         diff = top[:, None] - t_low
-        column_i = gram_rows[live, i]
-        curvature = np.maximum(diag[rows, i][:, None] + diag - 2.0 * column_i, EPSILON)
         j = np.where(diff > 0, diff * diff / curvature, -1.0).argmax(axis=1)
-        upper_i, beta_i = upper[rows, i], beta[rows, i]
-        lower_j, beta_j = lower[rows, j], beta[rows, j]
+        at_j = base + j
+        flat_beta = beta.ravel()
+        upper_i, beta_i = upper.ravel()[at_i], flat_beta[at_i]
+        lower_j, beta_j = lower.ravel()[at_j], flat_beta[at_j]
         room_i = upper_i - beta_i
         room_j = beta_j - lower_j
-        delta = np.minimum(np.minimum(diff[rows, j] / curvature[rows, j], room_i), room_j)
-        beta[rows, i] = np.where(delta == room_i, upper_i, beta_i + delta)
-        beta[rows, j] = np.where(delta == room_j, lower_j, beta_j - delta)
-        t -= delta[:, None] * (column_i - gram_rows[live, j])
-        exact[:] = False
+        delta = np.minimum(np.minimum(diff.ravel()[at_j] / curvature.ravel()[at_j], room_i), room_j)
+        flat_beta[at_i] = np.where(delta == room_i, upper_i, beta_i + delta)
+        flat_beta[at_j] = np.where(delta == room_j, lower_j, beta_j - delta)
+        t -= delta[:, None] * (column_i - columns.take(column_base + j, axis=0))
         steps += 1
     return solutions
+
+
+def _ends(beta, t, upper, lower, base):
+    """Per row of a stack: t over I_low, the maximal violator i, and the
+    ends max_{I_up} t and min_{I_low} t of the bias interval. ``base``
+    holds each row's first flat index."""
+    t_up = np.where(beta < upper, t, -np.inf)
+    t_low = np.where(beta > lower, t, np.inf)
+    i = t_up.argmax(axis=1)
+    return t_low, i, t_up.ravel()[base + i], t_low.ravel()[base + t_low.argmin(axis=1)]
 
 
 def _solution(problem, beta, lo, hi, steps, hit_cap) -> SmoSolution:

@@ -358,6 +358,16 @@ def test_dataset_rejects_unknown_label():
         make_dataset([[0.1]], ["virus"])
 
 
+def test_dataset_names_the_first_bad_label():
+    with pytest.raises(SchemaMismatch, match="label 'virus' not valid"):
+        make_dataset([[0.1]] * 4, ["good", "malware", "virus", "worm"])
+
+
+def test_dataset_rejects_an_unhashable_label():
+    with pytest.raises(SchemaMismatch, match=r"label \['good'\] not valid"):
+        make_dataset([[0.1], [0.2]], ["good", ["good"]])
+
+
 def test_dataset_matrix_is_frozen():
     ds = make_dataset([[0.1]], ["good"])
     with pytest.raises(ValueError):

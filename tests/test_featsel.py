@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from opdense.errors import DegenerateMatrix, ListTooLong, SchemaMismatch, UnknownAttribute, WrongListCount
@@ -26,6 +28,7 @@ from opdense.featsel import (
     symm_uncert,
     tune_threshold,
 )
+from opdense.featsel.evaluators import _entropy_from_codes
 from opdense.featsel.selection import AttributeScore
 from opdense.kernels import KernelSpec
 from opdense.svm import train_multiclass
@@ -59,6 +62,24 @@ def test_equal_frequency_outlier_in_top_bin():
 
 
 # --- entropy family -----------------------------------------------------------
+
+def _entropy_from_unique_counts(codes):
+    n = codes.size
+    if n == 0:
+        return 0.0
+    _, counts = np.unique(codes, return_counts=True)
+    p = counts / n
+    return float(-(p * np.log2(p)).sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=80))
+@example([])
+@example([7])
+def test_entropy_from_codes_equals_the_unique_count_formula_bit_for_bit(values):
+    codes = np.array(values, dtype=np.int64)
+    assert _entropy_from_codes(codes).hex() == _entropy_from_unique_counts(codes).hex()
+
 
 def test_info_gain_perfect_predictor():
     attr = np.array([0, 0, 1, 1])

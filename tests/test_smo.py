@@ -236,7 +236,7 @@ def _mixed_stack():
     return grams, ys
 
 
-@pytest.mark.parametrize("max_iterations", [25, 1_000_000])
+@pytest.mark.parametrize("max_iterations", [0, 1, 25, 1_000_000])
 def test_lockstep_matches_smo_solve_on_every_problem(max_iterations):
     grams, ys = _mixed_stack()
     assert len(ys) * max(map(len, ys)) ** 2 <= STACK_CELLS  # one stack
@@ -245,9 +245,37 @@ def test_lockstep_matches_smo_solve_on_every_problem(max_iterations):
     config = TrainerConfig(tolerance=1e-6, max_iterations=max_iterations)
     stacked = smo_solve_lockstep(iter(grams), ys, 10.0, config)
     single = [smo_solve(g, y, 10.0, config) for g, y in zip(grams, ys)]
-    assert len({s.iterations for s in single}) >= 4  # problems stop at different steps
-    if max_iterations == 25:
+    if max_iterations <= 1:
+        # at 0 every problem stops on the first pass with t exact; at 1 every
+        # problem but the single-class one steps, then has t recomputed and
+        # stops at the cap in one pass
+        assert {s.iterations for s in single} == {0, max_iterations}
+    else:
+        assert len({s.iterations for s in single}) >= 4  # problems stop at different steps
+    if max_iterations < 1_000_000:
         assert {s.hit_iteration_cap for s in single} == {True, False}
+    _assert_same_solutions(stacked, single)
+
+
+def test_lockstep_matches_smo_solve_where_the_exact_t_reopens_a_gap():
+    # at this tolerance rounding drift in the updated t closes a gap that
+    # the exact t reopens, so that problem steps on in the pass that
+    # recomputed its t
+    rng = np.random.RandomState(12)
+    grams, ys = [], []
+    for n in (6, 9, 12, 15):
+        X = rng.rand(n, 3)
+        y = np.where(rng.rand(n) < 0.5, 1.0, -1.0)
+        y[0], y[1] = 1.0, -1.0
+        grams.append(gram_matrix(KernelSpec(family="rbf", gamma=5.0), X))
+        ys.append(y)
+    config = TrainerConfig(tolerance=1e-13, max_iterations=5000)
+    single = [smo_solve(g, y, 1000.0, config) for g, y in zip(grams, ys)]
+    assert not any(s.hit_iteration_cap for s in single)
+    _assert_same_solutions(smo_solve_lockstep(iter(grams), ys, 1000.0, config), single)
+
+
+def _assert_same_solutions(stacked, single):
     for got, want in zip(stacked, single, strict=True):
         assert np.array_equal(got.alphas, want.alphas)
         assert got.bias == want.bias
@@ -257,14 +285,13 @@ def test_lockstep_matches_smo_solve_on_every_problem(max_iterations):
         assert got.kkt_gap == want.kkt_gap
 
 
-def test_train_multiclass_matches_per_pair_solves_across_stacks():
-    # six classes of 100 rows: a pair has 200 rows, so a stack holds six
-    # pairs and the 15 pairs take three stacks
-    assert 6 * 200 ** 2 <= STACK_CELLS < 7 * 200 ** 2
-    rng = np.random.RandomState(23)
-    centres = rng.rand(6, 4)
-    X = np.clip(np.repeat(centres, 100, axis=0) + 0.2 * rng.randn(600, 4), 0.0, 1.0)
-    labels = [label for label in FAMILY_LABELS for _ in range(100)]
+def _six_class_set(rng, sizes, width):
+    centres = rng.rand(6, width)
+    X = np.clip(np.repeat(centres, sizes, axis=0) + 0.2 * rng.randn(sum(sizes), width), 0.0, 1.0)
+    return X, [label for label, size in zip(FAMILY_LABELS, sizes) for _ in range(size)]
+
+
+def _assert_machines_match_per_pair_solves(X, labels):
     spec = KernelSpec(family="puk", C=1.0)
     model = train_multiclass(make_dataset(X, labels, scheme=LabelScheme.family), spec)
     assert len(model.machines) == 15
@@ -281,3 +308,18 @@ def test_train_multiclass_matches_per_pair_solves_across_stacks():
         assert machine.bias == want.bias
         assert machine.hit_iteration_cap == want.hit_iteration_cap
         assert (machine.iterations, machine.kkt_gap) == (want.iterations, want.kkt_gap)
+
+
+def test_train_multiclass_matches_per_pair_solves_across_stacks():
+    # six classes of 100 rows: a pair has 200 rows, so a stack holds six
+    # pairs and the 15 pairs take three stacks
+    assert 6 * 200 ** 2 <= STACK_CELLS < 7 * 200 ** 2
+    _assert_machines_match_per_pair_solves(*_six_class_set(np.random.RandomState(23), [100] * 6, 4))
+
+
+def test_train_multiclass_matches_per_pair_solves_on_select_sized_pairs():
+    # the training set of one perfbench select round: 126 rows of six
+    # classes, so the 15 pairs of 36-46 rows share one padded stack
+    sizes = [19, 22, 21, 24, 18, 22]
+    assert sum(sizes) == 126 and 15 * 46 ** 2 <= STACK_CELLS
+    _assert_machines_match_per_pair_solves(*_six_class_set(np.random.RandomState(29), sizes, 8))
