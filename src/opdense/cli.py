@@ -33,6 +33,7 @@ from .evaluation import (
     render_report,
     report_to_json,
 )
+from .featsel.aggregate import LIST_COUNT, MAX_RANKED
 from .kernels import KERNEL_FAMILIES, KernelSpec
 from .pe import parse_pe
 from .reports import read_manifest, scan_directory, format_report
@@ -326,14 +327,14 @@ def cmd_tune_threshold(args) -> int:
 
 
 def cmd_rank_aggregate(args) -> int:
-    if len(args.selections) != 7:
-        raise UsageError(f"rank aggregation needs exactly 7 selection files, got {len(args.selections)}")
+    if len(args.selections) != LIST_COUNT:
+        raise UsageError(f"rank aggregation needs exactly {LIST_COUNT} selection files, got {len(args.selections)}")
     lists = []
     for path in args.selections:
         selection = featsel.load_selection(_read_text(path))
         if selection.pca is not None:
             raise UsageError("principal components carry no attribute ranking; exclude that file")
-        lists.append(selection.retained[:21])
+        lists.append(selection.retained[:MAX_RANKED])
     ranking = featsel.aggregate_rank(lists)
     table = featsel.render_ranking(ranking)
     Path(args.out).write_bytes(table.encode("utf-8"))

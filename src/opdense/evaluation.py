@@ -173,8 +173,6 @@ def cross_validate(ds: Dataset, k: int = 10, seed: int = 42, trainer_fn: Trainer
     predicted: list[str] = []
     warnings: list[str] = []
     for i, fold in enumerate(folds):
-        if not fold:
-            continue
         train_idx = [j for other in folds[:i] + folds[i + 1:] for j in other]
         train = take_rows(ds, sorted(train_idx))
         test = take_rows(ds, sorted(fold))

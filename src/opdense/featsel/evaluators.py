@@ -3,7 +3,7 @@
 The entropy family (info gain, gain ratio, symmetrical uncertainty) and
 the CFS subset merit work on equal-frequency discretized columns; the
 correlation, OneR and ReliefF evaluators use the raw numeric columns.
-All scores are deterministic for a given dataset and seed.
+No score draws a random number: each is a function of the dataset alone.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from ..dataset import Dataset, ScalingParams, quantile
 from ..errors import DegenerateMatrix, SchemaMismatch
-from ..rng import sample_without_replacement
 from .selection import AttributeScore, PcaModel, SelectionResult
 
 
@@ -48,31 +47,34 @@ def _label_codes(labels) -> np.ndarray:
     return codes
 
 
-def _mutual_information(a: np.ndarray, b: np.ndarray) -> float:
+def _entropies(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """H(a), H(b) and the joint H(a, b), in bits, of two code arrays."""
     joint = a.astype(np.int64) * (b.max() + 1 if b.size else 1) + b
-    return _entropy_from_codes(a) + _entropy_from_codes(b) - _entropy_from_codes(joint)
+    return _entropy_from_codes(a), _entropy_from_codes(b), _entropy_from_codes(joint)
 
 
 def info_gain(codes: np.ndarray, labels) -> float:
     """H(class) - H(class | attr), in bits, from the attribute's bin codes."""
-    return _mutual_information(codes, _label_codes(labels))
+    h_a, h_b, h_ab = _entropies(codes, _label_codes(labels))
+    return h_a + h_b - h_ab
 
 
 def gain_ratio(codes: np.ndarray, labels) -> float:
     """Information gain over the attribute's own entropy; 0 when the
     attribute carries no split at all."""
-    split_info = _entropy_from_codes(codes)
-    if split_info == 0.0:
+    h_a, h_b, h_ab = _entropies(codes, _label_codes(labels))
+    if h_a == 0.0:
         return 0.0
-    return info_gain(codes, labels) / split_info
+    return (h_a + h_b - h_ab) / h_a
 
 
 def _symmetric_uncertainty(a: np.ndarray, b: np.ndarray) -> float:
     """2 * I(a; b) / (H(a) + H(b)), in [0, 1]; 0 when both are constant."""
-    denom = _entropy_from_codes(a) + _entropy_from_codes(b)
+    h_a, h_b, h_ab = _entropies(a, b)
+    denom = h_a + h_b
     if denom == 0.0:
         return 0.0
-    return 2.0 * _mutual_information(a, b) / denom
+    return 2.0 * (h_a + h_b - h_ab) / denom
 
 
 def symm_uncert(codes: np.ndarray, labels) -> float:
@@ -80,10 +82,9 @@ def symm_uncert(codes: np.ndarray, labels) -> float:
     return _symmetric_uncertainty(codes, _label_codes(labels))
 
 
-def _pearson_abs(column: np.ndarray, indicator: np.ndarray) -> float:
-    cx = column - column.mean()
+def _pearson_abs(cx: np.ndarray, sx: float, indicator: np.ndarray) -> float:
+    """|Pearson r| of a centred column ``cx`` of norm ``sx`` and an indicator."""
     cy = indicator - indicator.mean()
-    sx = math.sqrt(float(cx @ cx))
     sy = math.sqrt(float(cy @ cy))
     if sx == 0.0 or sy == 0.0:
         return 0.0
@@ -99,93 +100,64 @@ def correlation_eval(column, labels) -> float:
     n = len(values)
     if len(classes) <= 1:
         return 0.0
+    cx = column - column.mean()
+    sx = math.sqrt(float(cx @ cx))
     if len(classes) == 2:
-        return _pearson_abs(column, (values == classes[1]).astype(float))
+        return _pearson_abs(cx, sx, (values == classes[1]).astype(float))
     total = 0.0
     for cls in classes:
         indicator = (values == cls).astype(float)
-        total += indicator.sum() / n * _pearson_abs(column, indicator)
+        total += indicator.sum() / n * _pearson_abs(cx, sx, indicator)
     return total
 
 
 def one_r_eval(column, labels, min_bucket: int = 6) -> float:
     """Training accuracy of a one-attribute rule: sort by value, cut into
     buckets of at least ``min_bucket`` instances (never splitting equal
-    values), merge adjacent buckets sharing a majority label, score the
-    fraction of instances matching their bucket's majority."""
+    values; a shorter tail joins the bucket before it), and score the
+    fraction of instances that carry their bucket's majority label.
+
+    WEKA then merges adjacent buckets that share a majority label, which
+    shortens the printed rule but cannot change this score: the merged
+    bucket's majority is the label its members share, and counting it
+    over the merged bucket sums the members' majority counts."""
     column = np.asarray(column, dtype=float)
-    values = np.asarray(labels, dtype=object)
     n = len(column)
-    order = sorted(range(n), key=lambda i: (column[i], i))
-
-    buckets: list[list[int]] = []
-    current: list[int] = []
-    for pos, i in enumerate(order):
-        current.append(i)
-        full = len(current) >= min_bucket
-        boundary = pos + 1 < n and column[order[pos + 1]] != column[i]
-        if full and boundary:
-            buckets.append(current)
-            current = []
-    if current:
-        if buckets and len(current) < min_bucket:
-            buckets[-1].extend(current)
-        else:
-            buckets.append(current)
-
-    def majority(idx: list[int]) -> str:
-        counts: dict[str, int] = {}
-        for i in idx:
-            counts[str(values[i])] = counts.get(str(values[i]), 0) + 1
-        top = max(counts.values())
-        return sorted(lab for lab, c in counts.items() if c == top)[0]
-
-    merged: list[tuple[list[int], str]] = []
-    for bucket in buckets:
-        lab = majority(bucket)
-        if merged and merged[-1][1] == lab:
-            merged[-1][0].extend(bucket)
-        else:
-            merged.append((bucket, lab))
-
-    correct = sum(1 for bucket, lab in merged for i in bucket if str(values[i]) == lab)
-    return correct / n if n else 0.0
+    if not n:
+        return 0.0
+    order = np.argsort(column, kind="stable")
+    ordered = column[order]
+    codes = _label_codes(labels)[order]
+    cuts = [0]
+    for end in np.flatnonzero(ordered[1:] != ordered[:-1]) + 1:
+        if end - cuts[-1] >= min_bucket:
+            cuts.append(int(end))
+    if len(cuts) > 1 and n - cuts[-1] < min_bucket:
+        cuts.pop()
+    correct = sum(int(np.bincount(codes[a:b]).max()) for a, b in zip(cuts, cuts[1:] + [n]))
+    return correct / n
 
 
-def relieff_scores(
-    X: np.ndarray,
-    labels,
-    attribute_names,
-    k: int = 10,
-    sample: int | None = None,
-    seed: int = 42,
-) -> list[AttributeScore]:
-    """ReliefF weights: reward attributes that differ on nearest misses
-    and agree on nearest hits. Distances are Euclidean over all columns;
-    per-attribute differences are range-normalized. k is truncated for
-    classes with fewer members."""
+def relieff_scores(X: np.ndarray, labels, attribute_names, k: int = 10) -> list[AttributeScore]:
+    """ReliefF weights over every instance: reward attributes that differ
+    on nearest misses and agree on nearest hits. Distances are Euclidean
+    over all columns; per-attribute differences are range-normalized. k
+    is truncated for classes with fewer members."""
     if k < 1:
         raise SchemaMismatch("ReliefF needs at least 1 neighbour")
     X = np.asarray(X, dtype=float)
     values = np.asarray(labels, dtype=object)
     n, d = X.shape
     ranges = X.max(axis=0) - X.min(axis=0) if n else np.zeros(d)
-    safe = np.where(ranges == 0, 1.0, ranges)
+    safe = np.where(ranges == 0, 1.0, ranges)  # a constant column's diffs are 0 either way
 
     classes = sorted(set(values))
     members = {c: np.flatnonzero(values == c) for c in classes}
     priors = {c: len(members[c]) / n for c in classes}
 
-    if sample is None or sample >= n:
-        chosen = list(range(n))
-    else:
-        chosen = sorted(sample_without_replacement(n, sample, seed))
-    m = len(chosen)
-
     weights = np.zeros(d)
-    for r in chosen:
+    for r in range(n):
         diffs = np.abs(X - X[r]) / safe
-        diffs[:, ranges == 0] = 0.0
         dist = np.sqrt((diffs * diffs).sum(axis=1))
 
         def nearest(pool: np.ndarray, count: int) -> np.ndarray:
@@ -197,7 +169,7 @@ def relieff_scores(
         k_hit = min(k, len(hits_pool))
         if k_hit:
             hit_idx = nearest(hits_pool, k_hit)
-            weights -= diffs[hit_idx].sum(axis=0) / (m * k_hit)
+            weights -= diffs[hit_idx].sum(axis=0) / (n * k_hit)
         denom = 1.0 - priors[own]
         for other in classes:
             if other == own:
@@ -207,7 +179,7 @@ def relieff_scores(
             if not k_miss:
                 continue
             miss_idx = nearest(pool, k_miss)
-            weights += (priors[other] / denom) * diffs[miss_idx].sum(axis=0) / (m * k_miss)
+            weights += (priors[other] / denom) * diffs[miss_idx].sum(axis=0) / (n * k_miss)
 
     return [AttributeScore(name, float(w)) for name, w in zip(attribute_names, weights)]
 
@@ -345,12 +317,12 @@ def rank_attributes(
     bins: int = 10,
     min_bucket: int = 6,
     relieff_k: int = 10,
-    relieff_sample: int | None = None,
     seed: int = 42,
 ) -> list[AttributeScore]:
-    """Per-attribute scores of a dataset for the ranker search."""
+    """Per-attribute scores of a dataset for the ranker search. Every
+    evaluator is deterministic; nothing reads ``seed``."""
     if evaluator == "relieff":
-        return relieff_scores(ds.X, ds.labels, ds.attributes, k=relieff_k, sample=relieff_sample, seed=seed)
+        return relieff_scores(ds.X, ds.labels, ds.attributes, k=relieff_k)
     if evaluator not in _COLUMN_SCORERS:
         raise SchemaMismatch(f"evaluator {evaluator!r} does not produce a per-attribute ranking")
     score = _COLUMN_SCORERS[evaluator]

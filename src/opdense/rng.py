@@ -1,8 +1,8 @@
 """Deterministic pseudo-random primitives.
 
-Everything that needs reproducible randomness (instance shuffling, fold
-assignment, neighbour sampling) goes through SplitMix64 so that a given
-seed produces the same sequence on every platform and Python version.
+Everything that needs reproducible randomness (instance shuffling and
+fold assignment) goes through SplitMix64 so that a given seed produces
+the same sequence on every platform and Python version.
 """
 
 from __future__ import annotations
@@ -44,8 +44,3 @@ def permutation(n: int, seed: int) -> list[int]:
         out[i], out[j] = out[j], out[i]
     return out
 
-
-def sample_without_replacement(n: int, k: int, seed: int) -> list[int]:
-    if k > n:
-        raise ValueError("cannot sample more items than available")
-    return permutation(n, seed)[:k]

@@ -89,13 +89,7 @@ class SmoSolution:
     bias: float
     iterations: int
     hit_iteration_cap: bool
-    objective: float
     kkt_gap: float  # max_{I_up} t - min_{I_low} t at exit; optimal to tolerance when <= 2*tolerance
-
-
-def dual_objective(gram: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> float:
-    beta = alphas * y
-    return float(alphas.sum() - 0.5 * beta @ gram @ beta)
 
 
 def smo_solve(gram: np.ndarray, y: np.ndarray, C: float, config: TrainerConfig = TrainerConfig()) -> SmoSolution:
@@ -130,7 +124,7 @@ def smo_solve(gram: np.ndarray, y: np.ndarray, C: float, config: TrainerConfig =
         t -= delta * (gram[:, i] - gram[:, j])
         exact = False
         steps += 1
-    return _solution((gram, y), beta, t_up[i], t_low.min(), steps, gap > 2.0 * tolerance)
+    return _solution(len(y), beta, t_up[i], t_low.min(), steps, gap > 2.0 * tolerance)
 
 
 def smo_solve_lockstep(grams: Iterable[np.ndarray], ys: Sequence[np.ndarray], C: float,
@@ -189,7 +183,7 @@ def _solve_stack(stack, width, C, config) -> list[SmoSolution]:
                 open_gap = top - bottom > 2.0 * tolerance
             done = ~open_gap | (steps == max_iterations)
             for r in np.flatnonzero(done):
-                solutions[live[r]] = _solution(stack[live[r]], beta[r], top[r], bottom[r], steps, open_gap[r])
+                solutions[live[r]] = _solution(len(stack[live[r]][1]), beta[r], top[r], bottom[r], steps, open_gap[r])
             keep = ~done
             live, beta, t, upper, lower, diag, t_low, i, top = (
                 a[keep] for a in (live, beta, t, upper, lower, diag, t_low, i, top))
@@ -226,21 +220,19 @@ def _ends(beta, t, upper, lower, base):
     return t_low, i, t_up.ravel()[base + i], t_low.ravel()[base + t_low.argmin(axis=1)]
 
 
-def _solution(problem, beta, lo, hi, steps, hit_cap) -> SmoSolution:
-    """The result of ``problem`` from its final ``beta`` (padded or not),
-    the ends ``lo``, ``hi`` of its bias interval and its step count."""
-    gram, y = problem
+def _solution(n, beta, lo, hi, steps, hit_cap) -> SmoSolution:
+    """The result of a problem of ``n`` rows from its final ``beta``
+    (padded or not), the ends ``lo``, ``hi`` of its bias interval and its
+    step count."""
     # an empty side (a single-class problem) leaves the bias to the other
     if np.isinf(lo):
         lo = hi
     if np.isinf(hi):
         hi = lo
-    alphas = np.abs(beta[:len(y)])
     return SmoSolution(
-        alphas=alphas,
+        alphas=np.abs(beta[:n]),
         bias=float(0.5 * (lo + hi)),
         iterations=steps,
         hit_iteration_cap=bool(hit_cap),
-        objective=dual_objective(gram, y, alphas),
         kkt_gap=float(lo - hi),
     )

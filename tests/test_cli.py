@@ -131,6 +131,25 @@ def test_tune_threshold_command(pipeline):
                "--metric", "fpr", "--out", pipeline / "fpr.txt") == 1
 
 
+@pytest.mark.parametrize("evaluator, search", [
+    ("cfs-subset", "ranker"), ("pca", "best-first"), ("correlation", "greedy-stepwise")])
+def test_select_with_a_search_the_evaluator_cannot_use_exits_1(pipeline, tmp_path, capsys, evaluator, search):
+    out = tmp_path / "sel.json"
+    assert run("select", pipeline / "train.csv", "--evaluator", evaluator, "--search", search, "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: UsageError: ")
+    assert not out.exists()
+
+
+def test_cfs_selection_has_no_scores_to_sweep(pipeline, tmp_path, capsys):
+    assert run("select", pipeline / "train.csv", "--evaluator", "cfs-subset", "--search", "best-first",
+               "--out", tmp_path / "cfs.json") == 0
+    capsys.readouterr()
+    assert run("tune-threshold", pipeline / "train.csv", pipeline / "test.csv", tmp_path / "cfs.json",
+               "--out", tmp_path / "sweep.txt") == 1
+    assert capsys.readouterr().err.startswith("error: UsageError: the selection file carries no attribute scores")
+    assert not (tmp_path / "sweep.txt").exists()
+
+
 def test_pca_selection_has_no_ranking_to_sweep_or_aggregate(pipeline, tmp_path, capsys):
     assert run("select", pipeline / "train.csv", "--evaluator", "pca", "--out", tmp_path / "pca.json") == 0
     capsys.readouterr()

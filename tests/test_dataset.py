@@ -343,6 +343,16 @@ def test_dataset_rejects_a_name_a_csv_or_arff_header_cannot_carry(name):
         make_dataset([[0.1, 0.2]], ["good"], ("mov", name))
 
 
+def test_project_slices_the_scaling_in_the_requested_column_order():
+    ds = make_dataset([[0.1, 0.2, 0.9], [0.5, 0.6, 0.3]], ["good", "malware"], ("mov", "push", "xor"))
+    scaled, params = minmax_scale(ds)
+    projected = project(scaled, ["xor", "mov"])
+    assert projected.attributes == ("xor", "mov")
+    assert np.array_equal(projected.X, scaled.X[:, [2, 0]])
+    assert projected.scaling.mins == (params.mins[2], params.mins[0]) == (0.3, 0.1)
+    assert projected.scaling.maxs == (params.maxs[2], params.maxs[0]) == (0.9, 0.5)
+
+
 def test_project_onto_a_missing_attribute():
     with pytest.raises(UnknownAttribute, match="'xor'"):
         project(make_dataset([[0.1]], ["good"], ("mov",)), ["mov", "xor"])

@@ -204,6 +204,16 @@ def test_stratified_fold_sizes_differ_by_at_most_one_per_class():
     assert all_idx == list(range(ds.n_instances))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["good", "malware"]), min_size=2, max_size=40), st.data())
+def test_stratified_folds_are_non_empty_and_partition_the_rows(labels, data):
+    ds = make_dataset(np.zeros((len(labels), 1)), labels)
+    k = data.draw(st.integers(2, len(labels)), label="k")
+    folds = stratified_folds(ds, k, seed=data.draw(st.integers(0, 2**32), label="seed"))
+    assert len(folds) == k and all(folds)
+    assert sorted(i for fold in folds for i in fold) == list(range(len(labels)))
+
+
 def test_cv_k_too_large():
     ds = separable_dataset(n_each=3)
     with pytest.raises(KTooLarge):

@@ -64,10 +64,11 @@ def test_equal_frequency_outlier_in_top_bin():
 # --- entropy family -----------------------------------------------------------
 
 def _entropy_from_unique_counts(codes):
-    n = codes.size
+    """Entropy of the values (or, for a 2-d array, the rows) of ``codes``."""
+    n = len(codes)
     if n == 0:
         return 0.0
-    _, counts = np.unique(codes, return_counts=True)
+    _, counts = np.unique(codes, axis=0, return_counts=True)
     p = counts / n
     return float(-(p * np.log2(p)).sum())
 
@@ -79,6 +80,28 @@ def _entropy_from_unique_counts(codes):
 def test_entropy_from_codes_equals_the_unique_count_formula_bit_for_bit(values):
     codes = np.array(values, dtype=np.int64)
     assert _entropy_from_codes(codes).hex() == _entropy_from_unique_counts(codes).hex()
+
+
+def _label_codes_by_definition(labels):
+    return np.unique(np.array(labels, dtype=str), return_inverse=True)[1].reshape(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["good", "Locky", "Cerber", "malware"])),
+                max_size=80))
+@example([])
+@example([(3, "good")] * 5)
+def test_entropy_scores_equal_their_formulas_bit_for_bit(rows):
+    codes = np.array([c for c, _ in rows], dtype=np.int64)
+    labels = [lab for _, lab in rows]
+    label_codes = _label_codes_by_definition(labels)
+    h_a = _entropy_from_unique_counts(codes)
+    h_b = _entropy_from_unique_counts(label_codes)
+    h_ab = _entropy_from_unique_counts(np.column_stack([codes, label_codes]))
+    gain = h_a + h_b - h_ab
+    assert info_gain(codes, labels).hex() == gain.hex()
+    assert gain_ratio(codes, labels).hex() == (0.0 if h_a == 0.0 else gain / h_a).hex()
+    assert symm_uncert(codes, labels).hex() == (0.0 if h_a + h_b == 0.0 else 2.0 * gain / (h_a + h_b)).hex()
 
 
 def test_info_gain_perfect_predictor():
@@ -190,6 +213,62 @@ def test_one_r_independent_attribute_bounded():
     # stays well below a real signal
     assert 0.5 <= score <= 0.75
     assert score == one_r_eval(col, labels, min_bucket=6)  # deterministic
+
+
+def _one_r_with_merge_pass(column, labels, min_bucket):
+    """OneR as WEKA builds its rule: buckets, then adjacent buckets with
+    the same majority label merged, then the merged rule's accuracy."""
+    values = np.asarray(labels, dtype=object)
+    n = len(column)
+    order = sorted(range(n), key=lambda i: (column[i], i))
+    buckets: list[list[int]] = []
+    current: list[int] = []
+    for pos, i in enumerate(order):
+        current.append(i)
+        full = len(current) >= min_bucket
+        boundary = pos + 1 < n and column[order[pos + 1]] != column[i]
+        if full and boundary:
+            buckets.append(current)
+            current = []
+    if current:
+        if buckets and len(current) < min_bucket:
+            buckets[-1].extend(current)
+        else:
+            buckets.append(current)
+
+    def majority(idx):
+        counts: dict[str, int] = {}
+        for i in idx:
+            counts[str(values[i])] = counts.get(str(values[i]), 0) + 1
+        top = max(counts.values())
+        return sorted(lab for lab, c in counts.items() if c == top)[0]
+
+    merged: list[tuple[list[int], str]] = []
+    for bucket in buckets:
+        lab = majority(bucket)
+        if merged and merged[-1][1] == lab:
+            merged[-1][0].extend(bucket)
+        else:
+            merged.append((bucket, lab))
+    correct = sum(1 for bucket, lab in merged for i in bucket if str(values[i]) == lab)
+    return correct / n if n else 0.0
+
+
+ONE_R_LABELS = ("good", "Torrentlocker", "TeslaCrypt", "Locky", "CryptoWall", "Cerber")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                          st.integers(0, 5)), max_size=60),
+       st.integers(-3, 11), st.integers(1, 6))
+@example([], 6, 2)
+@example([(0.5, i % 3) for i in range(20)], 6, 3)  # a constant column
+@example([(-0.0 if i % 2 else 0.0, i % 2) for i in range(9)], 1, 2)  # -0.0 ties with 0.0
+@example([(i / 12, i // 6 % 2) for i in range(12)] + [(0.99, 1)], 6, 2)  # a short tail joins its neighbour
+def test_one_r_equals_the_rule_with_its_merge_pass_bit_for_bit(rows, min_bucket, n_labels):
+    column = np.array([v for v, _ in rows], dtype=float)
+    labels = [ONE_R_LABELS[c % n_labels] for _, c in rows]
+    assert one_r_eval(column, labels, min_bucket).hex() == _one_r_with_merge_pass(column, labels, min_bucket).hex()
 
 
 # --- ReliefF ---------------------------------------------------------------------

@@ -23,6 +23,16 @@ def test_amd64_machine_rejected():
         parse_pe(text_only_pe(b"\x90" * 16, machine=0x8664))
 
 
+def test_pe32_plus_optional_header_rejected():
+    with pytest.raises(Not32Bit):
+        parse_pe(build_pe([(".text", b"\x90" * 16, SECTION_EXECUTE)], opt_magic=0x020B))
+
+
+def test_rom_optional_header_accepted():
+    image = parse_pe(build_pe([(".text", b"\x90" * 16, SECTION_EXECUTE)], opt_magic=0x0107))
+    assert [s.raw_data for s in image.sections] == [b"\x90" * 16]
+
+
 def test_mz_only_is_truncated():
     with pytest.raises(Truncated):
         parse_pe(b"MZ")

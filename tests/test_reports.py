@@ -287,6 +287,27 @@ def test_scan_unresolved_label_in_root(tmp_path):
     assert isinstance(result.failures[0].error, UnresolvedLabel)
 
 
+def test_scan_records_a_second_file_with_the_same_sample_id(tmp_path):
+    _write(tmp_path / "good" / "a.txt", "1. 5 50.00% mov\n")
+    _write(tmp_path / "malware" / "a.txt", "1. 5 50.00% ret\n")
+    _write(tmp_path / "malware" / "b.txt", "1. 5 50.00% ret\n")
+    result = scan_directory(tmp_path)
+    assert [(lh.histogram.sample_id, lh.label.value) for lh in result.histograms] == [("a", "good"), ("b", "malware")]
+    [failure] = result.failures
+    assert failure.path == tmp_path / "malware" / "a.txt"
+    assert isinstance(failure.error, UnresolvedLabel) and "duplicate sample id" in str(failure.error)
+
+
+def test_scan_of_mixed_schemes_keeps_the_family_labels(tmp_path):
+    for sid, label in (("a", "good"), ("b", "malware"), ("c", "Locky"), ("d", "malware")):
+        _write(tmp_path / label / f"{sid}.txt", "1. 5 50.00% mov\n")
+    result = scan_directory(tmp_path)
+    assert [(lh.histogram.sample_id, lh.label.value) for lh in result.histograms] == [("a", "good"), ("c", "Locky")]
+    assert {lh.label.scheme for lh in result.histograms} == {LabelScheme.family}
+    assert [f.path.name for f in result.failures] == ["b.txt", "d.txt"]
+    assert all(isinstance(f.error, UnresolvedLabel) and "fits no scheme" in str(f.error) for f in result.failures)
+
+
 def test_manifest_reader(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("sample_id,label\na,good\nb,malware\n", encoding="utf-8")
