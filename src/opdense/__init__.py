@@ -9,7 +9,6 @@ from .dataset import (
     apply_scaling,
     assemble,
     build_master_list,
-    density,
     iqr_flag,
     minmax_scale,
     shuffle,
@@ -27,7 +26,7 @@ from .evaluation import (
     grid_search,
     holdout_evaluate,
 )
-from .kernels import KernelSpec, gram_matrix, kernel_eval
+from .kernels import KernelSpec, gram_matrix
 from .labels import BINARY_LABELS, FAMILY_LABELS, ClassLabel, LabelScheme
 from .pe import PeImage, parse_pe
 from .reports import OpcodeHistogram, LabeledHistogram, format_report, parse_report, scan_directory
@@ -73,7 +72,6 @@ __all__ = [
     "decode_one",
     "decision_values",
     "default_grid",
-    "density",
     "errors",
     "featsel",
     "format_report",
@@ -82,7 +80,6 @@ __all__ = [
     "grid_search",
     "holdout_evaluate",
     "iqr_flag",
-    "kernel_eval",
     "load_model",
     "minmax_scale",
     "parse_pe",

@@ -37,7 +37,6 @@ from .featsel.aggregate import LIST_COUNT, MAX_RANKED
 from .kernels import KERNEL_FAMILIES, KernelSpec
 from .pe import parse_pe
 from .reports import read_manifest, scan_directory, format_report
-from .rounding import fixed
 from .smo import TrainerConfig
 from .svm import load_model, save_model, train_multiclass
 from .synth import generate_corpus
@@ -315,14 +314,14 @@ def cmd_tune_threshold(args) -> int:
     for entry in sweep:
         lines.append(f"{entry['threshold']:>14.8f}{entry['retained']:>10}{entry['metric'] * 100:>11.1f}%")
     lines.append("")
-    lines.append(f"chosen threshold: {fixed(threshold)} retaining {len(best.retained)} attributes")
+    lines.append(f"chosen threshold: {threshold:.8f} retaining {len(best.retained)} attributes")
     _write_report("\n".join(lines) + "\n",
                   json.dumps({"threshold": threshold, "retained": len(best.retained), "sweep": sweep},
                              indent=2) + "\n",
                   args.out, args.stamp)
     if args.selection_out:
         Path(args.selection_out).write_bytes(featsel.save_selection(best).encode("utf-8"))
-    print(f"kept {len(best.retained)} of {len(selection.scores)} attributes at threshold {fixed(threshold)}")
+    print(f"kept {len(best.retained)} of {len(selection.scores)} attributes at threshold {threshold:.8f}")
     return 0
 
 
@@ -338,8 +337,8 @@ def cmd_rank_aggregate(args) -> int:
     ranking = featsel.aggregate_rank(lists)
     table = featsel.render_ranking(ranking)
     Path(args.out).write_bytes(table.encode("utf-8"))
-    top = ", ".join(a for a, _ in ranking.entries[:5])
-    print(f"aggregated {len(ranking.entries)} attributes; top: {top}")
+    top = ", ".join(a for a, _ in ranking[:5])
+    print(f"aggregated {len(ranking)} attributes; top: {top}")
     return 0
 
 

@@ -20,12 +20,11 @@ from .errors import (
     TooFewInstances,
     UnknownAttribute,
     UnknownMnemonic,
-    ZeroTotal,
 )
 from .labels import ClassLabel, LabelScheme, infer_scheme, scheme_labels
 from .reports import NAME_BREAK_RE, LabeledHistogram
 from .rng import permutation
-from .rounding import round_half_up_fraction
+from .rounding import round_half_up_fractions
 
 DENSITY_DECIMALS = 8
 
@@ -88,15 +87,6 @@ class Dataset:
         return self.X.shape[1]
 
 
-def density(count: int, total: int) -> float:
-    """count/total rounded half-up to 8 decimals."""
-    if total == 0:
-        raise ZeroTotal("total opcode count is zero")
-    if not 0 <= count <= total:
-        raise SchemaMismatch(f"count {count} outside [0, total={total}]")
-    return round_half_up_fraction(count, total, DENSITY_DECIMALS)
-
-
 def build_master_list(histograms: Sequence[LabeledHistogram]) -> list[str]:
     """Union of all mnemonics, deduplicated and sorted A to Z."""
     if not histograms:
@@ -121,15 +111,14 @@ def assemble(
     ordered = sorted(histograms, key=lambda lh: lh.histogram.sample_id)
 
     X = np.zeros((len(ordered), len(master)))
-    scale = 10**DENSITY_DECIMALS
     for i, lh in enumerate(ordered):
-        # density() inline: the histogram holds 0 <= count <= total, total > 0
-        counts, total = lh.histogram.counts, lh.histogram.total
+        # the histogram holds 0 <= count <= total and total > 0
+        counts = lh.histogram.counts
         try:
             columns = [index[name] for name in counts]
         except KeyError as exc:
             raise UnknownMnemonic(exc.args[0]) from None
-        X[i, columns] = [(2 * count * scale + total) // (2 * total) / scale for count in counts.values()]
+        X[i, columns] = round_half_up_fractions(counts.values(), lh.histogram.total, DENSITY_DECIMALS)
     labels = [lh.label.value for lh in ordered]
     if dedupe:  # the first row of each distinct value
         keep = np.sort(np.unique(X, axis=0, return_index=True)[1])

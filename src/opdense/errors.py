@@ -80,10 +80,6 @@ class NoInstructionsDecoded(DataError):
 
 # --- dataset ------------------------------------------------------------------
 
-class ZeroTotal(DataError):
-    pass
-
-
 class UnknownMnemonic(DataError):
     def __init__(self, name: str):
         super().__init__(f"mnemonic not in the master attribute list: {name!r}")

@@ -1,6 +1,6 @@
 """Attribute selection: evaluators, searches and rank aggregation."""
 
-from .aggregate import AggregateRanking, aggregate_rank, render_ranking
+from .aggregate import aggregate_rank, render_ranking
 from .evaluators import (
     CfsMeritScorer,
     correlation_eval,
@@ -32,7 +32,6 @@ from .selection import (
 )
 
 __all__ = [
-    "AggregateRanking",
     "AttributeScore",
     "CfsMeritScorer",
     "EVALUATORS",

@@ -3,11 +3,12 @@
 Seven top-21 rankings are merged by giving rank r (1-based) the weight
 22 - r in each list and summing per attribute; the principal-component
 evaluator produces no usable per-attribute ranking and never takes part.
+The result is the ranking itself: (attribute, total weight) pairs by
+descending weight, ties alphabetical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ListTooLong, WrongListCount
@@ -16,15 +17,7 @@ LIST_COUNT = 7
 MAX_RANKED = 21
 
 
-@dataclass
-class AggregateRanking:
-    entries: list[tuple[str, int]]  # (attribute, total weight), ordered
-
-    def totals(self) -> dict[str, int]:
-        return dict(self.entries)
-
-
-def aggregate_rank(lists: Sequence[Sequence[str]]) -> AggregateRanking:
+def aggregate_rank(lists: Sequence[Sequence[str]]) -> list[tuple[str, int]]:
     if len(lists) != LIST_COUNT:
         raise WrongListCount(f"expected {LIST_COUNT} ranked lists, got {len(lists)}")
     totals: dict[str, int] = {}
@@ -34,13 +27,12 @@ def aggregate_rank(lists: Sequence[Sequence[str]]) -> AggregateRanking:
             raise ListTooLong(f"a ranked list holds {len(ranked)} attributes (max {MAX_RANKED})")
         for rank, attribute in enumerate(ranked, start=1):
             totals[attribute] = totals.get(attribute, 0) + (MAX_RANKED + 1 - rank)
-    entries = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return AggregateRanking(entries=entries)
+    return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def render_ranking(ranking: AggregateRanking) -> str:
-    width = max([len("opcode")] + [len(a) for a, _ in ranking.entries])
+def render_ranking(ranking: Sequence[tuple[str, int]]) -> str:
+    width = max([len("opcode")] + [len(a) for a, _ in ranking])
     lines = [f"{'rank':>4}  {'opcode':<{width}}  {'total weight':>12}"]
-    for rank, (attribute, total) in enumerate(ranking.entries, start=1):
+    for rank, (attribute, total) in enumerate(ranking, start=1):
         lines.append(f"{rank:>4}  {attribute:<{width}}  {total:>12}")
     return "\n".join(lines) + "\n"

@@ -121,6 +121,8 @@ def one_r_eval(column, labels, min_bucket: int = 6) -> float:
     shortens the printed rule but cannot change this score: the merged
     bucket's majority is the label its members share, and counting it
     over the merged bucket sums the members' majority counts."""
+    if min_bucket < 1:
+        raise SchemaMismatch(f"OneR needs a minimum bucket size of at least 1, not {min_bucket}")
     column = np.asarray(column, dtype=float)
     n = len(column)
     if not n:
@@ -284,9 +286,7 @@ class CfsMeritScorer:
     def merit(self, subset) -> float:
         subset = list(subset)
         k = len(subset)
-        if k == 0:
-            return 0.0
-        r_cf = sum(self.class_correlation(a) for a in subset) / k
+        r_cf = sum(self.class_correlation(a) for a in subset) / max(k, 1)
         pairs = [(subset[i], subset[j]) for i in range(k) for j in range(i + 1, k)]
         r_ff = sum(self.pair_correlation(a, b) for a, b in pairs) / max(len(pairs), 1)
         return merit_from_correlations(k, r_cf, r_ff)

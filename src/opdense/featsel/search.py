@@ -162,13 +162,15 @@ def tune_threshold(
     the full-feature baseline, its threshold, and the full sweep for
     reporting. With no such step, every attribute is kept at a threshold
     1 below the lowest score. ``metric`` must be one where higher is
-    better, so not ``fpr``.
+    better, so not ``fpr``. With no scores it trains nothing and raises
+    EmptyResult.
     """
     if metric == "fpr":
         raise SchemaMismatch("the sweep keeps steps whose metric did not drop, so it cannot tune fpr")
-    baseline_report = classifier_fn(ds_train, ds_test)
-    baseline = report_metric(baseline_report, metric)
     score_list = list(scores)
+    if not score_list:
+        raise EmptyResult("no attribute scores to sweep")
+    baseline = report_metric(classifier_fn(ds_train, ds_test), metric)
     floor = min(s.score for s in score_list) - 1.0
 
     sweep: list[dict] = [{

@@ -69,6 +69,8 @@ class SelectionResult:
             raise SchemaMismatch(f"unknown evaluator {self.evaluator!r}")
         if self.search not in SEARCHES:
             raise SchemaMismatch(f"unknown search {self.search!r}")
+        if self.threshold is not None and not np.isfinite(self.threshold):
+            raise SchemaMismatch(f"threshold must be a finite number, not {self.threshold!r}")
         n = self.num_to_select
         if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
             raise SchemaMismatch(f"num_to_select must be a positive integer, not {n!r}")
@@ -96,7 +98,7 @@ def save_selection(result: SelectionResult) -> str:
             "component_maxs": list(result.pca.scaling.maxs),
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def load_selection(text: str) -> SelectionResult:

@@ -93,28 +93,3 @@ def gram_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None) ->
     if (dx == 0).any() or (dy == 0).any():
         raise NormalizedPolyZeroNorm("normalized poly kernel undefined for a zero-norm vector")
     return _poly_raw(spec, dots) / np.sqrt(dx[:, None] * dy[None, :])
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Scalar kernel evaluation; exactly symmetric in x and y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
-    if spec.family == "rbf":
-        d = x - y
-        return float(math.exp(-spec.gamma * float(d @ d)))
-    if spec.family == "puk":
-        d = x - y
-        return float((1.0 + puk_factor(spec) * float(d @ d)) ** (-spec.omega))
-    def poly(a, b):
-        base = float(a @ b)
-        if spec.use_lower_order:
-            base += 1.0
-        return base if spec.exponent == 1.0 else base ** spec.exponent
-    if spec.family == "poly":
-        return poly(x, y)
-    kxx, kyy = poly(x, x), poly(y, y)
-    if kxx == 0 or kyy == 0:
-        raise NormalizedPolyZeroNorm("normalized poly kernel undefined for a zero-norm vector")
-    return poly(x, y) / math.sqrt(kxx * kyy)

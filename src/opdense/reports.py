@@ -26,7 +26,7 @@ from .errors import (
     decode_utf8,
 )
 from .labels import ClassLabel, LabelScheme, infer_scheme
-from .rounding import round_half_up_fraction
+from .rounding import round_half_up_fractions
 
 REPORT_LINE_RE = re.compile(r"^\s*(\d+)\.\s+(\d+)\s+(\d+\.\d+)%\s+(\S+)\s*$")
 TOTAL_LINE_RE = re.compile(r"^\s*TOTAL\s+(\d+)\s*$")
@@ -141,9 +141,9 @@ def format_report(histogram: OpcodeHistogram) -> str:
     count (ties alphabetical), densities at two decimals, explicit TOTAL."""
     rows = sorted(histogram.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     width = max(4, len(str(len(rows))))
+    pcts = round_half_up_fractions([100 * count for _, count in rows], histogram.total, 2)
     out = []
-    for rank, (mnemonic, count) in enumerate(rows, start=1):
-        pct = round_half_up_fraction(count * 100, histogram.total, 2)
+    for rank, ((mnemonic, count), pct) in enumerate(zip(rows, pcts), start=1):
         out.append(f"{rank:0{width}d}.\t{count:06d}\t{pct:.2f}%\t{mnemonic}")
     out.append(f"TOTAL\t{histogram.total}")
     return "\n".join(out) + "\n"

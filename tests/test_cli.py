@@ -527,6 +527,30 @@ def test_out_of_range_selection_or_iqr_setting_exits_2(pipeline, tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flags", [
+    ("--evaluator", "correlation"),
+    ("--evaluator", "cfs-subset", "--search", "greedy-stepwise", "--generate-ranking"),
+], ids=["correlation ranker", "cfs greedy-stepwise ranking"])
+def test_a_threshold_that_is_not_finite_exits_2(pipeline, tmp_path, capsys, flags, value):
+    # the '=' form, because argparse takes a bare "-inf" for an option
+    capsys.readouterr()
+    assert run("select", pipeline / "train.csv", *flags, f"--threshold={value}", "--out", tmp_path / "sel.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch: threshold must be a finite number") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_one_r_bucket_size_below_one_exits_2(pipeline, tmp_path, capsys, value):
+    capsys.readouterr()
+    assert run("select", pipeline / "train.csv", "--evaluator", "one-r", "--min-bucket", value,
+               "--out", tmp_path / "sel.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pca_selection_on_other_attributes_exits_2(pipeline, tmp_path, capsys):
     from opdense.dataset import project
     from opdense.dataio import write_csv

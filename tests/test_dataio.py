@@ -8,7 +8,6 @@ from opdense.dataio import _rows, read_arff, read_csv, write_arff, write_csv, re
 from opdense.dataset import minmax_scale
 from opdense.errors import SchemaMismatch
 from opdense.labels import BINARY_LABELS, FAMILY_LABELS, LabelScheme, infer_scheme
-from opdense.rounding import fixed
 
 
 def sample_ds():
@@ -49,7 +48,7 @@ def test_data_rows_are_each_value_fixed_then_the_label(rows):
     width = len(rows[0]) if rows else 2
     labels = ["good", "malware"] * len(rows)
     ds = make_dataset(np.array(rows).reshape(len(rows), width), labels[:len(rows)])
-    expected = [",".join([fixed(v) for v in row] + [label]) for row, label in zip(ds.X, ds.labels)]
+    expected = [",".join([f"{v:.8f}" for v in row] + [label]) for row, label in zip(ds.X, ds.labels)]
     assert write_csv(ds).decode().split("\n")[1:-1] == expected
     assert write_arff(ds).decode().split("@data\n")[1].split("\n")[:-1] == expected
 

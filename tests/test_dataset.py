@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from opdense.dataset import (
+    DENSITY_DECIMALS,
     assemble,
     apply_scaling,
     build_master_list,
-    density,
     iqr_flag,
     minmax_scale,
     project,
@@ -25,12 +25,11 @@ from opdense.errors import (
     TooFewInstances,
     UnknownAttribute,
     UnknownMnemonic,
-    ZeroTotal,
 )
 from opdense.labels import ClassLabel, LabelScheme
 from opdense.reports import LabeledHistogram, OpcodeHistogram
 from opdense.rng import permutation
-from opdense.rounding import round_half_up_fraction
+from opdense.rounding import round_half_up_fractions
 
 
 def lh(sample_id, counts, label="good", total=None, scheme=LabelScheme.binary):
@@ -42,20 +41,15 @@ def lh(sample_id, counts, label="good", total=None, scheme=LabelScheme.binary):
 # --- density -----------------------------------------------------------------
 
 def test_density_eight_decimals_half_up():
-    assert density(2368, 7215) == 0.32820513  # displays as 33%
-    assert density(0, 1_000_000) == 0.0
-    assert density(5, 1_192_874) == 0.00000419  # nonzero, unlike 2-decimal output
-
-
-def test_density_zero_total():
-    with pytest.raises(ZeroTotal):
-        density(1, 0)
+    assert round_half_up_fractions([2368], 7215, DENSITY_DECIMALS) == [0.32820513]  # displays as 33%
+    assert round_half_up_fractions([0], 1_000_000, DENSITY_DECIMALS) == [0.0]
+    assert round_half_up_fractions([5], 1_192_874, DENSITY_DECIMALS) == [0.00000419]  # nonzero, unlike 2 decimals
 
 
 def test_density_half_up_rounding_mode():
     # 1/8000 = 0.000125 -> half-up at 8 decimals keeps 0.0001250...
-    assert density(1, 80_000_000) == 0.00000001  # 1.25e-8 rounds down
-    assert density(3, 200_000_000) == 0.00000002  # exactly 1.5e-8 rounds up
+    assert round_half_up_fractions([1], 80_000_000, DENSITY_DECIMALS) == [0.00000001]  # 1.25e-8 rounds down
+    assert round_half_up_fractions([3], 200_000_000, DENSITY_DECIMALS) == [0.00000002]  # exactly 1.5e-8 rounds up
 
 
 def decimal_half_up(numerator: int, denominator: int, places: int) -> float:
@@ -68,9 +62,10 @@ def decimal_half_up(numerator: int, denominator: int, places: int) -> float:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 10**12), st.integers(1, 10**12), st.sampled_from([2, 8]))
-def test_round_half_up_fraction_matches_decimal_reference(numerator, denominator, places):
-    assert round_half_up_fraction(numerator, denominator, places) == decimal_half_up(numerator, denominator, places)
+@given(st.lists(st.integers(0, 10**12), max_size=6), st.integers(1, 10**12), st.sampled_from([2, 8]))
+def test_round_half_up_fraction_matches_decimal_reference(numerators, denominator, places):
+    assert round_half_up_fractions(numerators, denominator, places) == \
+        [decimal_half_up(n, denominator, places) for n in numerators]
 
 
 @pytest.mark.parametrize("numerator, denominator, places, expected", [
@@ -81,8 +76,19 @@ def test_round_half_up_fraction_matches_decimal_reference(numerator, denominator
     (1, 3, 8, 0.33333333),
 ])
 def test_round_half_up_fraction_ties(numerator, denominator, places, expected):
-    assert round_half_up_fraction(numerator, denominator, places) == expected
+    assert round_half_up_fractions([numerator], denominator, places) == [expected]
     assert decimal_half_up(numerator, denominator, places) == expected
+
+
+@pytest.mark.parametrize("numerators, denominator, places, expected", [
+    ([], 7, 8, []),
+    ([7], 7, 8, [1.0]),  # a count equal to the total
+    ([700], 7, 2, [100.0]),  # a report percentage of a count equal to the total
+    ([1, 3, 0, 8], 8, 2, [0.13, 0.38, 0.0, 1.0]),  # each cell of the row rounds alone
+], ids=["empty row", "count equal to total", "percent of the total", "ties in one row"])
+def test_round_half_up_fractions_of_a_row(numerators, denominator, places, expected):
+    assert round_half_up_fractions(numerators, denominator, places) == expected
+    assert [decimal_half_up(n, denominator, places) for n in numerators] == expected
 
 
 # --- master list / assemble ----------------------------------------------------
@@ -155,7 +161,8 @@ def test_assemble_cells_are_density_bit_for_bit(samples):
     ds = assemble(hs, master)
     for row, item in zip(ds.X.tolist(), hs):
         h = item.histogram
-        assert row == [density(h.counts[name], h.total) if name in h.counts else 0.0 for name in master]
+        densities = dict(zip(h.counts, round_half_up_fractions(h.counts.values(), h.total, DENSITY_DECIMALS)))
+        assert row == [densities.get(name, 0.0) for name in master]
 
 
 def test_assemble_density_sum_conservation():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from opdense.errors import DegenerateMatrix, ListTooLong, SchemaMismatch, UnknownAttribute, WrongListCount
+from opdense.errors import DegenerateMatrix, EmptyResult, ListTooLong, SchemaMismatch, UnknownAttribute, WrongListCount
 from opdense.featsel import (
     CfsMeritScorer,
     aggregate_rank,
@@ -215,6 +215,14 @@ def test_one_r_independent_attribute_bounded():
     assert score == one_r_eval(col, labels, min_bucket=6)  # deterministic
 
 
+@pytest.mark.parametrize("min_bucket", [0, -3])
+def test_one_r_refuses_a_bucket_size_below_one(min_bucket):
+    with pytest.raises(SchemaMismatch):
+        one_r_eval(np.array([0.1, 0.2]), ["good", "malware"], min_bucket=min_bucket)
+    with pytest.raises(SchemaMismatch):
+        one_r_eval(np.array([]), [], min_bucket=min_bucket)
+
+
 def _one_r_with_merge_pass(column, labels, min_bucket):
     """OneR as WEKA builds its rule: buckets, then adjacent buckets with
     the same majority label merged, then the merged rule's accuracy."""
@@ -260,7 +268,7 @@ ONE_R_LABELS = ("good", "Torrentlocker", "TeslaCrypt", "Locky", "CryptoWall", "C
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
                           st.integers(0, 5)), max_size=60),
-       st.integers(-3, 11), st.integers(1, 6))
+       st.integers(1, 11), st.integers(1, 6))
 @example([], 6, 2)
 @example([(0.5, i % 3) for i in range(20)], 6, 3)  # a constant column
 @example([(-0.0 if i % 2 else 0.0, i % 2) for i in range(9)], 1, 2)  # -0.0 ties with 0.0
@@ -467,7 +475,7 @@ def test_ranker_zero_threshold_drops_zero_scores():
 
 def test_ranker_num_to_select_truncates():
     scores = [AttributeScore("a", 0.5), AttributeScore("b", 0.4), AttributeScore("c", 0.3)]
-    result = ranker_select(scores, threshold=float("-inf"), num_to_select=2)
+    result = ranker_select(scores, threshold=0.0, num_to_select=2)
     assert result.retained == ("a", "b")
 
 
@@ -475,11 +483,21 @@ def test_ranker_num_to_select_truncates():
 def test_num_to_select_must_be_a_positive_integer(num_to_select):
     scores = [AttributeScore("a", 0.5), AttributeScore("b", 0.4), AttributeScore("c", 0.3)]
     with pytest.raises(SchemaMismatch):
-        ranker_select(scores, threshold=float("-inf"), num_to_select=num_to_select)
+        ranker_select(scores, threshold=0.0, num_to_select=num_to_select)
     ds = _signal_noise_dataset()
     with pytest.raises(SchemaMismatch):
         search_greedy_stepwise(ds.attributes, CfsMeritScorer(ds), generate_ranking=True,
                                num_to_select=num_to_select)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_a_threshold_that_is_not_finite_is_refused_by_both_searches(threshold):
+    scores = [AttributeScore("a", 0.5), AttributeScore("b", 0.4)]
+    with pytest.raises(SchemaMismatch):
+        ranker_select(scores, threshold=threshold)
+    ds = _signal_noise_dataset()
+    with pytest.raises(SchemaMismatch):
+        search_greedy_stepwise(ds.attributes, CfsMeritScorer(ds), threshold=threshold, generate_ranking=True)
 
 
 def test_ranker_equal_scores_alphabetical():
@@ -591,6 +609,16 @@ def test_tune_threshold_falls_back_to_full_set():
     assert threshold < min(s.score for s in scores)
 
 
+def test_tune_threshold_with_no_scores_trains_nothing():
+    ds = _signal_noise_dataset(n=20, noise_attrs=2)
+
+    def classifier_fn(tr, te):
+        raise AssertionError("no baseline training without scores to sweep")
+
+    with pytest.raises(EmptyResult):
+        tune_threshold(ds, ds, [], classifier_fn)
+
+
 def test_tune_threshold_rejects_fpr():
     # lower is better for fpr, so "not below the baseline" would keep the worse steps
     ds = _signal_noise_dataset(n=20, noise_attrs=2)
@@ -615,15 +643,15 @@ def test_aggregate_weights_and_ordering():
         ["a"],
     ]
     ranking = aggregate_rank(lists)
-    totals = ranking.totals()
+    totals = dict(ranking)
     assert totals["a"] == 21 + 20 + 21 + 21 + 21
     assert totals["b"] == 20 + 21 + 20 + 21
-    assert ranking.entries[0][0] == "a"
+    assert ranking[0][0] == "a"
 
 
 def test_aggregate_absent_attribute_scores_zero():
     lists = [["a"]] + [[] for _ in range(6)]
-    totals = aggregate_rank(lists).totals()
+    totals = dict(aggregate_rank(lists))
     assert totals.get("zzz", 0) == 0
 
 
@@ -639,8 +667,8 @@ def test_aggregate_rejects_long_lists():
 
 def test_aggregate_is_permutation_invariant():
     lists = [["a", "b"], ["b"], ["c", "a"], [], ["a"], ["b", "c"], ["c"]]
-    fwd = aggregate_rank(lists).totals()
-    rev = aggregate_rank(list(reversed(lists))).totals()
+    fwd = aggregate_rank(lists)
+    rev = aggregate_rank(list(reversed(lists)))
     assert fwd == rev
 
 
