@@ -411,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[e.replace("_", "-") for e in featsel.EVALUATORS])
     p.add_argument("--search", default="ranker",
                    choices=[s.replace("_", "-") for s in featsel.SEARCHES])
-    p.add_argument("--threshold", type=float, default=0.0)
+    p.add_argument("--threshold", type=float, default=0.0,
+                   help="ranker: discard scores at or below it; write a negative value "
+                        "in exponent form with '=', as --threshold=-1e-3")
     p.add_argument("--num-to-select", type=int)
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--min-bucket", type=int, default=6)

@@ -29,23 +29,26 @@ mnemonic alone, and otherwise a 256-entry table indexed by the ModRM byte
 that gives ``(mnemonic, immediate code)`` or None: the opcode groups and
 the x87 escapes all resolve that way.
 
-``sweep`` first looks an instruction up in ``PAIR_TABLE``, 65,536
-entries indexed by its first two bytes, derived from ``ONE_BYTE``,
-``MODRM_LENGTH`` and the immediate sizes without operand- or
-address-size prefixes. An entry is the ``(mnemonic, length)`` those two
-bytes decode to whatever follows them, or None: an unknown opcode or
-group form, a prefix, 0F or 9B as first byte, and a ModRM byte with mod
-0 and rm 4, whose SIB byte adds a displacement when its base is 5. On a
-miss, ``sweep`` looks the two bytes after the first up in that byte's
-``lead_tables()`` entry, derived the same way: the one-byte map under 66
-(16-bit immediates) and under 67 (16-bit addressing, so no SIB byte),
-the 0F map after 0F, and ``PAIR_TABLE`` itself after a segment, lock or
-repeat prefix, none of which changes a one-byte instruction's length. A
-hit there is one byte longer. The lead tables are built on the first
-sweep, so importing the module stays cheap. Whatever both lookups miss
-goes to ``decode_one``: two or more prefixes, 66, F2 or F3 before 0F,
-0F 38 and 0F 3A, 9B, SIB forms, and the last ``MAX_INSTRUCTION_LENGTH``
-bytes of a buffer, where an instruction may be cut short.
+``sweep`` takes most instructions from ``lead_tables()``, arrays built
+on the first sweep, so importing the module stays cheap. A pair table
+gives the name id and length that the first two bytes of an instruction
+decode to whatever follows them, indexed by ``(first << 8) | second``,
+or length 0: an unknown opcode or group form, a prefix, 0F or 9B as
+first byte, and a ModRM byte with mod 0 and rm 4, whose SIB byte adds a
+displacement when its base is 5. The tables are derived from
+``ONE_BYTE``, ``TWO_BYTE`` and ``MODRM_LENGTH`` by one rule: the
+one-byte map with no prefix, under 66 (16-bit immediates) and under 67
+(16-bit addressing, so no SIB byte), and the 0F map. Per buffer, one
+numpy gather reads the one-byte pair table at every offset. Only where
+it misses, the byte there picks a lead table for the two bytes after
+it: the 66, 67 or 0F table, or the plain one after a segment, lock or
+repeat prefix, none of which changes a one-byte instruction's length.
+A hit there is one byte longer. Then a Python loop walks the buffer by
+those lengths, records the offsets it steps on and counts their names
+with one ``np.bincount`` per sweep. Where the length is 0 the walk calls
+``decode_one``: two or more prefixes, 66, F2 or F3 before 0F, 0F 38 and
+0F 3A, 9B, SIB forms, and the last ``MAX_INSTRUCTION_LENGTH - 1`` bytes
+of a buffer, where an instruction may be cut short.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NoExecutableSection, NoInstructionsDecoded
 from .pe import PeImage
@@ -463,51 +468,66 @@ MODRM_LENGTH = (
 )
 
 
-def _pair_table(entries: tuple, osize16: bool = False, asize16: bool = False) -> tuple:
+def _pair_table(entries: tuple, names: dict[str, int], osize16: bool = False,
+                asize16: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Each opcode of the 256-entry map ``entries`` crossed with every byte
     that can follow it, as ``(first << 8) | second``, under the given
-    operand and address sizes. Equal ``(mnemonic, length)`` entries are
-    one shared tuple."""
-    interned: dict = {}
-    table: list = []
+    operand and address sizes: the name ids and the lengths those two
+    bytes decode to whatever follows them, length 0 where they do not
+    decide one. ``names`` maps each mnemonic to its id and takes in new
+    ones."""
+    ids: list[int] = []
+    lengths: list[int] = []
     column = osize16 + 2 * asize16  # of _IMMEDIATE_LENGTHS
     for entry in entries:
         if entry is None:
-            table += [None] * 256
+            ids += [0] * 256
+            lengths += [0] * 256
             continue
         name, imm, modrm = entry
         if not modrm:
-            key = (name, 1 + _IMMEDIATE_LENGTHS[imm][column])
-            table += [interned.setdefault(key, key)] * 256
+            ids += [names.setdefault(name, len(names))] * 256
+            lengths += [1 + _IMMEDIATE_LENGTHS[imm][column]] * 256
             continue
         forms = [(name, imm)] * 256 if modrm is True else modrm
         for m, (form, modrm_length) in enumerate(zip(forms, MODRM_LENGTH[asize16])):
             if form is None or (m & 0xC7 == 0x04 and not asize16):
-                table.append(None)
+                ids.append(0)
+                lengths.append(0)
             else:
-                key = (form[0], 1 + modrm_length + _IMMEDIATE_LENGTHS[form[1]][column])
-                table.append(interned.setdefault(key, key))
-    return tuple(table)
+                ids.append(names.setdefault(form[0], len(names)))
+                lengths.append(1 + modrm_length + _IMMEDIATE_LENGTHS[form[1]][column])
+    return np.array(ids, np.uint16), np.array(lengths, np.uint8)
 
 
-PAIR_TABLE = _pair_table(ONE_BYTE)
+class LeadTables(NamedTuple):
+    """The pair tables ``sweep`` reads, as rows of ``ids`` and ``lengths``
+    indexed by ``(first << 8) | second``: row 0 is the one-byte map, rows
+    1 and 2 the one-byte map under 66 and under 67, row 3 the 0F map,
+    and row 4 is all zeros. ``row[lead]`` is the row of the two bytes
+    after the byte ``lead``: row 0 after a segment, lock or repeat
+    prefix, which leaves a one-byte instruction's length alone, and row
+    4 after any byte that is not a prefix or 0F."""
+    names: tuple[str, ...]  # by name id
+    row: np.ndarray  # uint8, 256
+    ids: np.ndarray  # uint16, 5 x 65,536
+    lengths: np.ndarray  # uint8, 5 x 65,536
 
 
 @functools.cache
-def lead_tables() -> tuple:
-    """For each lead byte, the pair table of the two bytes after it: the
-    one-byte map under 66 and under 67, the 0F map after 0F, and
-    ``PAIR_TABLE`` itself after a segment, lock or repeat prefix, which
-    leaves a one-byte instruction's length alone. Any other lead byte
-    gets a table of None. Built on the first sweep, not at import."""
-    miss = (None,) * (1 << 16)
-    tables = [miss] * 256
-    for prefix in PREFIX_BYTES:
-        tables[prefix] = PAIR_TABLE
-    tables[0x66] = _pair_table(ONE_BYTE, osize16=True)
-    tables[0x67] = _pair_table(ONE_BYTE, asize16=True)
-    tables[0x0F] = _pair_table(TWO_BYTE[None])
-    return tuple(tables)
+def lead_tables() -> LeadTables:
+    """The tables of ``sweep``, built on the first sweep, not at import."""
+    names: dict[str, int] = {}
+    rows = [_pair_table(ONE_BYTE, names), _pair_table(ONE_BYTE, names, osize16=True),
+            _pair_table(ONE_BYTE, names, asize16=True), _pair_table(TWO_BYTE[None], names)]
+    rows.append((np.zeros(1 << 16, np.uint16), np.zeros(1 << 16, np.uint8)))
+    ids, lengths = map(np.stack, zip(*rows))
+    row = np.full(256, 4, np.uint8)
+    row[sorted(PREFIX_BYTES)] = 0
+    row[[0x66, 0x67, 0x0F]] = (1, 2, 3)
+    for shared in (row, ids, lengths):  # every sweep reads these same arrays
+        shared.flags.writeable = False
+    return LeadTables(tuple(names), row, ids, lengths)
 
 
 def decode_one(code: bytes, pos: int) -> DecodedInstruction | None:
@@ -578,36 +598,61 @@ def _finish(code, start, pos, limit, entry, osize16, asize16) -> DecodedInstruct
     return DecodedInstruction(name, pos - start)
 
 
+def _steps(code: bytes, tables: LeadTables) -> tuple[bytes, np.ndarray]:
+    """The step ``sweep`` takes at each offset of ``code`` without
+    ``decode_one``, and the name id it counts there: the length the pair
+    table gives, else the lead table one byte longer, else 0. The last
+    ``MAX_INSTRUCTION_LENGTH - 1`` offsets, where an instruction may be
+    cut short, are 0 too."""
+    end = len(code)
+    stop = end - MAX_INSTRUCTION_LENGTH
+    steps = np.zeros(end, np.uint8)
+    if stop < 0:
+        return steps.tobytes(), np.zeros(0, np.uint16)
+    b = np.frombuffer(code, np.uint8)
+    pair = b[:stop + 1].astype(np.uint16) << 8 | b[1:stop + 2]
+    ids = tables.ids[0, pair]
+    lengths = steps[:stop + 1]  # a view: writing it writes steps
+    lengths[:] = tables.lengths[0, pair]
+    miss = np.flatnonzero(lengths == 0)
+    row, after = tables.row[b[miss]], b[miss + 1].astype(np.uint16) << 8 | b[miss + 2]
+    lead_lengths = tables.lengths[row, after]
+    ids[miss] = tables.ids[row, after]
+    lengths[miss] = lead_lengths + (lead_lengths != 0)
+    return steps.tobytes(), ids
+
+
 def sweep(*codes: bytes) -> DecodedCount:
     """Linear sweep of each buffer in turn, into one count: decode,
     advance by the instruction length; count an undecodable byte as
     unknown and advance one byte."""
-    lead = lead_tables()
+    tables = lead_tables()
     counts: dict[str, int] = {}
-    unknown = decoded = 0
+    unknown = 0
+    path_ids = [np.zeros(0, np.uint16)]  # one array at least, for np.concatenate
     for code in codes:
-        pos = 0
-        end = len(code)
-        stop = end - MAX_INSTRUCTION_LENGTH  # past it, an instruction may be cut short
+        steps, ids = _steps(code, tables)
+        on_path = bytearray(len(ids))
+        pos, end = 0, len(code)
         while pos < end:
-            hit = None
-            if pos <= stop:
-                hit = PAIR_TABLE[code[pos] << 8 | code[pos + 1]]
-                if hit is None:
-                    hit = lead[code[pos]][code[pos + 1] << 8 | code[pos + 2]]
-                    if hit is not None:
-                        pos += 1  # the lead byte
+            step = steps[pos]
+            if step:
+                on_path[pos] = 1
+                pos += step
+                continue
+            hit = decode_one(code, pos)
             if hit is None:
-                hit = decode_one(code, pos)
-                if hit is None:
-                    unknown += 1
-                    pos += 1
-                    continue
-            name, length = hit
-            counts[name] = counts.get(name, 0) + 1
-            decoded += 1
-            pos += length
-    return DecodedCount(counts, unknown, decoded)
+                unknown += 1
+                pos += 1
+            else:
+                counts[hit.mnemonic] = counts.get(hit.mnemonic, 0) + 1
+                pos += hit.length
+        path_ids.append(ids[np.frombuffer(on_path, np.bool_)])
+    tally = np.bincount(np.concatenate(path_ids))
+    for name_id in np.flatnonzero(tally):
+        name = tables.names[name_id]
+        counts[name] = counts.get(name, 0) + int(tally[name_id])
+    return DecodedCount(counts, unknown, sum(counts.values()))
 
 
 def count_opcodes(image: PeImage) -> DecodedCount:

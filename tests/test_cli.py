@@ -84,6 +84,18 @@ def test_select_reduce_roundtrip(pipeline):
     assert reduced.attributes == selection.retained
 
 
+def test_a_negative_threshold_in_exponent_form_selects_with_the_equals_sign(pipeline, tmp_path):
+    # argparse takes a bare "-1e-3" for an option; "--threshold=-1e-3" is a value
+    assert run("select", pipeline / "train.csv", "--evaluator", "correlation",
+               "--threshold=-1e-3", "--out", tmp_path / "sel.json") == 0
+    selection = load_selection((tmp_path / "sel.json").read_text())
+    assert selection.threshold == -1e-3
+    train = read_csv((pipeline / "train.csv").read_bytes())
+    assert sorted(selection.retained) == sorted(train.attributes)  # every score is above -1e-3
+    assert run("reduce", pipeline / "train.csv", tmp_path / "sel.json", "--out", tmp_path / "reduced.csv") == 0
+    assert read_csv((tmp_path / "reduced.csv").read_bytes()).attributes == selection.retained
+
+
 def test_reduce_to_an_empty_selection_reads_back(pipeline):
     # no correlation score passes a threshold of 2, so no attribute is kept
     assert run("select", pipeline / "train.csv", "--evaluator", "correlation",

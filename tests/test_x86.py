@@ -7,10 +7,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opdense import x86
-from opdense.x86 import (MAX_INSTRUCTION_LENGTH, ONE_BYTE, PAIR_TABLE, PREFIX_BYTES, THREE_BYTE_38,
-                         THREE_BYTE_3A, TWO_BYTE, decode_one, lead_tables, sweep)
+from opdense.x86 import (MAX_INSTRUCTION_LENGTH, ONE_BYTE, PREFIX_BYTES, THREE_BYTE_38, THREE_BYTE_3A,
+                         TWO_BYTE, decode_one, lead_tables, sweep)
 
 # (bytes, mnemonic, length) - lengths worked out by hand from the
 # ModRM/SIB/displacement/immediate rules
@@ -254,34 +256,35 @@ _LEADS = sorted(PREFIX_BYTES | {0x0F})
 
 
 def test_pair_table_entries_decode_alike_after_any_tail():
-    # PAIR_TABLE, then each lead table: a hit is one byte longer after the lead
+    # the one-byte pair table, then each lead table: a hit is one byte
+    # longer after the lead
+    tables = lead_tables()
     for lead in [None] + _LEADS:
-        table = PAIR_TABLE if lead is None else lead_tables()[lead]
+        row = 0 if lead is None else tables.row[lead]
         before = b"" if lead is None else bytes([lead])
-        assert len(table) == 1 << 16
-        for key, entry in enumerate(table):
+        for key, (name_id, length) in enumerate(zip(tables.ids[row].tolist(), tables.lengths[row].tolist())):
             pair = key.to_bytes(2, "big")
             decoded = {decode_one(before + pair + tail, 0) for tail in _PAIR_TAILS}
-            if entry is not None:
-                assert decoded == {(entry[0], entry[1] + len(before))}, (before + pair).hex()
+            if length:
+                assert decoded == {(tables.names[name_id], length + len(before))}, (before + pair).hex()
             else:
                 # left to decode_one: a prefix or escape (0F 38 and 0F 3A
                 # after 0F), no instruction, or one whose length the next
                 # byte decides
                 escapes = {0x38, 0x3A} if lead == 0x0F else PREFIX_BYTES | {0x0F, 0x9B}
                 assert pair[0] in escapes or None in decoded or len(decoded) > 1, (before + pair).hex()
-        hits = [entry for entry in table if entry is not None]
-        assert len({id(entry) for entry in hits}) == len(set(hits))  # equal entries are shared
 
 
 def test_lead_tables_cover_prefixes_and_0f_and_miss_for_any_other_lead():
     tables = lead_tables()
-    assert len(tables) == 256 and lead_tables() is tables  # built once
-    assert all(tables[b] is PAIR_TABLE for b in PREFIX_BYTES - {0x66, 0x67})
-    assert len({id(tables[b]) for b in (0x66, 0x67, 0x0F)} | {id(PAIR_TABLE)}) == 4
-    assert tables[0x0F][0x66C1] == ("pcmpgtd", 2)  # 66 as the byte after 0F is an opcode
-    others = [tables[b] for b in range(256) if b not in PREFIX_BYTES | {0x0F}]
-    assert len({id(t) for t in others}) == 1 and set(others[0]) == {None}
+    assert lead_tables() is tables  # built once
+    assert tables.ids.shape == tables.lengths.shape == (5, 1 << 16) and len(tables.row) == 256
+    assert {tables.row[b] for b in PREFIX_BYTES - {0x66, 0x67}} == {0}
+    assert len({tables.row[b] for b in (0x66, 0x67, 0x0F)} | {0}) == 4
+    on_0f = tables.row[0x0F]  # 66 as the byte after 0F is an opcode
+    assert (tables.names[tables.ids[on_0f, 0x66C1]], tables.lengths[on_0f, 0x66C1]) == ("pcmpgtd", 2)
+    others = {tables.row[b] for b in range(256) if b not in PREFIX_BYTES | {0x0F}}
+    assert len(others) == 1 and not tables.lengths[others.pop()].any()
 
 
 def _decode_one_sweep(code):
@@ -339,6 +342,34 @@ def test_sweep_equals_decode_one_on_blobs_steered_by_every_lead_byte():
         _assert_sweeps_alike(_steered_blob(seed, 5000, _LEAD_STEERING))
     for size in range(41):
         _assert_sweeps_alike(_steered_blob(size, size, _LEAD_STEERING))
+
+
+# bytes drawn toward the lookups' misses: prefixes, 0F and 9B, ModRM
+# bytes that a SIB byte follows, and SIB bytes of base 5
+_BIASED_BYTE = st.one_of(
+    st.integers(0, 255),
+    st.sampled_from(sorted(PREFIX_BYTES | {0x0F, 0x9B})),
+    st.builds(lambda mod, reg: mod << 6 | reg << 3 | 4, st.integers(0, 2), st.integers(0, 7)),
+    st.builds(lambda scale_index: scale_index << 3 | 5, st.integers(0, 31)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_BIASED_BYTE, max_size=64).map(bytes), max_size=4))
+# 66 B8 iw, a lead-table hit, on the last offset the tables serve; and
+# add [disp32], imm32 with a SIB byte, which decode_one takes from there
+# into the last bytes of the buffer
+@example([b"\x90" + bytes.fromhex("66B80100") + b"\x90" * 11])
+@example([b"\x90" * 4 + bytes.fromhex("81042578563412AABBCCDD") + b"\x90" * 5, b"\x0f"])
+def test_sweep_of_buffers_equals_the_sum_of_decode_one_sweeps(codes):
+    counts, unknown = {}, 0
+    for code in codes:
+        code_counts, code_unknown, _ = _decode_one_sweep(code)
+        for name, n in code_counts.items():
+            counts[name] = counts.get(name, 0) + n
+        unknown += code_unknown
+    result = sweep(*codes)
+    assert (result.counts, result.unknown_bytes, result.decoded_instructions) == (counts, unknown, sum(counts.values()))
 
 
 # plain entries - (mnemonic, immediate code, has ModRM) - of the decoder's
