@@ -6,9 +6,9 @@ Subcommands wire the pipeline end to end:
           -> cv / select / reduce / tune-kernel / tune-threshold
           -> rank-aggregate
 
-Every command is deterministic for fixed inputs and flags (reports carry
-no timestamps unless --stamp is given) and exits 0 on success, 1 on
-usage errors, 2 on data errors, 3 on numeric failures.
+Every command is deterministic for fixed inputs and flags (no output
+carries a timestamp) and exits 0 on success, 1 on usage errors, 2 on
+data errors, 3 on numeric failures.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import featsel
@@ -90,9 +89,7 @@ def _trainer_config(args) -> TrainerConfig:
     return TrainerConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
 
 
-def _write_report(text: str, json_text: str, out: str, stamp: bool) -> None:
-    if stamp:
-        text = f"generated: {datetime.now(timezone.utc).isoformat()}\n" + text
+def _write_report(text: str, json_text: str, out: str) -> None:
     Path(out).write_bytes(text.encode("utf-8"))
     Path(out + ".json").write_bytes(json_text.encode("utf-8"))
 
@@ -204,7 +201,7 @@ def cmd_eval(args) -> int:
     model = load_model(_read_text(args.model))
     test = _read_ds(args.test)
     report = holdout_evaluate(model, test)
-    _write_report(render_report(report), report_to_json(report), args.out, args.stamp)
+    _write_report(render_report(report), report_to_json(report), args.out)
     print(f"weighted precision: {report.weighted.precision * 100:.1f}%  "
           f"accuracy: {report.matrix.accuracy() * 100:.1f}%")
     return 0
@@ -216,7 +213,7 @@ def cmd_cv(args) -> int:
     report = cross_validate(ds, k=args.k, seed=args.seed,
                             trainer_fn=make_trainer(spec, _trainer_config(args)),
                             description=f"{args.k}-fold cross-validation [{spec.describe()}]")
-    _write_report(render_report(report), report_to_json(report), args.out, args.stamp)
+    _write_report(render_report(report), report_to_json(report), args.out)
     print(f"cv weighted precision: {report.weighted.precision * 100:.1f}%")
     return 0
 
@@ -247,7 +244,7 @@ def cmd_select(args) -> int:
         scores = featsel.rank_attributes(
             ds, evaluator,
             bins=args.bins, min_bucket=args.min_bucket,
-            relieff_k=args.relieff_k, seed=args.seed)
+            relieff_k=args.relieff_k)
         result = featsel.ranker_select(scores, args.threshold, args.num_to_select, evaluator=evaluator)
     Path(args.out).write_bytes(featsel.save_selection(result).encode("utf-8"))
     print(f"{args.evaluator}/{args.search}: retained {len(result.retained)} of {ds.n_attributes} attributes")
@@ -285,7 +282,7 @@ def cmd_tune_kernel(args) -> int:
             "fpr": w.fpr,
             "support_vectors": cell.n_support_vectors,
         })
-    _write_report("\n".join(lines) + "\n", json.dumps(rows, indent=2) + "\n", args.out, args.stamp)
+    _write_report("\n".join(lines) + "\n", json.dumps(rows, indent=2, allow_nan=False) + "\n", args.out)
     best = cells[0]
     if best.report is not None:
         print(f"best cell: {best.spec.describe()} "
@@ -317,8 +314,8 @@ def cmd_tune_threshold(args) -> int:
     lines.append(f"chosen threshold: {threshold:.8f} retaining {len(best.retained)} attributes")
     _write_report("\n".join(lines) + "\n",
                   json.dumps({"threshold": threshold, "retained": len(best.retained), "sweep": sweep},
-                             indent=2) + "\n",
-                  args.out, args.stamp)
+                             indent=2, allow_nan=False) + "\n",
+                  args.out)
     if args.selection_out:
         Path(args.selection_out).write_bytes(featsel.save_selection(best).encode("utf-8"))
     print(f"kept {len(best.retained)} of {len(selection.scores)} attributes at threshold {threshold:.8f}")
@@ -393,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("test")
     p.add_argument("--out", required=True)
-    p.add_argument("--stamp", action="store_true", help="prepend a timestamp to the report")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
@@ -402,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     _add_kernel_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(fn=cmd_cv)
 
     p = sub.add_parser("select", help="attribute selection")
@@ -423,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="greedy-stepwise: record selection order as a ranking")
     p.add_argument("--pca-matrix", choices=("correlation", "covariance"), default="correlation")
     p.add_argument("--pca-variance", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_select)
 
@@ -440,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated kernel families")
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.add_argument("--out", required=True)
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(fn=cmd_tune_kernel)
 
     p = sub.add_parser("tune-threshold", help="decremental score-threshold sweep")
@@ -452,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("precision", "recall", "tpr", "f_measure"))
     p.add_argument("--selection-out", help="write the chosen reduced selection here")
     p.add_argument("--out", required=True)
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(fn=cmd_tune_threshold)
 
     p = sub.add_parser("rank-aggregate", help="merge 7 ranked selections into one table")

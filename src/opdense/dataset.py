@@ -162,19 +162,20 @@ def apply_scaling(ds: Dataset, params: ScalingParams) -> Dataset:
     return replace(ds, X=_scale_matrix(ds.X, params), scaling=params)
 
 
-def quantile(values: Sequence[float] | np.ndarray, q: float) -> float:
+def quantile(values: Sequence[float] | np.ndarray, q: float | Sequence[float]) -> float | np.ndarray:
     """Linear interpolation between order statistics at position (n+1)*q,
-    clamped to [1, n]. This is the one quantile rule used everywhere."""
+    clamped to [1, n]. This is the one quantile rule used everywhere.
+    ``q`` is one level, giving a float, or several, giving an array; the
+    values are sorted once for all of them."""
     data = np.sort(np.asarray(values, dtype=float))
     n = data.size
     if n == 0:
         raise EmptyResult("quantile of empty data")
-    pos = min(max((n + 1) * q, 1.0), float(n))
-    lo = int(math.floor(pos))
-    frac = pos - lo
-    if lo >= n:
-        return float(data[-1])
-    return float(data[lo - 1] + frac * (data[lo] - data[lo - 1]))
+    pos = np.clip((n + 1) * np.array(q, dtype=float, ndmin=1), 1.0, float(n))
+    lo = np.floor(pos).astype(np.intp)
+    below, above = data[lo - 1], data[np.minimum(lo, n - 1)]
+    out = np.where(lo < n, below + (pos - lo) * (above - below), data[-1])
+    return float(out[0]) if np.ndim(q) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -201,8 +202,7 @@ def iqr_flag(ds: Dataset, outlier_factor: float = 3.0, extreme_factor: float = 6
     extreme = np.zeros(ds.n_instances, dtype=bool)
     for j in range(ds.n_attributes):
         col = ds.X[:, j]
-        q1 = quantile(col, 0.25)
-        q3 = quantile(col, 0.75)
+        q1, q3 = quantile(col, (0.25, 0.75))
         iqr = q3 - q1
         out_mask = (col < q1 - outlier_factor * iqr) | (col > q3 + outlier_factor * iqr)
         ext_mask = (col < q1 - extreme_factor * iqr) | (col > q3 + extreme_factor * iqr)

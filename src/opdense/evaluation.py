@@ -161,12 +161,9 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> list[list[int]]:
     return folds
 
 
-def cross_validate(ds: Dataset, k: int = 10, seed: int = 42, trainer_fn: TrainerFn | None = None,
-                   description: str = "") -> EvalReport:
+def cross_validate(ds: Dataset, k: int, seed: int, trainer_fn: TrainerFn, description: str = "") -> EvalReport:
     """Stratified k-fold cross validation pooling every held-out
     prediction into a single confusion matrix."""
-    if trainer_fn is None:
-        trainer_fn = make_trainer(KernelSpec())
     present = class_order(ds.scheme, ds.labels)
     folds = stratified_folds(ds, k, seed)
     actual: list[str] = []
@@ -297,4 +294,4 @@ def report_to_json(report: EvalReport) -> str:
         "matrix": [[int(v) for v in row] for row in report.matrix.cells],
         "warnings": list(report.warnings),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -24,12 +24,8 @@ def discretize_equal_frequency(values, bins: int = 10) -> np.ndarray:
     if bins < 2:
         raise SchemaMismatch("need at least 2 bins")
     values = np.asarray(values, dtype=float)
-    cuts: list[float] = []
-    for k in range(1, bins):
-        c = quantile(values, k / bins)
-        if not cuts or c > cuts[-1]:
-            cuts.append(c)
-    return np.searchsorted(np.array(cuts), values, side="left")
+    cuts = np.unique(quantile(values, np.arange(1, bins) / bins))
+    return np.searchsorted(cuts, values, side="left")
 
 
 def _entropy_from_codes(codes: np.ndarray) -> float:

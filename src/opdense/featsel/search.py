@@ -178,7 +178,7 @@ def tune_threshold(
         "retained": len(score_list),
         "metric": baseline,
     }]
-    best: SelectionResult | None = None
+    best = ranker_select(score_list, threshold=floor, evaluator=evaluator)  # every attribute
     for t in sorted({float(s.score) for s in score_list}):
         selection = ranker_select(score_list, threshold=t, evaluator=evaluator)
         if not selection.retained:
@@ -190,8 +190,6 @@ def tune_threshold(
         except EmptyResult:
             break
         sweep.append({"threshold": t, "retained": len(selection.retained), "metric": value})
-        if value >= baseline - 1e-12 and (best is None or len(selection.retained) < len(best.retained)):
+        if value >= baseline - 1e-12 and len(selection.retained) < len(best.retained):
             best = selection
-    if best is None:
-        return floor, ranker_select(score_list, threshold=floor, evaluator=evaluator), sweep
     return best.threshold, best, sweep

@@ -40,13 +40,14 @@ of a step covers the whole stack, and on problems of a few dozen rows
 the calls, not the arithmetic, are the cost. Every pass steps every
 live problem, so the live problems have all taken the same number of
 steps. When a pass finds some gaps closed or the cap reached, only those
-problems get t recomputed exactly, each on its own unpadded Gram (before
-the first step t = y is exact already), and are tested again. The ones
-still closed or at the cap leave the stack; the others step in the same
-pass, as ``smo_solve`` steps after its own recompute. Stacks are cut in
-training order under ``STACK_CELLS`` padded Gram cells. A stack of one
-problem (a binary model, or a pair too large to share) goes to
-``smo_solve``, whose per-step cost is lower.
+problems get t recomputed exactly, each on its own block of the padded
+stack, the one copy of its Gram (before the first step t = y is exact
+already), and are tested again. The ones still closed or at the cap
+leave the stack; the others step in the same pass, as ``smo_solve``
+steps after its own recompute. Stacks are cut in training order under
+``STACK_CELLS`` padded Gram cells. A stack of one problem (a binary
+model, or a pair too large to share) goes to ``smo_solve``, whose
+per-step cost is lower.
 """
 
 from __future__ import annotations
@@ -131,7 +132,9 @@ def smo_solve_lockstep(grams: Iterable[np.ndarray], ys: Sequence[np.ndarray], C:
                        config: TrainerConfig = TrainerConfig()) -> list[SmoSolution]:
     """``smo_solve`` on every ``(gram, y)`` pair, in one lockstep loop per
     stack. ``grams`` is read one stack at a time, so a generator computes
-    each Gram only when its stack is built."""
+    each Gram only when its stack is built. Each Gram must be exactly
+    symmetric, as every ``gram_matrix(spec, X)`` is: the stack holds only
+    its transpose, and recomputes t from that."""
     grams = iter(grams)
     solutions: list[SmoSolution] = []
     start = 0
@@ -140,25 +143,26 @@ def smo_solve_lockstep(grams: Iterable[np.ndarray], ys: Sequence[np.ndarray], C:
         while stop < len(ys) and (stop + 1 - start) * max(width, len(ys[stop])) ** 2 <= STACK_CELLS:
             width = max(width, len(ys[stop]))
             stop += 1
-        stack = [(np.asarray(next(grams), dtype=float), np.asarray(y, dtype=float)) for y in ys[start:stop]]
-        if len(stack) == 1:
-            solutions.append(smo_solve(*stack[0], C, config))
+        if stop - start == 1:
+            solutions.append(smo_solve(next(grams), ys[start], C, config))
         else:
-            solutions += _solve_stack(stack, width, float(C), config)
+            solutions += _solve_stack(grams, [np.asarray(y, dtype=float) for y in ys[start:stop]],
+                                      width, float(C), config)
         start = stop
     return solutions
 
 
-def _solve_stack(stack, width, C, config) -> list[SmoSolution]:
+def _solve_stack(grams, ys, width, C, config) -> list[SmoSolution]:
+    """The lockstep loop on ``ys`` and the next ``len(ys)`` of ``grams``."""
     tolerance, max_iterations = config.tolerance, config.max_iterations
-    count = len(stack)
+    count = len(ys)
     gram_rows = np.zeros((count, width, width))  # row i is column i of the problem's Gram
     t = np.zeros((count, width))
     upper = np.zeros((count, width))
     lower = np.zeros((count, width))
-    for p, (gram, y) in enumerate(stack):
+    for p, y in enumerate(ys):
         n = len(y)
-        gram_rows[p, :n, :n] = gram.T
+        gram_rows[p, :n, :n] = np.asarray(next(grams), dtype=float).T
         t[p, :n] = y
         upper[p, :n] = np.where(y > 0, C, 0.0)
         lower[p, :n] = upper[p, :n] - C
@@ -176,14 +180,14 @@ def _solve_stack(stack, width, C, config) -> list[SmoSolution]:
             stopped = np.flatnonzero(~open_gap | (steps == max_iterations))
             if steps:  # t has drifted: recompute it exactly and test the stopped rows again
                 for r in stopped:
-                    gram, y = stack[live[r]]
-                    t[r, :len(y)] = y - gram @ beta[r, :len(y)].copy()
+                    y = ys[live[r]]
+                    t[r, :len(y)] = y - gram_rows[live[r], :len(y), :len(y)] @ beta[r, :len(y)].copy()
                 t_low[stopped], i[stopped], top[stopped], bottom[stopped] = _ends(
                     beta[stopped], t[stopped], upper[stopped], lower[stopped], base[:len(stopped)])
                 open_gap = top - bottom > 2.0 * tolerance
             done = ~open_gap | (steps == max_iterations)
             for r in np.flatnonzero(done):
-                solutions[live[r]] = _solution(len(stack[live[r]][1]), beta[r], top[r], bottom[r], steps, open_gap[r])
+                solutions[live[r]] = _solution(len(ys[live[r]]), beta[r], top[r], bottom[r], steps, open_gap[r])
             keep = ~done
             live, beta, t, upper, lower, diag, t_low, i, top = (
                 a[keep] for a in (live, beta, t, upper, lower, diag, t_low, i, top))

@@ -9,7 +9,7 @@ decision value maps to the +1 side.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .labels import LabelScheme, class_order
 from .smo import EPSILON, TrainerConfig, smo_solve_lockstep
 
 MODEL_SCHEMA_VERSION = 3
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # no indent: the C encoder
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode  # no indent: the C encoder
 
 
 @dataclass
@@ -176,15 +176,7 @@ def save_model(model: MulticlassSvmModel) -> str:
         "scheme": model.scheme.value,
         "classes": list(model.classes),
         "attributes": list(model.attributes),
-        "kernel": {
-            "family": model.kernel.family,
-            "exponent": model.kernel.exponent,
-            "use_lower_order": model.kernel.use_lower_order,
-            "gamma": model.kernel.gamma,
-            "sigma": model.kernel.sigma,
-            "omega": model.kernel.omega,
-            "C": model.kernel.C,
-        },
+        "kernel": asdict(model.kernel),
         "scaling": None if model.scaling is None else {
             "min": list(model.scaling.mins),
             "max": list(model.scaling.maxs),

@@ -45,7 +45,10 @@ it: the 66, 67 or 0F table, or the plain one after a segment, lock or
 repeat prefix, none of which changes a one-byte instruction's length.
 A hit there is one byte longer. Then a Python loop walks the buffer by
 those lengths, records the offsets it steps on and counts their names
-with one ``np.bincount`` per sweep. Where the length is 0 the walk calls
+with one ``np.bincount``. The lookups and the walk take a buffer one
+window of ``SWEEP_WINDOW`` bytes at a time, so their arrays stay the
+size of a window, and the walk carries its position across a window's
+end. Where the length is 0 the walk calls
 ``decode_one``: two or more prefixes, 66, F2 or F3 before 0F, 0F 38 and
 0F 3A, 9B, SIB forms, and the last ``MAX_INSTRUCTION_LENGTH - 1`` bytes
 of a buffer, where an instruction may be cut short.
@@ -65,6 +68,7 @@ from .reports import OpcodeHistogram
 
 PREFIX_BYTES = frozenset({0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67, 0xF0, 0xF2, 0xF3})
 MAX_INSTRUCTION_LENGTH = 15
+SWEEP_WINDOW = 1 << 16  # bytes of a buffer that ``sweep`` tables and walks at a time
 
 # immediate bytes by code, indexed by osize16 + 2 * asize16: iz (also
 # rel16/32) shrinks to 16 bits under the operand-size prefix, ptr is a
@@ -598,21 +602,21 @@ def _finish(code, start, pos, limit, entry, osize16, asize16) -> DecodedInstruct
     return DecodedInstruction(name, pos - start)
 
 
-def _steps(code: bytes, tables: LeadTables) -> tuple[bytes, np.ndarray]:
-    """The step ``sweep`` takes at each offset of ``code`` without
-    ``decode_one``, and the name id it counts there: the length the pair
-    table gives, else the lead table one byte longer, else 0. The last
-    ``MAX_INSTRUCTION_LENGTH - 1`` offsets, where an instruction may be
-    cut short, are 0 too."""
-    end = len(code)
-    stop = end - MAX_INSTRUCTION_LENGTH
-    steps = np.zeros(end, np.uint8)
-    if stop < 0:
+def _steps(code: bytes, start: int, tables: LeadTables) -> tuple[bytes, np.ndarray]:
+    """The step ``sweep`` takes at each offset of the window of ``code``
+    from ``start``, without ``decode_one``, and the name id it counts
+    there: the length the pair table gives, else the lead table one byte
+    longer, else 0. The last ``MAX_INSTRUCTION_LENGTH - 1`` offsets of
+    ``code``, where an instruction may be cut short, are 0 too."""
+    end = min(len(code), start + SWEEP_WINDOW)
+    tabled = min(end, len(code) - MAX_INSTRUCTION_LENGTH + 1) - start  # offsets the tables serve
+    steps = np.zeros(end - start, np.uint8)
+    if tabled <= 0:
         return steps.tobytes(), np.zeros(0, np.uint16)
-    b = np.frombuffer(code, np.uint8)
-    pair = b[:stop + 1].astype(np.uint16) << 8 | b[1:stop + 2]
+    b = np.frombuffer(code, np.uint8, tabled + 2, start)  # a lookup reads up to two bytes on
+    pair = b[:tabled].astype(np.uint16) << 8 | b[1:tabled + 1]
     ids = tables.ids[0, pair]
-    lengths = steps[:stop + 1]  # a view: writing it writes steps
+    lengths = steps[:tabled]  # a view: writing it writes steps
     lengths[:] = tables.lengths[0, pair]
     miss = np.flatnonzero(lengths == 0)
     row, after = tables.row[b[miss]], b[miss + 1].astype(np.uint16) << 8 | b[miss + 2]
@@ -629,26 +633,28 @@ def sweep(*codes: bytes) -> DecodedCount:
     tables = lead_tables()
     counts: dict[str, int] = {}
     unknown = 0
-    path_ids = [np.zeros(0, np.uint16)]  # one array at least, for np.concatenate
+    tally = np.zeros(len(tables.names), np.int64)
     for code in codes:
-        steps, ids = _steps(code, tables)
-        on_path = bytearray(len(ids))
-        pos, end = 0, len(code)
-        while pos < end:
-            step = steps[pos]
-            if step:
-                on_path[pos] = 1
-                pos += step
-                continue
-            hit = decode_one(code, pos)
-            if hit is None:
-                unknown += 1
-                pos += 1
-            else:
-                counts[hit.mnemonic] = counts.get(hit.mnemonic, 0) + 1
-                pos += hit.length
-        path_ids.append(ids[np.frombuffer(on_path, np.bool_)])
-    tally = np.bincount(np.concatenate(path_ids))
+        pos = 0  # from the start of the window, which an instruction may run past
+        for start in range(0, len(code), SWEEP_WINDOW):
+            steps, ids = _steps(code, start, tables)
+            on_path = bytearray(len(ids))
+            end = len(steps)
+            while pos < end:
+                step = steps[pos]
+                if step:
+                    on_path[pos] = 1
+                    pos += step
+                    continue
+                hit = decode_one(code, start + pos)
+                if hit is None:
+                    unknown += 1
+                    pos += 1
+                else:
+                    counts[hit.mnemonic] = counts.get(hit.mnemonic, 0) + 1
+                    pos += hit.length
+            pos -= end
+            tally += np.bincount(ids[np.frombuffer(on_path, np.bool_)], minlength=len(tally))
     for name_id in np.flatnonzero(tally):
         name = tables.names[name_id]
         counts[name] = counts.get(name, 0) + int(tally[name_id])

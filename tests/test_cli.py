@@ -174,6 +174,16 @@ def test_pca_selection_has_no_ranking_to_sweep_or_aggregate(pipeline, tmp_path, 
     assert capsys.readouterr().err.startswith("error: UsageError: principal components")
 
 
+def test_removed_options_exit_1_and_write_no_file(pipeline, tmp_path, capsys):
+    # no evaluator draws a random number, and no report carries the time
+    assert run("select", pipeline / "train.csv", "--evaluator", "correlation", "--seed", "1",
+               "--out", tmp_path / "sel.json") == 1
+    assert run("eval", pipeline / "model.json", pipeline / "test.csv", "--stamp",
+               "--out", tmp_path / "report.txt") == 1
+    assert capsys.readouterr().err.count("error: usage: unrecognized arguments: ") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def selection_outputs(tmp_path_factory):
     """Every file the selection commands write for the six-class synthetic
@@ -344,6 +354,23 @@ def test_ingest_partial_failure_warns_but_succeeds(tmp_path, capsys):
     assert "bad.txt" in captured.err
     ds = read_csv((tmp_path / "out.csv").read_bytes())
     assert ds.n_instances == 2
+
+
+def test_ingest_dedupe_keeps_the_first_sample_of_each_row(tmp_path, capsys):
+    for label, sample, text in (("good", "a", "1. 3 75.00% mov\n2. 1 25.00% ret\n"),
+                                ("good", "b", "1. 1 50.00% mov\n2. 1 50.00% ret\n"),
+                                ("malware", "c", "1. 6 75.00% mov\n2. 2 25.00% ret\n"),
+                                ("malware", "d", "1. 2 100.00% push\n")):
+        (tmp_path / label).mkdir(exist_ok=True)
+        (tmp_path / label / f"{sample}.txt").write_text(text)
+    assert run("ingest", tmp_path, "--out", tmp_path / "all.csv") == 0
+    assert run("ingest", tmp_path, "--dedupe", "--out", tmp_path / "unique.csv") == 0
+    assert "samples: 3 " in capsys.readouterr().out
+    every = read_csv((tmp_path / "all.csv").read_bytes())
+    unique = read_csv((tmp_path / "unique.csv").read_bytes())
+    assert every.n_instances == 4  # c has a's densities under the other label
+    assert unique.labels == ("good", "good", "malware")
+    assert unique.X.tolist() == every.X[[0, 1, 3]].tolist()
 
 
 def test_usage_error_exit_code():

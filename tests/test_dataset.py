@@ -1,3 +1,4 @@
+import math
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
@@ -239,6 +240,38 @@ def test_quantile_interpolation_rule():
     assert quantile(values, 0.25) == 25.5
     assert quantile(values, 0.75) == 76.5
     assert quantile([1.0, 2.0], 0.25) == 1.0  # clamped at the low end
+
+
+def _per_level_quantile(values, q):
+    """The quantile rule as one sort per level: the oracle of the
+    many-level form."""
+    data = np.sort(np.asarray(values, dtype=float))
+    n = data.size
+    pos = min(max((n + 1) * q, 1.0), float(n))
+    lo = int(math.floor(pos))
+    frac = pos - lo
+    if lo >= n:
+        return float(data[-1])
+    return float(data[lo - 1] + frac * (data[lo] - data[lo - 1]))
+
+
+_QUANTILE_VALUE = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_QUANTILE_VALUE, min_size=1, max_size=40), st.integers(2, 11))
+def test_quantile_of_many_levels_equals_the_per_level_rule_bit_for_bit(values, bins):
+    levels = [k / bins for k in range(1, bins)] + [0.0, 0.25, 0.75, 1.0]
+    many = quantile(values, levels)
+    assert many.tobytes() == np.array([_per_level_quantile(values, q) for q in levels]).tobytes()
+    for q, value in zip(levels, many):
+        one = quantile(values, q)
+        assert type(one) is float and np.float64(one).tobytes() == value.tobytes()
+
+
+def test_quantile_of_no_values_raises_for_any_levels():
+    with pytest.raises(EmptyResult):
+        quantile([], (0.25, 0.75))
 
 
 def test_iqr_flags_far_outlier_as_extreme():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -217,7 +219,7 @@ def test_stratified_folds_are_non_empty_and_partition_the_rows(labels, data):
 def test_cv_k_too_large():
     ds = separable_dataset(n_each=3)
     with pytest.raises(KTooLarge):
-        cross_validate(ds, k=7, trainer_fn=make_trainer(LINEAR))
+        cross_validate(ds, k=7, seed=42, trainer_fn=make_trainer(LINEAR))
 
 
 def test_cv_pooled_accuracy_is_trace_over_total():
@@ -332,3 +334,10 @@ def test_report_json_is_machine_readable():
     # (51 + 22 + 8 + 6*3/4 + 15*13/14) / 103, exactly
     assert doc["weighted"]["precision"] == pytest.approx((85.5 + 195 / 14) / 103, abs=1e-15)
     assert doc["matrix"][3][5] == 2
+
+
+def test_a_report_with_a_non_finite_metric_is_refused_not_written():
+    report = class_metrics(six_class_matrix())
+    report.weighted = replace(report.weighted, precision=float("nan"))
+    with pytest.raises(ValueError, match="JSON"):
+        report_to_json(report)

@@ -182,6 +182,14 @@ def test_model_file_holds_one_support_vector_or_machine_per_line():
     assert save_model(load_model(json.dumps(doc, indent=2, sort_keys=True) + "\n")) == text
 
 
+def test_a_model_with_a_non_finite_number_is_refused_not_written():
+    ds = make_dataset([[0.0], [0.1], [0.9], [1.0]], ["good", "good", "malware", "malware"])
+    model = train_multiclass(ds, KernelSpec(family="puk"))
+    model.machines[0] = replace(model.machines[0], bias=float("nan"))
+    with pytest.raises(ValueError, match="JSON"):
+        save_model(model)
+
+
 def test_machines_keep_their_convergence_counts():
     rng = np.random.RandomState(29)
     ds = gaussian_balls(rng, [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)], 12,

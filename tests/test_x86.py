@@ -4,6 +4,7 @@ decode to the assembled length."""
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,44 @@ def test_sweep_of_buffers_equals_the_sum_of_decode_one_sweeps(codes):
         unknown += code_unknown
     result = sweep(*codes)
     assert (result.counts, result.unknown_bytes, result.decoded_instructions) == (counts, unknown, sum(counts.values()))
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 5, 16, 17, 64])
+def test_sweep_in_small_windows_equals_the_sum_of_decode_one_sweeps(monkeypatch, window):
+    # instructions, SIB forms, prefixes and the last bytes of a buffer all
+    # fall across window ends
+    monkeypatch.setattr(x86, "SWEEP_WINDOW", window)
+    add = bytes.fromhex("81842478563412AABBCCDD")
+    codes = [_steered_blob(seed, 300 + seed, _LEAD_STEERING) for seed in range(3)]
+    codes += [_steered_blob(size, size) for size in range(0, 41, 4)]
+    codes += [(b"\x90" * start + add).ljust(30, b"\x90") for start in range(20)]
+    codes += [_random_blob(7, 500), b"\x90" * 20 + bytes.fromhex("B80100")]
+    counts, unknown = {}, 0
+    for code in codes:
+        _assert_sweeps_alike(code)
+        code_counts, code_unknown, _ = _decode_one_sweep(code)
+        for name, n in code_counts.items():
+            counts[name] = counts.get(name, 0) + n
+        unknown += code_unknown
+    result = sweep(*codes)
+    assert (result.counts, result.unknown_bytes) == (counts, unknown)
+    calls = []
+    monkeypatch.setattr(x86, "decode_one", lambda code, pos: calls.append(pos) or decode_one(code, pos))
+    assert sweep(b"\x90" * 100).counts == {"nop": 100}
+    assert calls == list(range(100 - MAX_INSTRUCTION_LENGTH + 1, 100))  # only at the buffer's end
+
+
+def test_sweep_of_a_5_mb_buffer_holds_its_arrays_one_window_at_a_time():
+    code = bytes.fromhex("818578563412AABBCCDD") * 500_000  # add [ebp+disp32], imm32
+    sweep(b"")  # the lead tables, built once
+    tracemalloc.start()
+    try:
+        result = sweep(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.counts, result.unknown_bytes) == ({"add": 500_000}, 0)
+    assert peak < 4_000_000
 
 
 # plain entries - (mnemonic, immediate code, has ModRM) - of the decoder's
