@@ -8,7 +8,9 @@ Subcommands wire the pipeline end to end:
 
 Every command is deterministic for fixed inputs and flags (no output
 carries a timestamp) and exits 0 on success, 1 on usage errors, 2 on
-data errors, 3 on numeric failures.
+data errors, 3 on numeric failures. The kernel and trainer options are
+the ``KernelSpec`` and ``TrainerConfig`` fields, under their names and
+with their defaults.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import featsel
@@ -62,31 +65,26 @@ def _write_ds(ds: Dataset, path: str) -> None:
 
 
 def _add_kernel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", choices=[k.replace("_", "-") for k in KERNEL_FAMILIES], default="puk")
-    p.add_argument("--c", type=float, default=1.0, help="complexity constant")
-    p.add_argument("--exponent", type=float, default=1.0)
-    p.add_argument("--lower-order", action="store_true", help="add the +1 term inside the polynomial")
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--tolerance", type=float, default=1e-3)
-    p.add_argument("--max-iterations", type=int, default=1_000_000)
+    p.add_argument("--kernel", dest="family", choices=[k.replace("_", "-") for k in KERNEL_FAMILIES],
+                   default=KernelSpec.family)
+    p.add_argument("--c", dest="C", type=float, default=KernelSpec.C, help="complexity constant")
+    p.add_argument("--exponent", type=float, default=KernelSpec.exponent)
+    p.add_argument("--lower-order", dest="use_lower_order", action="store_true",
+                   help="add the +1 term inside the polynomial")
+    p.add_argument("--gamma", type=float, default=KernelSpec.gamma)
+    p.add_argument("--sigma", type=float, default=KernelSpec.sigma)
+    p.add_argument("--omega", type=float, default=KernelSpec.omega)
+    p.add_argument("--tolerance", type=float, default=TrainerConfig.tolerance)
+    p.add_argument("--max-iterations", type=int, default=TrainerConfig.max_iterations)
 
 
 def _kernel_spec(args) -> KernelSpec:
-    return KernelSpec(
-        family=args.kernel.replace("-", "_"),
-        exponent=args.exponent,
-        use_lower_order=args.lower_order,
-        gamma=args.gamma,
-        sigma=args.sigma,
-        omega=args.omega,
-        C=args.c,
-    )
+    settings = {f.name: getattr(args, f.name) for f in fields(KernelSpec)}
+    return KernelSpec(**settings | {"family": args.family.replace("-", "_")})
 
 
 def _trainer_config(args) -> TrainerConfig:
-    return TrainerConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
+    return TrainerConfig(**{f.name: getattr(args, f.name) for f in fields(TrainerConfig)})
 
 
 def _write_report(text: str, json_text: str, out: str) -> None:
@@ -432,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
     p.add_argument("--kernels", default="poly,normalized-poly,rbf,puk",
                    help="comma-separated kernel families")
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=float, default=TrainerConfig.tolerance)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_tune_kernel)
 

@@ -99,9 +99,10 @@ class SchemaMismatch(DataError):
 
 
 def decode_utf8(data: bytes, what: str) -> str:
-    """``data`` as UTF-8 text: the one decoding of every text input file."""
+    """``data`` as UTF-8 text: the one decoding of every text input file.
+    One leading byte-order mark, as Windows tools write, is dropped."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaMismatch(f"{what} is not UTF-8 text: {exc}") from None
 
@@ -117,6 +118,10 @@ class SingleClass(DataError):
 
 
 class NormalizedPolyZeroNorm(NumericError):
+    pass
+
+
+class NonFiniteSolution(NumericError):
     pass
 
 

@@ -185,12 +185,15 @@ def cross_validate(ds: Dataset, k: int, seed: int, trainer_fn: TrainerFn, descri
 
 
 def holdout_evaluate(model: MulticlassSvmModel, test: Dataset) -> EvalReport:
+    """The model scored on ``test``; the report carries the model's warnings."""
     if test.n_instances == 0:
         raise EmptyTestSet("test set is empty")
     predicted = predict_dataset(model, test)
     classes = class_order(test.scheme, set(model.classes) | set(test.labels))
     cm = confusion_matrix(list(test.labels), predicted, classes)
-    return class_metrics(cm, n_attributes=test.n_attributes, description=model.kernel.describe())
+    report = class_metrics(cm, n_attributes=test.n_attributes, description=model.kernel.describe())
+    report.warnings = list(model.warnings)
+    return report
 
 
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)

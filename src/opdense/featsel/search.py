@@ -6,7 +6,7 @@ import heapq
 from typing import Callable, Sequence
 
 from ..dataset import Dataset, _scale_matrix, project
-from ..errors import EmptyResult, SchemaMismatch, UnknownAttribute
+from ..errors import EmptyResult, SchemaMismatch
 from ..evaluation import report_metric
 from .selection import AttributeScore, SelectionResult
 
@@ -126,20 +126,15 @@ def ranker_select(
 
 
 def reduce_dataset(ds: Dataset, selection: SelectionResult) -> Dataset:
-    """Project the dataset onto the retained attributes (class kept).
+    """Project the dataset onto the retained attributes by name (class kept).
 
-    A principal-component selection instead projects onto component
-    space and rescales each component linearly into [0, 1] by its
-    training-set range, clipping values outside it, so each row maps
-    the same whatever rows come with it.
+    A principal-component selection instead projects its source attributes,
+    taken by name, onto component space and rescales each component
+    linearly into [0, 1] by its training-set range, clipping values
+    outside it, so each row maps the same whatever rows come with it.
     """
     if selection.pca is not None:
-        source = selection.pca.source_attributes
-        if source != ds.attributes:
-            missing = next((name for name in source if name not in ds.attributes), None)
-            if missing is not None:
-                raise UnknownAttribute(missing)
-            raise SchemaMismatch("dataset attributes are not exactly the pca source attributes, in order")
+        ds = project(ds, selection.pca.source_attributes)
         Z = _scale_matrix(selection.pca.transform_matrix(ds.X), selection.pca.scaling)
         return Dataset(attributes=selection.retained, X=Z, labels=ds.labels, scheme=ds.scheme)
     return project(ds, selection.retained)

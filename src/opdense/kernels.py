@@ -12,7 +12,7 @@ Four families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,15 +34,22 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise SchemaMismatch(f"unknown kernel family {self.family!r}")
-        for name in ("exponent", "gamma", "sigma", "omega", "C"):
+        for name in FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise SchemaMismatch(f"{name} must be finite")
         if self.C <= 0:
             raise SchemaMismatch("C must be positive")
         if self.family == "rbf" and self.gamma <= 0:
             raise SchemaMismatch("gamma must be positive")
-        if self.family == "puk" and (self.sigma <= 0 or self.omega <= 0):
-            raise SchemaMismatch("sigma and omega must be positive")
+        if self.family == "puk":
+            if self.sigma <= 0 or self.omega <= 0:
+                raise SchemaMismatch("sigma and omega must be positive")
+            try:
+                factor = puk_factor(self)
+            except OverflowError:  # a Python float power raises where numpy gives inf
+                factor = math.inf
+            if not math.isfinite(factor):
+                raise SchemaMismatch("sigma and omega give a PUK factor past the float range")
         if self.family in ("poly", "normalized_poly") and self.exponent <= 0:
             raise SchemaMismatch("exponent must be positive")
 
@@ -54,6 +61,9 @@ class KernelSpec:
         else:
             extra = f"sigma={self.sigma:g} omega={self.omega:g}"
         return f"{self.family} C={self.C:g} {extra}"
+
+
+FLOAT_FIELDS = tuple(f.name for f in fields(KernelSpec) if f.type == "float")  # each finite, stored as a number
 
 
 def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -9,14 +9,15 @@ decision value maps to the +1 side.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .dataio import json_field, json_floats, json_number, json_object, json_strings
 from .dataset import Dataset, ScalingParams, apply_scaling, project
-from .errors import DimensionMismatch, SchemaMismatch, SingleClass
-from .kernels import KernelSpec, gram_matrix
+from .errors import DimensionMismatch, NonFiniteSolution, SchemaMismatch, SingleClass
+from .kernels import FLOAT_FIELDS, KernelSpec, gram_matrix
 from .labels import LabelScheme, class_order
 from .smo import EPSILON, TrainerConfig, smo_solve_lockstep
 
@@ -54,7 +55,8 @@ class MulticlassSvmModel:
 def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = TrainerConfig()) -> MulticlassSvmModel:
     """One machine per unordered pair of the classes present in the data,
     the later class of each pair (in scheme order) on the +1 side. The
-    pairs' SMO problems are solved together by ``smo_solve_lockstep``."""
+    pairs' SMO problems are solved together by ``smo_solve_lockstep``; a
+    solution with a value past the float range raises NonFiniteSolution."""
     classes = tuple(class_order(ds.scheme, ds.labels))
     if len(classes) < 2:
         raise SingleClass(f"need at least two classes, found {list(classes)}")
@@ -69,6 +71,9 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = Trai
     machines: list[BinarySvmModel] = []
     warnings: list[str] = []
     for (neg, pos), (X, y), solution in zip(pairs, problems, solutions):
+        if not (np.isfinite(solution.alphas).all()
+                and math.isfinite(solution.bias) and math.isfinite(solution.kkt_gap)):
+            raise NonFiniteSolution(f"pair ({neg}, {pos}): the kernel or C took SMO past the float range")
         keep = solution.alphas > EPSILON
         if solution.hit_iteration_cap:
             warnings.append(f"pair ({neg}, {pos}) hit the iteration cap; best effort kept")
@@ -194,7 +199,8 @@ def save_model(model: MulticlassSvmModel) -> str:
 def load_model(text: str) -> MulticlassSvmModel:
     """A model saved by ``save_model``. Each machine's support vectors are
     its rows of the table, its alphas |coef| and its labels sign(coef):
-    exact, as every label is +-1."""
+    exact, as every label is +-1. Each ``KernelSpec`` field is read with
+    its default's type, a float field (``FLOAT_FIELDS``) as a finite number."""
     doc = json_object(text, "model")
     if doc.get("schema") != MODEL_SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported model schema {doc.get('schema')!r}")
@@ -206,15 +212,8 @@ def load_model(text: str) -> MulticlassSvmModel:
     except ValueError:
         raise SchemaMismatch(f"unknown label scheme {scheme!r}") from None
     k = json_field(doc, "kernel", dict, "model")
-    kernel = KernelSpec(
-        family=json_field(k, "family", str, "model kernel"),
-        exponent=json_number(k, "exponent", "model kernel"),
-        use_lower_order=json_field(k, "use_lower_order", bool, "model kernel"),
-        gamma=json_number(k, "gamma", "model kernel"),
-        sigma=json_number(k, "sigma", "model kernel"),
-        omega=json_number(k, "omega", "model kernel"),
-        C=json_number(k, "C", "model kernel"),
-    )
+    kernel = KernelSpec(**{f.name: json_number(k, f.name, "model kernel") if f.name in FLOAT_FIELDS
+                           else json_field(k, f.name, type(f.default), "model kernel") for f in fields(KernelSpec)})
     scaling = None
     if json_field(doc, "scaling", (dict, type(None)), "model") is not None:
         mins = json_floats(doc["scaling"], "min", "model scaling")

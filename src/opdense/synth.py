@@ -72,6 +72,8 @@ def generate_corpus(
         raise UsageError("informative opcode count must be in 1..16")
     if n_per_class < 1:
         raise UsageError("need at least one sample per class")
+    if not 0 <= seed < 2**32:  # the range numpy's RandomState takes
+        raise UsageError("seed must be in 0..2**32-1")
     rs = np.random.RandomState(seed)
     pool = np.array(MNEMONIC_POOL, dtype=object)
 

@@ -597,13 +597,29 @@ def test_pca_selection_on_other_attributes_exits_2(pipeline, tmp_path, capsys):
     train = read_csv((pipeline / "train.csv").read_bytes())
     (tmp_path / "pca.json").write_text(save_selection(pca_eval(train)))
     (tmp_path / "narrow.csv").write_bytes(write_csv(project(train, train.attributes[-3:])))
-    (tmp_path / "reversed.csv").write_bytes(write_csv(project(train, train.attributes[::-1])))
     capsys.readouterr()
     assert run("reduce", tmp_path / "narrow.csv", tmp_path / "pca.json", "--out", tmp_path / "r.csv") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: UnknownAttribute: attribute not present in the dataset: {train.attributes[0]!r}")
-    assert run("reduce", tmp_path / "reversed.csv", tmp_path / "pca.json", "--out", tmp_path / "r.csv") == 2
-    assert capsys.readouterr().err.startswith("error: SchemaMismatch:")
+
+
+def test_pca_selection_aligns_a_reordered_or_wider_dataset_by_name(pipeline, tmp_path):
+    import numpy as np
+    from opdense.dataset import Dataset, project
+    from opdense.dataio import write_csv
+    from opdense.featsel import pca_eval, save_selection
+    train = read_csv((pipeline / "train.csv").read_bytes())
+    wider = Dataset(attributes=("extra",) + train.attributes, X=np.hstack([np.ones((train.n_instances, 1)), train.X]),
+                    labels=train.labels, scheme=train.scheme)
+    (tmp_path / "pca.json").write_text(save_selection(pca_eval(train)))
+    (tmp_path / "reversed.csv").write_bytes(write_csv(project(train, train.attributes[::-1])))
+    (tmp_path / "wider.csv").write_bytes(write_csv(wider))
+    reduced = {}
+    for name, data in (("in order", pipeline / "train.csv"), ("reversed", tmp_path / "reversed.csv"),
+                       ("wider", tmp_path / "wider.csv")):
+        assert run("reduce", data, tmp_path / "pca.json", "--out", tmp_path / "r.csv") == 0
+        reduced[name] = (tmp_path / "r.csv").read_bytes()
+    assert reduced["reversed"] == reduced["in order"] and reduced["wider"] == reduced["in order"]
 
 
 def test_ranked_selection_of_a_missing_attribute_exits_2(pipeline, tmp_path, capsys):
@@ -704,3 +720,119 @@ def test_non_utf8_input_exits_2(pipeline, tmp_path, capsys, name, argv):
     assert run(*(a.format(bad=bad, out=tmp_path / "out", p=pipeline) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: SchemaMismatch:") and "not UTF-8" in err
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def _ranked_selection(p):
+    from opdense.featsel import rank_attributes, ranker_select, save_selection
+    train = read_csv((p / "train.csv").read_bytes())
+    return save_selection(ranker_select(rank_attributes(train, "correlation"), 0.0)).encode()
+
+
+def _relabeling_manifest(p):
+    """Every report under the other class, so a row read wrong shows in the dataset."""
+    return "".join(f"{path.stem},{'malware' if path.parent.name == 'good' else 'good'}\n"
+                   for path in sorted((p / "corpus").rglob("*.txt"))).encode()
+
+
+# the BOM-less document of each kind in NON_UTF8_INPUTS
+BOM_FREE_INPUTS = {
+    "csv dataset": lambda p: (p / "train.csv").read_bytes(),
+    "arff dataset": lambda p: write_arff(read_csv((p / "train.csv").read_bytes())),
+    "model": lambda p: (p / "model.json").read_bytes(),
+    "selection for reduce": _ranked_selection,
+    "selection for tune-threshold": _ranked_selection,
+    "selection for rank-aggregate": _ranked_selection,
+    "manifest": _relabeling_manifest,
+}
+
+
+@pytest.mark.parametrize("kind", NON_UTF8_INPUTS)
+def test_input_with_a_byte_order_mark_reads_as_its_bom_less_form(pipeline, tmp_path, kind):
+    name, argv = NON_UTF8_INPUTS[kind]
+    document = BOM_FREE_INPUTS[kind](pipeline)
+    outputs = []
+    for prefix in (b"", BOM):
+        side = tmp_path / ("bom" if prefix else "plain")
+        side.mkdir()
+        (side / name).write_bytes(prefix + document)
+        assert run(*(a.format(bad=side / name, out=side / "out", p=pipeline) for a in argv)) == 0
+        outputs.append({path.name: path.read_bytes() for path in side.glob("out*")})
+    assert outputs[0] and outputs[1] == outputs[0]
+
+
+def test_reports_with_a_byte_order_mark_and_crlf_ingest_as_their_plain_forms(pipeline, tmp_path):
+    for path in (pipeline / "corpus").rglob("*.txt"):
+        copy = tmp_path / "corpus" / path.relative_to(pipeline / "corpus")
+        copy.parent.mkdir(parents=True, exist_ok=True)
+        copy.write_bytes(BOM + path.read_bytes().replace(b"\n", b"\r\n"))
+    assert run("ingest", tmp_path / "corpus", "--out", tmp_path / "full.csv") == 0
+    assert (tmp_path / "full.csv").read_bytes() == (pipeline / "full.csv").read_bytes()
+
+
+def test_eval_reports_the_iteration_cap_warnings_of_its_model(pipeline, tmp_path, capsys):
+    assert run("train", pipeline / "train.csv", "--max-iterations", "3", "--out", tmp_path / "m.json") == 0
+    warnings = json.loads((tmp_path / "m.json").read_text())["warnings"]
+    assert warnings and all("hit the iteration cap" in w for w in warnings)
+    assert run("eval", tmp_path / "m.json", pipeline / "test.csv", "--out", tmp_path / "r.txt") == 0
+    assert json.loads((tmp_path / "r.txt.json").read_text())["warnings"] == warnings
+    text = (tmp_path / "r.txt").read_text()
+    assert text.endswith("".join(f"warning: {w}\n" for w in warnings))
+    # a model that converged writes no warning line
+    assert "warning" not in (pipeline / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("command, positionals", [
+    ("train", ["train.csv"]),
+    ("cv", ["train.csv"]),
+    ("tune-threshold", ["train.csv", "test.csv", "sel.json"]),
+])
+def test_every_kernel_and_trainer_field_is_an_option_with_its_default(command, positionals):
+    from dataclasses import fields
+    from opdense.cli import build_parser
+    from opdense.kernels import KernelSpec
+    from opdense.smo import TrainerConfig
+    args = vars(build_parser().parse_args([command, *positionals, "--out", "out"]))
+    for f in fields(KernelSpec) + fields(TrainerConfig):
+        assert f.name in args and args[f.name] == f.default, f.name
+    args = vars(build_parser().parse_args(["tune-kernel", "train.csv", "test.csv", "--out", "out"]))
+    assert args["tolerance"] == TrainerConfig.tolerance
+
+
+def test_kernel_fields_that_all_differ_from_their_defaults_round_trip(pipeline, tmp_path):
+    from dataclasses import asdict, fields
+    from opdense.kernels import KernelSpec
+    from opdense.svm import load_model, save_model, train_multiclass
+    spec = KernelSpec(family="normalized_poly", exponent=2.0, use_lower_order=True, gamma=0.5,
+                      sigma=2.0, omega=3.0, C=4.0)
+    assert all(getattr(spec, f.name) != f.default for f in fields(KernelSpec))
+    model = train_multiclass(read_csv((pipeline / "train.csv").read_bytes()), spec)
+    assert load_model(save_model(model)).kernel == spec
+    assert run("train", pipeline / "train.csv", "--kernel", "normalized-poly", "--exponent", "2", "--lower-order",
+               "--gamma", "0.5", "--sigma", "2", "--omega", "3", "--c", "4", "--out", tmp_path / "m.json") == 0
+    text = (tmp_path / "m.json").read_text()
+    assert json.loads(text)["kernel"] == asdict(spec)
+    assert text == save_model(model)
+
+
+@pytest.mark.parametrize("flags, code, error", [
+    (["--omega=1e-22"], 2, "SchemaMismatch: sigma and omega give a PUK factor past the float range"),
+    (["--sigma=1e-320"], 2, "SchemaMismatch: sigma and omega give a PUK factor past the float range"),
+    (["--kernel=poly", "--exponent=1e308"], 3, "NonFiniteSolution: pair (good, malware)"),
+], ids=["puk omega 1e-22", "puk sigma 1e-320", "poly exponent 1e308"])
+def test_kernel_settings_past_the_float_range_exit_without_a_model(pipeline, tmp_path, capsys, flags, code, error):
+    capsys.readouterr()
+    assert run("train", pipeline / "train.csv", *flags, "--out", tmp_path / "m.json") == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**32)])
+def test_synth_seed_outside_numpy_range_exits_1(tmp_path, capsys, seed):
+    capsys.readouterr()
+    assert run("synth", "--out-dir", tmp_path / "corpus", f"--seed={seed}") == 1
+    assert capsys.readouterr().err == "error: UsageError: seed must be in 0..2**32-1\n"
+    assert not (tmp_path / "corpus").exists()
