@@ -74,8 +74,12 @@ def _add_kernel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=KernelSpec.gamma)
     p.add_argument("--sigma", type=float, default=KernelSpec.sigma)
     p.add_argument("--omega", type=float, default=KernelSpec.omega)
-    p.add_argument("--tolerance", type=float, default=TrainerConfig.tolerance)
-    p.add_argument("--max-iterations", type=int, default=TrainerConfig.max_iterations)
+    _add_trainer_args(p)
+
+
+def _add_trainer_args(p: argparse.ArgumentParser) -> None:
+    for f in fields(TrainerConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _kernel_spec(args) -> KernelSpec:
@@ -262,7 +266,7 @@ def cmd_tune_kernel(args) -> int:
     train = _read_ds(args.train)
     test = _read_ds(args.test)
     families = [f.replace("-", "_") for f in args.kernels.split(",") if f]
-    cells = grid_search(train, test, default_grid(families), TrainerConfig(tolerance=args.tolerance))
+    cells = grid_search(train, test, default_grid(families), _trainer_config(args))
     lines = [f"{'kernel':<40}{'precision':>10}{'TPR':>8}{'FPR':>8}{'SVs':>6}"]
     rows = []
     for cell in cells:
@@ -430,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
     p.add_argument("--kernels", default="poly,normalized-poly,rbf,puk",
                    help="comma-separated kernel families")
-    p.add_argument("--tolerance", type=float, default=TrainerConfig.tolerance)
+    _add_trainer_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_tune_kernel)
 

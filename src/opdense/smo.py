@@ -45,9 +45,11 @@ stack, the one copy of its Gram (before the first step t = y is exact
 already), and are tested again. The ones still closed or at the cap
 leave the stack; the others step in the same pass, as ``smo_solve``
 steps after its own recompute. Stacks are cut in training order under
-``STACK_CELLS`` padded Gram cells. A stack of one problem (a binary
-model, or a pair too large to share) goes to ``smo_solve``, whose
-per-step cost is lower.
+``STACK_CELLS`` padded Gram cells, a fixed memory budget as LIBSVM's
+kernel cache is (Chang & Lin 2011): 15 pairs of up to 264 rows, a
+six-class model of about 130 rows a class, share one stack. A stack of
+one problem (a binary model, or a pair too large to share) goes to
+``smo_solve``, whose per-step cost is lower.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ class TrainerConfig:
             raise SchemaMismatch("max_iterations must be a non-negative integer")
 
 
-# padded Gram cells in one lockstep stack (2 MB of float64)
-STACK_CELLS = 1 << 18
+# padded Gram cells in one lockstep stack (8 MB of float64)
+STACK_CELLS = 1 << 20
 
 
 @dataclass
@@ -132,9 +134,11 @@ def smo_solve_lockstep(grams: Iterable[np.ndarray], ys: Sequence[np.ndarray], C:
                        config: TrainerConfig = TrainerConfig()) -> list[SmoSolution]:
     """``smo_solve`` on every ``(gram, y)`` pair, in one lockstep loop per
     stack. ``grams`` is read one stack at a time, so a generator computes
-    each Gram only when its stack is built. Each Gram must be exactly
-    symmetric, as every ``gram_matrix(spec, X)`` is: the stack holds only
-    its transpose, and recomputes t from that."""
+    each Gram only when its stack is built, and an exception it raises
+    ends the solve before any problem of that stack steps. Each Gram must
+    be finite and exactly symmetric, as every finite ``gram_matrix(spec,
+    X)`` is: the stack holds only its transpose, and recomputes t from
+    that."""
     grams = iter(grams)
     solutions: list[SmoSolution] = []
     start = 0

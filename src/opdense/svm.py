@@ -54,9 +54,11 @@ class MulticlassSvmModel:
 
 def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = TrainerConfig()) -> MulticlassSvmModel:
     """One machine per unordered pair of the classes present in the data,
-    the later class of each pair (in scheme order) on the +1 side. The
-    pairs' SMO problems are solved together by ``smo_solve_lockstep``; a
-    solution with a value past the float range raises NonFiniteSolution."""
+    the later class of each pair (in scheme order) on the +1 side. Each
+    pair is held as its row indices into ``ds.X``, and the pairs' SMO
+    problems are solved together by ``smo_solve_lockstep``. A Gram or a
+    solution with a value past the float range raises NonFiniteSolution,
+    the Gram before SMO steps on it."""
     classes = tuple(class_order(ds.scheme, ds.labels))
     if len(classes) < 2:
         raise SingleClass(f"need at least two classes, found {list(classes)}")
@@ -65,12 +67,20 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = Trai
     problems = []
     for neg, pos in pairs:
         mask = (labels == neg) | (labels == pos)
-        problems.append((ds.X[mask], np.where(labels[mask] == pos, 1.0, -1.0)))
-    grams = (gram_matrix(spec, X) for X, _ in problems)
-    solutions = smo_solve_lockstep(grams, [y for _, y in problems], spec.C, config)
+        problems.append((np.flatnonzero(mask), np.where(labels[mask] == pos, 1.0, -1.0)))
+
+    def grams():
+        for (neg, pos), (index, _) in zip(pairs, problems):
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = gram_matrix(spec, ds.X[index])
+            if not np.isfinite(gram).all():
+                raise NonFiniteSolution(f"pair ({neg}, {pos}): the kernel took the Gram matrix past the float range")
+            yield gram
+
+    solutions = smo_solve_lockstep(grams(), [y for _, y in problems], spec.C, config)
     machines: list[BinarySvmModel] = []
     warnings: list[str] = []
-    for (neg, pos), (X, y), solution in zip(pairs, problems, solutions):
+    for (neg, pos), (index, y), solution in zip(pairs, problems, solutions):
         if not (np.isfinite(solution.alphas).all()
                 and math.isfinite(solution.bias) and math.isfinite(solution.kkt_gap)):
             raise NonFiniteSolution(f"pair ({neg}, {pos}): the kernel or C took SMO past the float range")
@@ -78,7 +88,7 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = Trai
         if solution.hit_iteration_cap:
             warnings.append(f"pair ({neg}, {pos}) hit the iteration cap; best effort kept")
         machines.append(BinarySvmModel(
-            support_vectors=X[keep],
+            support_vectors=ds.X[index[keep]],
             alphas=solution.alphas[keep],
             labels=y[keep],
             bias=solution.bias,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
+from opdense import smo
 from opdense.errors import SchemaMismatch
 from opdense.kernels import KernelSpec, gram_matrix
 from opdense.labels import FAMILY_LABELS, LabelScheme
@@ -310,11 +311,34 @@ def _assert_machines_match_per_pair_solves(X, labels):
         assert (machine.iterations, machine.kkt_gap) == (want.iterations, want.kkt_gap)
 
 
-def test_train_multiclass_matches_per_pair_solves_across_stacks():
-    # six classes of 100 rows: a pair has 200 rows, so a stack holds six
-    # pairs and the 15 pairs take three stacks
-    assert 6 * 200 ** 2 <= STACK_CELLS < 7 * 200 ** 2
+def _count_stacks(monkeypatch) -> list[int]:
+    """The number of problems of each lockstep stack solved from here on."""
+    stacks = []
+    solve_stack = smo._solve_stack
+
+    def counted(grams, ys, *rest):
+        stacks.append(len(ys))
+        return solve_stack(grams, ys, *rest)
+
+    monkeypatch.setattr(smo, "_solve_stack", counted)
+    return stacks
+
+
+def test_train_multiclass_matches_per_pair_solves_across_stacks(monkeypatch):
+    # six classes of 100 rows: a pair has 200 rows, so under a budget of six
+    # such pairs the 15 pairs take three stacks
+    monkeypatch.setattr(smo, "STACK_CELLS", 6 * 200 ** 2)
+    stacks = _count_stacks(monkeypatch)
     _assert_machines_match_per_pair_solves(*_six_class_set(np.random.RandomState(23), [100] * 6, 4))
+    assert stacks == [6, 6, 3]
+
+
+def test_a_six_class_model_of_230_row_pairs_is_one_stack(monkeypatch):
+    # the benchmark's train models pad their one stack to 216-230 rows
+    assert 15 * 230 ** 2 <= STACK_CELLS
+    stacks = _count_stacks(monkeypatch)
+    _assert_machines_match_per_pair_solves(*_six_class_set(np.random.RandomState(31), [115] * 6, 4))
+    assert stacks == [15]
 
 
 def test_train_multiclass_matches_per_pair_solves_on_select_sized_pairs():
