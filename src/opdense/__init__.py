@@ -6,7 +6,6 @@ from .dataset import (
     Dataset,
     IqrFlags,
     ScalingParams,
-    apply_scaling,
     assemble,
     build_master_list,
     iqr_flag,
@@ -62,7 +61,6 @@ __all__ = [
     "PeImage",
     "ScalingParams",
     "TrainerConfig",
-    "apply_scaling",
     "assemble",
     "build_master_list",
     "class_metrics",

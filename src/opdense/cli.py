@@ -286,9 +286,10 @@ def cmd_tune_kernel(args) -> int:
         })
     _write_report("\n".join(lines) + "\n", json.dumps(rows, indent=2, allow_nan=False) + "\n", args.out)
     best = cells[0]
-    if best.report is not None:
-        print(f"best cell: {best.spec.describe()} "
-              f"(weighted precision {best.report.weighted.precision * 100:.1f}%)")
+    if best.report is None:  # failed cells sort last: no cell trained
+        raise best.error
+    print(f"best cell: {best.spec.describe()} "
+          f"(weighted precision {best.report.weighted.precision * 100:.1f}%)")
     return 0
 
 

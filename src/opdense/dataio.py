@@ -17,14 +17,14 @@ import re
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DENSITY_DECIMALS, Dataset
 from .errors import SchemaMismatch, decode_utf8
 from .labels import LabelScheme, infer_scheme, scheme_labels
 
 
 def _data_lines(ds: Dataset) -> list[str]:
-    """One line per instance: each value with 8 fixed decimals, then the label."""
-    line = ",".join(["%.8f"] * ds.n_attributes + ["%s"])
+    """One line per instance: each value with DENSITY_DECIMALS fixed decimals, then the label."""
+    line = ",".join([f"%.{DENSITY_DECIMALS}f"] * ds.n_attributes + ["%s"])
     return [line % (*row, label) for row, label in zip(ds.X.tolist(), ds.labels)]
 
 

@@ -43,6 +43,25 @@ class ScalingParams:
             if lo > hi:
                 raise SchemaMismatch("scaling has min > max")
 
+    @classmethod
+    def fit(cls, X: np.ndarray) -> ScalingParams:
+        """Each column's (min, max) over the rows of ``X``."""
+        return cls(tuple(X.min(axis=0).tolist()), tuple(X.max(axis=0).tolist()))
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """(X - min) / (max - min) clipped into [0, 1]; constant columns map to 0."""
+        if X.shape[1] != len(self.mins):
+            raise SchemaMismatch("scaling width does not match dataset")
+        mins = np.array(self.mins)
+        span = np.array(self.maxs) - mins
+        out = (X - mins) / np.where(span == 0, 1.0, span)
+        out[:, span == 0] = 0.0
+        return np.clip(out, 0.0, 1.0)
+
+    def take(self, cols: Sequence[int]) -> ScalingParams:
+        """The pairs of columns ``cols``, in that order."""
+        return ScalingParams(tuple(self.mins[j] for j in cols), tuple(self.maxs[j] for j in cols))
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -132,34 +151,12 @@ def sort_attributes_by_mean_density(ds: Dataset) -> Dataset:
     return project(ds, [name for _, name in sorted(zip((-means).tolist(), ds.attributes))])
 
 
-def _scale_matrix(X: np.ndarray, params: ScalingParams) -> np.ndarray:
-    """(X - min) / (max - min) clipped into [0, 1]; constant columns map to 0."""
-    mins = np.array(params.mins)
-    maxs = np.array(params.maxs)
-    span = maxs - mins
-    safe = np.where(span == 0, 1.0, span)
-    out = (X - mins) / safe
-    out[:, span == 0] = 0.0
-    return np.clip(out, 0.0, 1.0)
-
-
 def minmax_scale(ds: Dataset) -> tuple[Dataset, ScalingParams]:
     """Linear (0, 1) scaling per attribute; constant columns map to 0."""
     if ds.n_instances == 0:
         raise EmptyResult("cannot scale an empty dataset")
-    params = ScalingParams(
-        mins=tuple(float(v) for v in ds.X.min(axis=0)),
-        maxs=tuple(float(v) for v in ds.X.max(axis=0)),
-    )
-    scaled = _scale_matrix(ds.X, params)
-    return replace(ds, X=scaled, scaling=params), params
-
-
-def apply_scaling(ds: Dataset, params: ScalingParams) -> Dataset:
-    """Scale with stored training-set parameters, clamping into [0, 1]."""
-    if len(params.mins) != ds.n_attributes:
-        raise SchemaMismatch("scaling width does not match dataset")
-    return replace(ds, X=_scale_matrix(ds.X, params), scaling=params)
+    params = ScalingParams.fit(ds.X)
+    return replace(ds, X=params.apply(ds.X), scaling=params), params
 
 
 def quantile(values: Sequence[float] | np.ndarray, q: float | Sequence[float]) -> float | np.ndarray:
@@ -246,16 +243,10 @@ def project(ds: Dataset, attribute_order: Iterable[str]) -> Dataset:
         cols = [index[name] for name in names]
     except KeyError as exc:
         raise UnknownAttribute(exc.args[0]) from None
-    scaling = None
-    if ds.scaling is not None:
-        scaling = ScalingParams(
-            mins=tuple(ds.scaling.mins[j] for j in cols),
-            maxs=tuple(ds.scaling.maxs[j] for j in cols),
-        )
     return Dataset(
         attributes=tuple(names),
         X=ds.X[:, cols],
         labels=ds.labels,
         scheme=ds.scheme,
-        scaling=scaling,
+        scaling=None if ds.scaling is None else ds.scaling.take(cols),
     )

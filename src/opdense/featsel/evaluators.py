@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..dataset import Dataset, ScalingParams, quantile
-from ..errors import DegenerateMatrix, SchemaMismatch
+from ..errors import DegenerateMatrix, EmptyResult, SchemaMismatch
 from .selection import AttributeScore, PcaModel, SelectionResult
 
 
@@ -200,6 +200,8 @@ def pca_eval(
         raise SchemaMismatch("the variance to cover must be in (0, 1]")
     if ds.n_attributes < 2:
         raise DegenerateMatrix("principal components need at least 2 attributes")
+    if ds.n_instances == 0:
+        raise EmptyResult("principal components need at least one instance")
     if matrix not in ("correlation", "covariance"):
         raise SchemaMismatch(f"unknown matrix kind {matrix!r}")
     X = ds.X
@@ -237,7 +239,7 @@ def pca_eval(
         eigenvalues=tuple(float(v) for v in eigenvalues[:retained]),
         loadings=loadings,
         source_attributes=ds.attributes,
-        scaling=ScalingParams(tuple(Z.min(axis=0).tolist()), tuple(Z.max(axis=0).tolist())),
+        scaling=ScalingParams.fit(Z),
     )
     names = tuple(f"pc{j + 1}" for j in range(retained))
     scores = tuple(AttributeScore(name, float(eigenvalues[j])) for j, name in enumerate(names))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Sequence
 
-from ..dataset import Dataset, _scale_matrix, project
+from ..dataset import Dataset, project
 from ..errors import EmptyResult, SchemaMismatch
 from ..evaluation import report_metric
 from .selection import AttributeScore, SelectionResult
@@ -135,7 +135,7 @@ def reduce_dataset(ds: Dataset, selection: SelectionResult) -> Dataset:
     """
     if selection.pca is not None:
         ds = project(ds, selection.pca.source_attributes)
-        Z = _scale_matrix(selection.pca.transform_matrix(ds.X), selection.pca.scaling)
+        Z = selection.pca.scaling.apply(selection.pca.transform_matrix(ds.X))
         return Dataset(attributes=selection.retained, X=Z, labels=ds.labels, scheme=ds.scheme)
     return project(ds, selection.retained)
 

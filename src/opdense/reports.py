@@ -121,8 +121,7 @@ def _parse_lines(text: str, sample_id: str) -> OpcodeHistogram:
             explicit_total = _count(t.group(1), line_no, line)
             continue
         raise MalformedLine(line_no, line)
-    if not counts:
-        raise EmptyReport(f"{sample_id}: no opcode rows")
+    # the histogram refuses no rows; a TOTAL below the sum, even 0, is malformed here
     total = explicit_total if explicit_total is not None else sum(counts.values())
     if explicit_total is not None and explicit_total < sum(counts.values()):
         raise MalformedLine(0, str(explicit_total), "total smaller than the sum of counts")

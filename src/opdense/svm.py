@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .dataio import json_field, json_floats, json_number, json_object, json_strings
-from .dataset import Dataset, ScalingParams, apply_scaling, project
+from .dataset import DENSITY_DECIMALS, Dataset, ScalingParams, project
 from .errors import DimensionMismatch, NonFiniteSolution, SchemaMismatch, SingleClass
 from .kernels import FLOAT_FIELDS, KernelSpec, gram_matrix
 from .labels import LabelScheme, class_order
@@ -123,11 +123,10 @@ def decision_values(model: MulticlassSvmModel, ds: Dataset) -> np.ndarray:
     if set(ds.attributes) != set(model.attributes):
         raise DimensionMismatch("dataset attributes do not match the model")
     ds = ds if ds.attributes == model.attributes else project(ds, model.attributes)
-    if ds.scaling is None and model.scaling is not None:
-        ds = apply_scaling(ds, model.scaling)
-    out = np.empty((ds.n_instances, len(model.machines)))
+    X = model.scaling.apply(ds.X) if ds.scaling is None and model.scaling is not None else ds.X
+    out = np.empty((len(X), len(model.machines)))
     for k, m in enumerate(model.machines):
-        out[:, k] = gram_matrix(model.kernel, m.support_vectors, ds.X).T @ (m.alphas * m.labels) + m.bias
+        out[:, k] = gram_matrix(model.kernel, m.support_vectors, X).T @ (m.alphas * m.labels) + m.bias
     return out
 
 
@@ -165,10 +164,10 @@ def save_model(model: MulticlassSvmModel) -> str:
     support vector and machine takes one line."""
     rounded: dict[bytes, tuple[float, ...]] = {}  # raw row -> its values at 8 decimals
     table: dict[tuple[float, ...], int] = {}  # rounded row -> its index in the table
-    # "%.8f" rounds each value as round(v, 8) does: both take the correctly
-    # rounded 8-decimal string. A comma ends each cell, so a row of no
-    # values splits to no cells.
-    row_text = "%.8f," * len(model.attributes)
+    # At the CSV cells' precision, a loaded model predicts as the saved one
+    # did. "%.nf" rounds as round(v, n) does: both take the correctly rounded
+    # string. A comma ends each cell, so a row of no values splits to none.
+    row_text = f"%.{DENSITY_DECIMALS}f," * len(model.attributes)
     machines = []
     for m in model.machines:
         rows = []

@@ -6,6 +6,7 @@ import pytest
 from opdense.cli import main
 from opdense.dataio import read_arff, read_csv, write_arff
 from opdense.errors import SchemaMismatch
+from opdense.evaluation import default_grid
 from opdense.featsel import load_selection
 from pe_builder import text_only_pe
 
@@ -392,11 +393,58 @@ def test_numeric_error_exit_code(tmp_path):
                "--out", tmp_path / "m.json") == 3
 
 
-def test_eval_empty_test_set(tmp_path, pipeline):
+def _header_only(pipeline, tmp_path):
+    """The pipeline's test set without its rows."""
     empty = tmp_path / "empty.csv"
-    header = (pipeline / "test.csv").read_bytes().decode().splitlines()[0]
-    empty.write_text(header + "\n")
+    empty.write_text((pipeline / "test.csv").read_text().splitlines()[0] + "\n")
+    return empty
+
+
+def test_eval_empty_test_set(tmp_path, pipeline):
+    empty = _header_only(pipeline, tmp_path)
     assert run("eval", pipeline / "model.json", empty, "--out", tmp_path / "r.txt") == 2
+
+
+@pytest.mark.parametrize("matrix", ["correlation", "covariance"])
+@pytest.mark.filterwarnings("error")  # refused before any numpy call divides by a count of 0
+def test_pca_of_a_dataset_without_rows_exits_2(pipeline, tmp_path, capsys, matrix):
+    empty = _header_only(pipeline, tmp_path)
+    capsys.readouterr()
+    assert run("select", empty, "--evaluator", "pca", "--pca-matrix", matrix, "--out", tmp_path / "s.json") == 2
+    assert capsys.readouterr().err == "error: EmptyResult: principal components need at least one instance\n"
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("empty_side, error", [
+    ("train", "SingleClass: need at least two classes, found []"),
+    ("test", "EmptyTestSet: test set is empty"),
+], ids=["no train rows", "no test rows"])
+def test_tune_kernel_where_no_cell_trains_writes_its_error_rows_and_exits_2(pipeline, tmp_path, capsys,
+                                                                              empty_side, error):
+    empty = _header_only(pipeline, tmp_path)
+    train = empty if empty_side == "train" else pipeline / "train.csv"
+    test = empty if empty_side == "test" else pipeline / "test.csv"
+    out = tmp_path / "grid.txt"
+    capsys.readouterr()
+    assert run("tune-kernel", train, test, "--kernels", "puk", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n" and "best cell" not in captured.out
+    kernels = [spec.describe() for spec in default_grid(["puk"])]
+    message = error.split(": ", 1)[1]
+    assert out.read_text().splitlines()[1:] == [f"{k:<40}{'error':>10}: {message}" for k in kernels]
+    assert json.loads((tmp_path / "grid.txt.json").read_text()) == [{"kernel": k, "error": message} for k in kernels]
+
+
+def test_ingest_where_no_report_parses_exits_1_and_writes_nothing(tmp_path, capsys):
+    for label in ("good", "malware"):
+        (tmp_path / label).mkdir()
+        (tmp_path / label / f"{label}.txt").write_text("garbage\n")
+    capsys.readouterr()
+    assert run("ingest", tmp_path, "--out", tmp_path / "out.csv") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: UsageError: no report parsed successfully"
+    assert len(err) == 3 and all(line.startswith("warning: ") for line in err[:2])
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_determinism_full_pipeline(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from opdense.dataset import (
     DENSITY_DECIMALS,
+    ScalingParams,
     assemble,
-    apply_scaling,
     build_master_list,
     iqr_flag,
     minmax_scale,
@@ -213,7 +214,7 @@ def test_apply_scaling_clamps():
     train = make_dataset([[0.2], [0.6]], ["good", "malware"])
     _, params = minmax_scale(train)
     test = make_dataset([[0.8]], ["good"])
-    out = apply_scaling(test, params)
+    out = replace(test, X=params.apply(test.X), scaling=params)
     assert out.X[0, 0] == 1.0
 
 
@@ -221,8 +222,14 @@ def test_apply_scaling_reproduces_training_exactly():
     rng = np.random.RandomState(0)
     ds = make_dataset(rng.rand(7, 4), ["good", "malware"] * 3 + ["good"])
     scaled, params = minmax_scale(ds)
-    again = apply_scaling(ds, params)
+    again = replace(ds, X=params.apply(ds.X), scaling=params)
     assert np.array_equal(scaled.X, again.X)
+
+
+def test_scaling_refuses_a_matrix_of_another_width():
+    params = ScalingParams.fit(np.array([[0.2, 0.1], [0.6, 0.3]]))
+    with pytest.raises(SchemaMismatch, match="scaling width does not match dataset"):
+        params.apply(np.array([[0.5, 0.5, 0.5]]))
 
 
 def test_minmax_output_in_unit_interval():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from opdense.errors import EmptyTestSet, KTooLarge, LengthMismatch, UnknownLabel
+from opdense.errors import EmptyTestSet, KTooLarge, LengthMismatch, SchemaMismatch, UnknownLabel
 from opdense.evaluation import (
     ClassMetrics,
     ConfusionMatrix,
@@ -18,6 +18,7 @@ from opdense.evaluation import (
     holdout_evaluate,
     make_trainer,
     render_report,
+    report_metric,
     report_to_json,
     stratified_folds,
 )
@@ -319,6 +320,13 @@ def test_grid_lets_a_programming_error_propagate(monkeypatch):
 
 
 # --- rendering --------------------------------------------------------------------
+
+def test_report_metric_refuses_an_unknown_metric():
+    report = class_metrics(confusion_matrix(["good", "malware"], ["good", "good"], ("good", "malware")))
+    assert report_metric(report, "precision") == report.weighted.precision
+    with pytest.raises(SchemaMismatch, match="unknown metric 'accuracy'"):
+        report_metric(report, "accuracy")
+
 
 def test_render_report_contains_columns_and_rows():
     text = render_report(class_metrics(six_class_matrix(), n_attributes=444))

@@ -609,6 +609,24 @@ def test_tune_threshold_falls_back_to_full_set():
     assert threshold < min(s.score for s in scores)
 
 
+def test_tune_threshold_stops_at_the_first_step_whose_classifier_finds_nothing():
+    ds = _signal_noise_dataset(n=20, noise_attrs=3)
+    scores = [AttributeScore(name, float(4 - k)) for k, name in enumerate(ds.attributes)]
+    seen = []
+
+    def classifier_fn(tr, te):
+        from opdense.evaluation import class_metrics, confusion_matrix
+        seen.append(tr.n_attributes)
+        if tr.n_attributes == 2:
+            raise EmptyResult("nothing to evaluate")
+        return class_metrics(confusion_matrix(list(te.labels), list(te.labels), ("good", "malware")))
+
+    threshold, best, sweep = tune_threshold(ds, ds, scores, classifier_fn)
+    assert seen == [4, 3, 2]  # the 1-attribute step after the stop is never trained
+    assert [(e["threshold"], e["retained"]) for e in sweep] == [(0.0, 4), (1.0, 3)]
+    assert threshold == 1.0 and best.retained == ("sig", "noise0", "noise1")
+
+
 def test_tune_threshold_with_no_scores_trains_nothing():
     ds = _signal_noise_dataset(n=20, noise_attrs=2)
 

@@ -110,6 +110,13 @@ def test_empty_report():
         parse_report("\n  \n", "s")
 
 
+def test_a_report_without_rows_is_refused_by_the_histogram_and_a_zero_total_stays_malformed():
+    with pytest.raises(EmptyReport, match="^s: no opcode rows$"):
+        parse_report("TOTAL 5\n", "s")
+    with pytest.raises(MalformedLine, match="total smaller than the sum of counts"):
+        parse_report("1. 5 50.00% mov\nTOTAL 0\n", "s")
+
+
 def test_round_trip_preserves_counts_and_total():
     h = parse_report(TEN_LINE_BLOCK, "s")
     again = parse_report(format_report(h), "s")

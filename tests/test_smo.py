@@ -259,6 +259,23 @@ def test_lockstep_matches_smo_solve_on_every_problem(max_iterations):
     _assert_same_solutions(stacked, single)
 
 
+def test_a_problem_with_every_label_negative_takes_its_bias_from_the_low_side():
+    # no row can grow (I_up is empty), so SMO takes no step and the bias
+    # interval collapses to its one end, min over I_low of t = -1
+    rng = np.random.RandomState(5)
+    gram = gram_matrix(KernelSpec(family="rbf"), rng.rand(8, 3))
+    y = -np.ones(8)
+    solution = smo_solve(gram, y, 10.0)
+    assert solution.bias == -1.0 and solution.kkt_gap == 0.0
+    assert not solution.alphas.any() and len(solution.alphas) == 8
+    assert solution.iterations == 0 and not solution.hit_iteration_cap
+    grams, ys = _mixed_stack()
+    grams.insert(5, gram)
+    ys.insert(5, y)
+    _assert_same_solutions(smo_solve_lockstep(iter(grams), ys, 10.0),
+                           [smo_solve(g, y, 10.0) for g, y in zip(grams, ys)])
+
+
 def test_lockstep_matches_smo_solve_where_the_exact_t_reopens_a_gap():
     # at this tolerance rounding drift in the updated t closes a gap that
     # the exact t reopens, so that problem steps on in the pass that
