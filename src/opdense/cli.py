@@ -211,10 +211,8 @@ def cmd_eval(args) -> int:
 
 def cmd_cv(args) -> int:
     ds = _read_ds(args.train)
-    spec = _kernel_spec(args)
     report = cross_validate(ds, k=args.k, seed=args.seed,
-                            trainer_fn=make_trainer(spec, _trainer_config(args)),
-                            description=f"{args.k}-fold cross-validation [{spec.describe()}]")
+                            trainer_fn=make_trainer(_kernel_spec(args), _trainer_config(args)))
     _write_report(render_report(report), report_to_json(report), args.out)
     print(f"cv weighted precision: {report.weighted.precision * 100:.1f}%")
     return 0

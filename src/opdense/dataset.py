@@ -159,20 +159,18 @@ def minmax_scale(ds: Dataset) -> tuple[Dataset, ScalingParams]:
     return replace(ds, X=params.apply(ds.X), scaling=params), params
 
 
-def quantile(values: Sequence[float] | np.ndarray, q: float | Sequence[float]) -> float | np.ndarray:
-    """Linear interpolation between order statistics at position (n+1)*q,
-    clamped to [1, n]. This is the one quantile rule used everywhere.
-    ``q`` is one level, giving a float, or several, giving an array; the
-    values are sorted once for all of them."""
+def quantile(values: Sequence[float] | np.ndarray, levels: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Each level q by linear interpolation between order statistics at
+    position (n+1)*q, clamped to [1, n]. This is the one quantile rule used
+    everywhere; the values are sorted once for all the levels."""
     data = np.sort(np.asarray(values, dtype=float))
     n = data.size
     if n == 0:
         raise EmptyResult("quantile of empty data")
-    pos = np.clip((n + 1) * np.array(q, dtype=float, ndmin=1), 1.0, float(n))
+    pos = np.clip((n + 1) * np.asarray(levels, dtype=float), 1.0, float(n))
     lo = np.floor(pos).astype(np.intp)
     below, above = data[lo - 1], data[np.minimum(lo, n - 1)]
-    out = np.where(lo < n, below + (pos - lo) * (above - below), data[-1])
-    return float(out[0]) if np.ndim(q) == 0 else out
+    return np.where(lo < n, below + (pos - lo) * (above - below), data[-1])
 
 
 @dataclass(frozen=True)

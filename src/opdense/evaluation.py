@@ -93,7 +93,8 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def class_metrics(cm: ConfusionMatrix, n_attributes: int | None = None, description: str = "") -> EvalReport:
+def class_metrics(cm: ConfusionMatrix, n_attributes: int | None = None, description: str = "",
+                  warnings: Sequence[str] = ()) -> EvalReport:
     hits = np.diag(cm.cells).tolist()  # tp per class
     supports = cm.cells.sum(axis=1).tolist()  # tp + fn
     predicted = cm.cells.sum(axis=0).tolist()  # tp + fp
@@ -123,6 +124,7 @@ def class_metrics(cm: ConfusionMatrix, n_attributes: int | None = None, descript
         matrix=cm,
         n_attributes=n_attributes,
         description=description,
+        warnings=list(warnings),
     )
 
 
@@ -161,7 +163,7 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> list[list[int]]:
     return folds
 
 
-def cross_validate(ds: Dataset, k: int, seed: int, trainer_fn: TrainerFn, description: str = "") -> EvalReport:
+def cross_validate(ds: Dataset, k: int, seed: int, trainer_fn: TrainerFn) -> EvalReport:
     """Stratified k-fold cross validation pooling every held-out
     prediction into a single confusion matrix."""
     present = class_order(ds.scheme, ds.labels)
@@ -177,11 +179,8 @@ def cross_validate(ds: Dataset, k: int, seed: int, trainer_fn: TrainerFn, descri
         warnings.extend(model.warnings)
         predicted.extend(predict_dataset(model, test))
         actual.extend(test.labels)
-    cm = confusion_matrix(actual, predicted, present)
-    report = class_metrics(cm, n_attributes=ds.n_attributes,
-                           description=description or f"{k}-fold cross-validation")
-    report.warnings = warnings
-    return report
+    return class_metrics(confusion_matrix(actual, predicted, present), n_attributes=ds.n_attributes,
+                         description=f"{k}-fold cross-validation [{model.kernel.describe()}]", warnings=warnings)
 
 
 def holdout_evaluate(model: MulticlassSvmModel, test: Dataset) -> EvalReport:
@@ -191,9 +190,8 @@ def holdout_evaluate(model: MulticlassSvmModel, test: Dataset) -> EvalReport:
     predicted = predict_dataset(model, test)
     classes = class_order(test.scheme, set(model.classes) | set(test.labels))
     cm = confusion_matrix(list(test.labels), predicted, classes)
-    report = class_metrics(cm, n_attributes=test.n_attributes, description=model.kernel.describe())
-    report.warnings = list(model.warnings)
-    return report
+    return class_metrics(cm, n_attributes=len(model.attributes), description=model.kernel.describe(),
+                         warnings=model.warnings)
 
 
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)

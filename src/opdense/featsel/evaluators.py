@@ -319,6 +319,8 @@ def rank_attributes(
 ) -> list[AttributeScore]:
     """Per-attribute scores of a dataset for the ranker search. Every
     evaluator is deterministic; nothing reads ``seed``."""
+    if ds.n_instances == 0:
+        raise EmptyResult(f"{evaluator} needs at least one instance")
     if evaluator == "relieff":
         return relieff_scores(ds.X, ds.labels, ds.attributes, k=relieff_k)
     if evaluator not in _COLUMN_SCORERS:

@@ -25,16 +25,8 @@ def search_best_first(
     if backtrack_limit < 1:
         raise SchemaMismatch("best-first search needs a backtrack limit of at least 1")
     attrs = tuple(attributes)
-
-    cache: dict[tuple[str, ...], float] = {}
-
-    def merit(subset: tuple[str, ...]) -> float:
-        if subset not in cache:
-            cache[subset] = merit_fn(subset)
-        return cache[subset]
-
     best_subset: tuple[str, ...] = ()
-    best_merit = merit(best_subset)
+    best_merit = merit_fn(best_subset)
     heap: list[tuple[float, tuple[str, ...]]] = [(-best_merit, best_subset)]
     expanded: set[tuple[str, ...]] = set()
     stall = 0
@@ -47,7 +39,7 @@ def search_best_first(
         for child in [tuple(sorted(node + (a,))) for a in attrs if a not in node]:
             if child in expanded:
                 continue
-            m = merit(child)
+            m = merit_fn(child)
             heapq.heappush(heap, (-m, child))
             if m > best_merit:
                 best_merit = m

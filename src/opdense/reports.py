@@ -25,7 +25,7 @@ from .errors import (
     UnresolvedLabel,
     decode_utf8,
 )
-from .labels import ClassLabel, LabelScheme, infer_scheme
+from .labels import BINARY_LABELS, FAMILY_LABELS, ClassLabel, LabelScheme, infer_scheme
 from .rounding import round_half_up_fractions
 
 REPORT_LINE_RE = re.compile(r"^\s*(\d+)\.\s+(\d+)\s+(\d+\.\d+)%\s+(\S+)\s*$")
@@ -213,11 +213,12 @@ def scan_directory(root: Path | str, manifest: dict[str, str] | None = None) -> 
             continue
         parsed.append((path, histogram, raw_label))
 
+    # A label that no scheme knows fails alone below; it decides no scheme.
     try:
-        scheme = infer_scheme(lbl for _, _, lbl in parsed)
+        scheme = infer_scheme(lbl for _, _, lbl in parsed if lbl in BINARY_LABELS + FAMILY_LABELS)
     except SchemaMismatch:
-        # Mixed or unknown labels: keep whatever fits the family scheme,
-        # fail the rest individually.
+        # Binary and family labels mixed: keep whatever fits the family
+        # scheme, fail the rest individually.
         scheme = LabelScheme.family
 
     histograms: list[LabeledHistogram] = []

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import json_field, json_floats, json_number, json_object, json_strings
 from .dataset import DENSITY_DECIMALS, Dataset, ScalingParams, project
-from .errors import DimensionMismatch, NonFiniteSolution, SchemaMismatch, SingleClass
+from .errors import NonFiniteSolution, SchemaMismatch, SingleClass
 from .kernels import FLOAT_FIELDS, KernelSpec, gram_matrix
 from .labels import LabelScheme, class_order
 from .smo import EPSILON, TrainerConfig, smo_solve_lockstep
@@ -116,12 +116,11 @@ def _pairs(classes: tuple[str, ...]) -> list[tuple[str, str]]:
 def decision_values(model: MulticlassSvmModel, ds: Dataset) -> np.ndarray:
     """Every machine's decision value on every row of ``ds`` (rows x machines).
 
-    Attributes are aligned by name. A dataset that carries scaling
-    parameters is taken to be in model space; a raw one gets the model's
-    stored scaling, clipped into [0, 1].
+    The model's attributes are taken by name, as ``project`` takes them:
+    other columns are left out, and a missing one is an UnknownAttribute.
+    A dataset that carries scaling parameters is taken to be in model
+    space; a raw one gets the model's stored scaling, clipped into [0, 1].
     """
-    if set(ds.attributes) != set(model.attributes):
-        raise DimensionMismatch("dataset attributes do not match the model")
     ds = ds if ds.attributes == model.attributes else project(ds, model.attributes)
     X = model.scaling.apply(ds.X) if ds.scaling is None and model.scaling is not None else ds.X
     out = np.empty((len(X), len(model.machines)))

@@ -7,7 +7,7 @@ from opdense.cli import main
 from opdense.dataio import read_arff, read_csv, write_arff
 from opdense.errors import SchemaMismatch
 from opdense.evaluation import default_grid
-from opdense.featsel import load_selection
+from opdense.featsel import EVALUATORS, load_selection
 from pe_builder import text_only_pe
 
 
@@ -415,6 +415,16 @@ def test_pca_of_a_dataset_without_rows_exits_2(pipeline, tmp_path, capsys, matri
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("evaluator", [e.replace("_", "-") for e in EVALUATORS])
+def test_every_evaluator_refuses_a_dataset_without_rows(pipeline, tmp_path, capsys, evaluator):
+    empty = _header_only(pipeline, tmp_path)
+    search = ["--search", "best-first"] if evaluator == "cfs-subset" else []
+    capsys.readouterr()
+    assert run("select", empty, "--evaluator", evaluator, *search, "--out", tmp_path / "s.json") == 2
+    assert capsys.readouterr().err.startswith("error: EmptyResult: ")
+    assert not (tmp_path / "s.json").exists()
+
+
 @pytest.mark.parametrize("empty_side, error", [
     ("train", "SingleClass: need at least two classes, found []"),
     ("test", "EmptyTestSet: test set is empty"),
@@ -682,6 +692,42 @@ def test_ranked_selection_of_a_missing_attribute_exits_2(pipeline, tmp_path, cap
     assert run("reduce", tmp_path / "no_xor.csv", tmp_path / "sel.json", "--out", tmp_path / "r.csv") == 2
     assert capsys.readouterr().err == "error: UnknownAttribute: attribute not present in the dataset: 'xor'\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_eval_takes_the_model_attributes_from_a_wider_split_and_names_a_missing_one(pipeline, tmp_path, capsys):
+    p = lambda name: tmp_path / name
+    assert run("select", pipeline / "train.csv", "--evaluator", "correlation", "--num-to-select", "5",
+               "--out", p("sel.json")) == 0
+    for split in ("train", "test"):
+        assert run("reduce", pipeline / f"{split}.csv", p("sel.json"), "--out", p(f"r_{split}.csv")) == 0
+    assert run("train", p("r_train.csv"), "--kernel", "puk", "--out", p("r_model.json")) == 0
+    outputs = {}
+    for name, test in (("reduced", p("r_test.csv")), ("full", pipeline / "test.csv")):
+        assert run("eval", p("r_model.json"), test, "--out", p(f"{name}.txt")) == 0
+        outputs[name] = (p(f"{name}.txt").read_bytes(), p(f"{name}.txt.json").read_bytes())
+    assert outputs["full"] == outputs["reduced"]
+    assert "Attributes: 5\n" in outputs["full"][0].decode()
+    kept = set(load_selection(p("sel.json").read_text()).retained)
+    missing = next(a for a in read_csv((pipeline / "train.csv").read_bytes()).attributes if a not in kept)
+    capsys.readouterr()
+    assert run("eval", pipeline / "model.json", p("r_test.csv"), "--out", p("narrow.txt")) == 2
+    assert capsys.readouterr().err == f"error: UnknownAttribute: attribute not present in the dataset: {missing!r}\n"
+    assert not p("narrow.txt").exists()
+
+
+def test_ingest_skips_a_stray_label_without_dropping_a_class(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--out-dir", corpus, "--classes", "2", "--n-per-class", "100", "--seed", "42") == 0
+    stray = corpus / "foo" / "stray.txt"
+    stray.parent.mkdir()
+    stray.write_bytes(next((corpus / "malware").glob("*.txt")).read_bytes())
+    capsys.readouterr()
+    assert run("ingest", corpus, "--out", tmp_path / "out.csv") == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"warning: {stray}: UnresolvedLabel: stray: label 'foo' fits no scheme"]
+    assert "scheme: binary" in captured.out
+    ds = read_csv((tmp_path / "out.csv").read_bytes())
+    assert ds.n_instances == 200 and ds.labels.count("malware") == 100
 
 
 def test_ingest_skips_a_report_with_a_comma_in_a_mnemonic(tmp_path, capsys):

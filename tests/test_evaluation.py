@@ -223,6 +223,14 @@ def test_cv_k_too_large():
         cross_validate(ds, k=7, seed=42, trainer_fn=make_trainer(LINEAR))
 
 
+def test_cv_report_names_the_kernel_of_the_trainer_models():
+    ds = separable_dataset()
+    spec = KernelSpec(family="rbf", C=10.0, gamma=0.5)
+    report = cross_validate(ds, k=4, seed=42, trainer_fn=make_trainer(spec))
+    assert report.description == f"4-fold cross-validation [{spec.describe()}]"
+    assert "rbf" in render_report(report).splitlines()[0]
+
+
 def test_cv_pooled_accuracy_is_trace_over_total():
     ds = separable_dataset(n_each=10, seed=5)
     report = cross_validate(ds, k=5, seed=7, trainer_fn=make_trainer(LINEAR))

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from opdense.dataset import minmax_scale
-from opdense.errors import DimensionMismatch, SchemaMismatch, SingleClass
+from opdense.dataset import minmax_scale, project
+from opdense.errors import SchemaMismatch, SingleClass, UnknownAttribute
 from opdense.kernels import KernelSpec
 from opdense.labels import LabelScheme
 from opdense.smo import TrainerConfig
@@ -81,11 +81,16 @@ def test_boundary_tie_goes_to_positive_class():
     assert predict_dataset(model, probe) == ["malware"]
 
 
-def test_predict_dimension_mismatch():
-    ds = make_dataset([[0.0], [1.0]], ["good", "malware"])
+def test_predict_scores_a_wider_dataset_as_its_projection_and_refuses_a_narrower_one():
+    ds = make_dataset([[0.0, 0.3], [1.0, 0.6]], ["good", "malware"], ("mov", "ret"))
     model = train_multiclass(ds, LINEAR)
-    with pytest.raises(DimensionMismatch):
-        predict_dataset(model, make_dataset([[0.5, 0.5]], ["good"]))
+    wider = make_dataset([[0.2, 0.6, 0.9], [0.7, 0.3, 0.1]], ["malware", "good"], ("push", "ret", "mov"))
+    projected = project(wider, model.attributes)
+    assert decision_values(model, wider).tobytes() == decision_values(model, projected).tobytes()
+    assert predict_dataset(model, wider) == predict_dataset(model, projected) == ["malware", "good"]
+    with pytest.raises(UnknownAttribute) as info:
+        predict_dataset(model, project(wider, ("push", "mov")))
+    assert info.value.name == "ret"
 
 
 def test_predict_applies_stored_scaling():
