@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import DENSITY_DECIMALS, Dataset
 from .errors import SchemaMismatch, decode_utf8
-from .labels import LabelScheme, infer_scheme, scheme_labels
+from .labels import infer_scheme, scheme_labels
 
 
 def _data_lines(ds: Dataset) -> list[str]:
@@ -106,15 +106,9 @@ def read_arff(data: bytes) -> Dataset:
     X, labels = _rows(lines[end + 1:], len(attributes))
     if class_values is None:
         raise SchemaMismatch("missing nominal class attribute")
-    for scheme in LabelScheme:
-        if set(class_values) == set(scheme_labels(scheme)):
-            declared = scheme
-            break
-    else:
+    declared = infer_scheme(class_values)
+    if set(class_values) != set(scheme_labels(declared)):
         raise SchemaMismatch(f"class values {class_values} match no known scheme")
-    bad = set(labels) - set(class_values)
-    if bad:
-        raise SchemaMismatch(f"data labels outside the declared class set: {sorted(bad)}")
     return Dataset(attributes=tuple(attributes), X=X, labels=tuple(labels), scheme=declared)
 
 

@@ -55,15 +55,10 @@ class ClassLabel:
 
 
 def infer_scheme(values: Iterable[str]) -> LabelScheme:
-    """Pick the scheme covering every observed label; the two-class scheme
-    wins when both fit (an all-'good' corpus is ambiguous)."""
-    observed = set(values)
-    if observed <= set(BINARY_LABELS):
-        return LabelScheme.binary
-    if observed <= set(FAMILY_LABELS):
-        return LabelScheme.family
-    bad = sorted(observed - set(BINARY_LABELS) - set(FAMILY_LABELS))
-    raise SchemaMismatch(f"labels fit no known scheme: {bad}")
+    """The two-class scheme when every label is one of its labels (an
+    all-'good' corpus is ambiguous), else the family scheme. Whether each
+    label is valid for the scheme is ``ClassLabel``'s to decide."""
+    return LabelScheme.binary if set(values) <= set(BINARY_LABELS) else LabelScheme.family
 
 
 def class_order(scheme: LabelScheme, present: Iterable[str]) -> list[str]:

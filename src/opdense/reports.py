@@ -25,7 +25,7 @@ from .errors import (
     UnresolvedLabel,
     decode_utf8,
 )
-from .labels import BINARY_LABELS, FAMILY_LABELS, ClassLabel, LabelScheme, infer_scheme
+from .labels import BINARY_LABELS, FAMILY_LABELS, ClassLabel, infer_scheme
 from .rounding import round_half_up_fractions
 
 REPORT_LINE_RE = re.compile(r"^\s*(\d+)\.\s+(\d+)\s+(\d+\.\d+)%\s+(\S+)\s*$")
@@ -214,12 +214,8 @@ def scan_directory(root: Path | str, manifest: dict[str, str] | None = None) -> 
         parsed.append((path, histogram, raw_label))
 
     # A label that no scheme knows fails alone below; it decides no scheme.
-    try:
-        scheme = infer_scheme(lbl for _, _, lbl in parsed if lbl in BINARY_LABELS + FAMILY_LABELS)
-    except SchemaMismatch:
-        # Binary and family labels mixed: keep whatever fits the family
-        # scheme, fail the rest individually.
-        scheme = LabelScheme.family
+    # Binary and family labels mixed give the family scheme, where each 'malware' fails alone.
+    scheme = infer_scheme(lbl for _, _, lbl in parsed if lbl in BINARY_LABELS + FAMILY_LABELS)
 
     histograms: list[LabeledHistogram] = []
     for path, histogram, raw_label in parsed:

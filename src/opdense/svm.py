@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,14 +27,20 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=Fals
 
 @dataclass
 class BinarySvmModel:
+    """One pairwise machine: f(x) = sum_i coef_i K(sv_i, x) + bias, with
+    ``coef`` = alpha*y per support vector, as the model file holds it."""
     support_vectors: np.ndarray
-    alphas: np.ndarray
-    labels: np.ndarray  # +-1 per support vector
+    coef: np.ndarray  # alpha*y per support vector, nonzero
     bias: float
     class_pair: tuple[str, str]  # (negative label, positive label)
     hit_iteration_cap: bool = False
     iterations: int = 0  # SMO steps taken
     kkt_gap: float = 0.0  # SmoSolution.kkt_gap at exit
+
+    @property
+    def alphas(self) -> np.ndarray:
+        """The SMO multipliers, |coef|: exact, as every y is +-1."""
+        return np.abs(self.coef)
 
 
 @dataclass
@@ -45,11 +51,16 @@ class MulticlassSvmModel:
     scheme: LabelScheme
     kernel: KernelSpec
     scaling: ScalingParams | None = None
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def n_support_vectors(self) -> int:
-        return sum(len(m.alphas) for m in self.machines)
+        return sum(len(m.coef) for m in self.machines)
+
+    @property
+    def warnings(self) -> list[str]:
+        """One warning per machine that hit the iteration cap, in machine order."""
+        return [f"pair ({', '.join(m.class_pair)}) hit the iteration cap; best effort kept"
+                for m in self.machines if m.hit_iteration_cap]
 
 
 def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = TrainerConfig()) -> MulticlassSvmModel:
@@ -79,18 +90,14 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = Trai
 
     solutions = smo_solve_lockstep(grams(), [y for _, y in problems], spec.C, config)
     machines: list[BinarySvmModel] = []
-    warnings: list[str] = []
     for (neg, pos), (index, y), solution in zip(pairs, problems, solutions):
         if not (np.isfinite(solution.alphas).all()
                 and math.isfinite(solution.bias) and math.isfinite(solution.kkt_gap)):
             raise NonFiniteSolution(f"pair ({neg}, {pos}): the kernel or C took SMO past the float range")
         keep = solution.alphas > EPSILON
-        if solution.hit_iteration_cap:
-            warnings.append(f"pair ({neg}, {pos}) hit the iteration cap; best effort kept")
         machines.append(BinarySvmModel(
             support_vectors=ds.X[index[keep]],
-            alphas=solution.alphas[keep],
-            labels=y[keep],
+            coef=solution.alphas[keep] * y[keep],
             bias=solution.bias,
             class_pair=(neg, pos),
             hit_iteration_cap=solution.hit_iteration_cap,
@@ -104,7 +111,6 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = Trai
         scheme=ds.scheme,
         kernel=spec,
         scaling=ds.scaling,
-        warnings=warnings,
     )
 
 
@@ -125,7 +131,7 @@ def decision_values(model: MulticlassSvmModel, ds: Dataset) -> np.ndarray:
     X = model.scaling.apply(ds.X) if ds.scaling is None and model.scaling is not None else ds.X
     out = np.empty((len(X), len(model.machines)))
     for k, m in enumerate(model.machines):
-        out[:, k] = gram_matrix(model.kernel, m.support_vectors, X).T @ (m.alphas * m.labels) + m.bias
+        out[:, k] = gram_matrix(model.kernel, m.support_vectors, X).T @ m.coef + m.bias
     return out
 
 
@@ -178,7 +184,7 @@ def save_model(model: MulticlassSvmModel) -> str:
         machines.append({
             "pair": list(m.class_pair),
             "rows": rows,
-            "coef": (m.alphas * m.labels).tolist(),
+            "coef": m.coef.tolist(),
             "bias": float(m.bias),
             "hit_iteration_cap": bool(m.hit_iteration_cap),
             "iterations": int(m.iterations),
@@ -206,9 +212,10 @@ def save_model(model: MulticlassSvmModel) -> str:
 
 def load_model(text: str) -> MulticlassSvmModel:
     """A model saved by ``save_model``. Each machine's support vectors are
-    its rows of the table, its alphas |coef| and its labels sign(coef):
-    exact, as every label is +-1. Each ``KernelSpec`` field is read with
-    its default's type, a float field (``FLOAT_FIELDS``) as a finite number."""
+    its rows of the table, and its ``coef`` the file's. The ``warnings``
+    must be those the machines' cap flags give. Each ``KernelSpec`` field
+    is read with its default's type, a float field (``FLOAT_FIELDS``) as a
+    finite number."""
     doc = json_object(text, "model")
     if doc.get("schema") != MODEL_SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported model schema {doc.get('schema')!r}")
@@ -248,8 +255,7 @@ def load_model(text: str) -> MulticlassSvmModel:
             raise SchemaMismatch("model machine: 'iterations' must not be negative")
         machines.append(BinarySvmModel(
             support_vectors=table[rows],
-            alphas=np.abs(coef),
-            labels=np.sign(coef),
+            coef=coef,
             bias=json_number(m, "bias", "model machine"),
             class_pair=pair,
             hit_iteration_cap=json_field(m, "hit_iteration_cap", bool, "model machine"),
@@ -259,12 +265,14 @@ def load_model(text: str) -> MulticlassSvmModel:
     if (len(classes) < 2 or list(classes) != class_order(scheme, classes)
             or [m.class_pair for m in machines] != _pairs(classes)):
         raise SchemaMismatch("model classes or machine pairs are not as training writes them")
-    return MulticlassSvmModel(
+    model = MulticlassSvmModel(
         machines=machines,
         classes=classes,
         attributes=attributes,
         scheme=scheme,
         kernel=kernel,
         scaling=scaling,
-        warnings=list(json_strings(doc, "warnings", "model")) if "warnings" in doc else [],
     )
+    if list(json_strings(doc, "warnings", "model")) != model.warnings:
+        raise SchemaMismatch("model warnings are not the machines' iteration-cap warnings")
+    return model

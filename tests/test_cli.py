@@ -567,6 +567,8 @@ MODEL_DEFECTS = {
     "no machines": (["machines"], []),
     "pair reversed": (["machines", 0, "pair"], ["malware", "good"]),
     "pair one class twice": (["machines", 0, "pair"], ["good", "good"]),
+    "warnings not the cap warnings": (["warnings"], ["pair (good, malware) hit the iteration cap; best effort kept"]),
+    "no warnings": (["warnings"], _DROP),
 }
 
 
@@ -728,6 +730,16 @@ def test_ingest_skips_a_stray_label_without_dropping_a_class(tmp_path, capsys):
     assert "scheme: binary" in captured.out
     ds = read_csv((tmp_path / "out.csv").read_bytes())
     assert ds.n_instances == 200 and ds.labels.count("malware") == 100
+
+
+def test_train_on_mixed_binary_and_family_labels_names_the_first_bad_label(tmp_path, capsys):
+    csv = tmp_path / "mixed.csv"
+    csv.write_text("mov,ret,class\n0.50000000,0.50000000,malware\n0.25000000,0.75000000,Locky\n")
+    capsys.readouterr()
+    assert run("train", csv, "--out", tmp_path / "m.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaMismatch: label 'malware' not valid for scheme 'family'")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_ingest_skips_a_report_with_a_comma_in_a_mnemonic(tmp_path, capsys):

@@ -75,6 +75,15 @@ def test_arff_family_scheme():
     assert again.labels == ("Cerber",)
 
 
+@pytest.mark.parametrize("labels, scheme", [
+    (["good"], LabelScheme.binary),
+    (["good", "malware"], LabelScheme.binary),
+    (["malware", "Locky"], LabelScheme.family),
+])
+def test_infer_scheme_is_binary_only_when_every_label_is_binary(labels, scheme):
+    assert infer_scheme(labels) == scheme
+
+
 def test_scaled_dataset_survives_both_formats():
     rng = np.random.RandomState(2)
     ds = make_dataset(rng.rand(6, 3), ["good", "malware"] * 3)
@@ -101,7 +110,7 @@ def test_arff_label_outside_declared_set():
         "@relation r\n@attribute mov numeric\n"
         "@attribute class {good,malware}\n@data\n0.1,Cerber\n"
     ).encode()
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(SchemaMismatch, match="label 'Cerber' not valid for scheme 'binary'"):
         read_arff(bad)
 
 

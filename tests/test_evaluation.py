@@ -254,7 +254,7 @@ def test_holdout_majority_predictor_metrics():
     from opdense.svm import MulticlassSvmModel, BinarySvmModel
     # a machine with no support vectors and negative bias always votes "good"
     machine = BinarySvmModel(
-        support_vectors=np.zeros((0, 2)), alphas=np.zeros(0), labels=np.zeros(0),
+        support_vectors=np.zeros((0, 2)), coef=np.zeros(0),
         bias=-1.0, class_pair=("good", "malware"))
     model = MulticlassSvmModel(machines=[machine], classes=("good", "malware"),
                                attributes=("a00", "a01"), scheme=LabelScheme.binary,

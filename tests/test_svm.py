@@ -135,7 +135,7 @@ def test_rows_equal_at_8_decimals_are_stored_once():
     a, b = [0.25, 0.5], [0.75, 0.125]
     nudged = [0.25 + 1e-12, 0.5]  # another raw row, the same as a at 8 decimals
     pairs = [("good", "Locky"), ("good", "Cerber"), ("Locky", "Cerber")]
-    machines = [BinarySvmModel(np.array(sv), np.array([0.5, 0.25]), np.array([-1.0, 1.0]), 0.1, pair)
+    machines = [BinarySvmModel(np.array(sv), np.array([-0.5, 0.25]), 0.1, pair)
                 for sv, pair in zip([[a, b], [nudged, b], [b, nudged]], pairs)]
     model = MulticlassSvmModel(machines, ("good", "Locky", "Cerber"), ("mov", "ret"),
                                LabelScheme.family, KernelSpec())
@@ -158,7 +158,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 @settings(max_examples=200, deadline=None)
 def test_support_vectors_are_stored_as_round_to_8_decimals_gives_them(rows):
     sv = np.array(rows).reshape(len(rows), -1 if rows[0] else 0)
-    machine = BinarySvmModel(sv, np.full(len(rows), 0.5), np.ones(len(rows)), 0.0, ("good", "malware"))
+    machine = BinarySvmModel(sv, np.full(len(rows), 0.5), 0.0, ("good", "malware"))
     attributes = tuple(f"a{j}" for j in range(sv.shape[1]))
     doc = json.loads(save_model(MulticlassSvmModel([machine], ("good", "malware"), attributes,
                                                    LabelScheme.binary, KernelSpec())))
