@@ -178,10 +178,6 @@ class IqrFlags:
     outlier: np.ndarray
     extreme: np.ndarray
 
-    def __post_init__(self):
-        if (self.extreme & ~self.outlier).any():
-            raise SchemaMismatch("extreme flag without outlier flag")
-
 
 def iqr_flag(ds: Dataset, outlier_factor: float = 3.0, extreme_factor: float = 6.0) -> IqrFlags:
     """Interquartile-range flags, information only; nothing is removed.

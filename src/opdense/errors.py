@@ -32,9 +32,8 @@ class MalformedLine(DataError):
 
 
 class DuplicateMnemonic(DataError):
-    def __init__(self, name: str, line_no: int | None = None):
-        where = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"mnemonic appears twice: {name!r}{where}")
+    def __init__(self, name: str, line_no: int):
+        super().__init__(f"mnemonic appears twice: {name!r} (line {line_no})")
         self.name = name
 
 

@@ -174,8 +174,6 @@ def relieff_scores(X: np.ndarray, labels, attribute_names, k: int = 10) -> list[
                 continue
             pool = members[other]
             k_miss = min(k, len(pool))
-            if not k_miss:
-                continue
             miss_idx = nearest(pool, k_miss)
             weights += (priors[other] / denom) * diffs[miss_idx].sum(axis=0) / (n * k_miss)
 

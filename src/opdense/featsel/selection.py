@@ -69,6 +69,9 @@ class SelectionResult:
             raise SchemaMismatch(f"unknown evaluator {self.evaluator!r}")
         if self.search not in SEARCHES:
             raise SchemaMismatch(f"unknown search {self.search!r}")
+        if len(set(self.retained)) != len(self.retained):
+            twice = next(a for i, a in enumerate(self.retained) if a in self.retained[:i])
+            raise SchemaMismatch(f"retained names {twice!r} twice")
         if self.threshold is not None and not np.isfinite(self.threshold):
             raise SchemaMismatch(f"threshold must be a finite number, not {self.threshold!r}")
         n = self.num_to_select

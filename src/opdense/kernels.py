@@ -75,8 +75,6 @@ def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _poly_raw(spec: KernelSpec, dots: np.ndarray) -> np.ndarray:
     base = dots + 1.0 if spec.use_lower_order else dots
-    if spec.exponent == 1.0:
-        return base
     return np.power(base, spec.exponent)
 
 

@@ -28,11 +28,10 @@ from .errors import (
 from .labels import BINARY_LABELS, FAMILY_LABELS, ClassLabel, infer_scheme
 from .rounding import round_half_up_fractions
 
-REPORT_LINE_RE = re.compile(r"^\s*(\d+)\.\s+(\d+)\s+(\d+\.\d+)%\s+(\S+)\s*$")
-TOTAL_LINE_RE = re.compile(r"^\s*TOTAL\s+(\d+)\s*$")
-# the rows of a whole report at once, in the grammar above with blanks
-# and tabs only as separators: (count, mnemonic) per row
+# the one row grammar, with blanks and tabs only as separators: (count,
+# mnemonic) per row; it takes one line or, with findall, a whole report
 REPORT_ROWS_RE = re.compile(r"^[ \t]*\d+\.[ \t]+(\d+)[ \t]+\d+\.\d+%[ \t]+(\S+)[ \t]*$", re.MULTILINE)
+TOTAL_LINE_RE = re.compile(r"^[ \t]*TOTAL[ \t]+(\d+)[ \t]*$")
 # no mnemonic or attribute name may hold one: it would split a CSV cell
 # or an ARFF declaration
 NAME_BREAK_RE = re.compile(r"[\s,]")
@@ -63,8 +62,6 @@ class OpcodeHistogram:
             raise EmptyReport(f"{self.sample_id}: nonpositive total")
         if self.total < sum(self.counts.values()):
             raise MalformedLine(0, str(self.total), "total smaller than the sum of counts")
-        if self.source not in ("report", "disassembly"):
-            raise ValueError(f"unknown source {self.source!r}")
 
 
 @dataclass
@@ -109,12 +106,12 @@ def _parse_lines(text: str, sample_id: str) -> OpcodeHistogram:
             continue
         if explicit_total is not None:
             raise MalformedLine(line_no, line, "content after the TOTAL line")
-        m = REPORT_LINE_RE.match(line)
+        m = REPORT_ROWS_RE.match(line)
         if m:
-            mnemonic = m.group(4).lower()
+            mnemonic = m.group(2).lower()
             if mnemonic in counts:
                 raise DuplicateMnemonic(mnemonic, line_no)
-            counts[mnemonic] = _count(m.group(2), line_no, line)
+            counts[mnemonic] = _count(m.group(1), line_no, line)
             continue
         t = TOTAL_LINE_RE.match(line)
         if t:
@@ -161,17 +158,21 @@ class ScanResult:
 
 
 def read_manifest(path: Path | str) -> dict[str, str]:
-    """Two-column CSV ``sample_id,label``; a literal header row is skipped."""
+    """Two-column CSV ``sample_id,label``, each sample id once; a literal
+    header row is skipped."""
     out: dict[str, str] = {}
     text = decode_utf8(Path(path).read_bytes(), f"manifest {path}")
-    for row in csv.reader(io.StringIO(text, newline="")):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) != 2:
-            raise MalformedLine(0, ",".join(row), "manifest rows must have two columns")
+            raise MalformedLine(reader.line_num, ",".join(row), "manifest rows must have two columns")
         sid, label = row[0].strip(), row[1].strip()
         if (sid, label) == ("sample_id", "label"):
             continue
+        if sid in out:
+            raise MalformedLine(reader.line_num, ",".join(row), f"sample id {sid!r} appears twice")
         out[sid] = label
     return out
 

@@ -25,8 +25,6 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection."""
-        if n <= 0:
-            raise ValueError("n must be positive")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.next_u64()

@@ -457,6 +457,53 @@ def test_ingest_where_no_report_parses_exits_1_and_writes_nothing(tmp_path, caps
     assert not (tmp_path / "out.csv").exists()
 
 
+# command -> the error it exits 2 with; {p} is the pipeline, {header_only}
+# its test set without rows and {empty} a file of no bytes
+REFUSED_INPUTS = {
+    "cv of one fold": (["cv", "{p}/train.csv", "--k", "1"], "SchemaMismatch: need at least 2 folds"),
+    "preprocess of no rows": (["preprocess", "{header_only}"], "EmptyResult: cannot scale an empty dataset"),
+    "train on an empty file": (["train", "{empty}"], "SchemaMismatch: empty CSV"),
+}
+
+
+@pytest.mark.parametrize("argv, error", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS.keys())
+def test_refused_input_exits_2_and_writes_nothing(pipeline, tmp_path, capsys, argv, error):
+    inputs = {"p": pipeline, "header_only": _header_only(pipeline, tmp_path), "empty": tmp_path / "nothing.csv"}
+    inputs["empty"].write_bytes(b"")
+    capsys.readouterr()
+    assert run(*(a.format(**inputs) for a in argv), "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_correlation_of_a_one_class_split_scores_every_attribute_zero(pipeline, tmp_path):
+    lines = (pipeline / "train.csv").read_text().splitlines()
+    (tmp_path / "good.csv").write_text("\n".join([lines[0]] + [x for x in lines[1:] if x.endswith(",good")]) + "\n")
+    assert run("select", tmp_path / "good.csv", "--evaluator", "correlation", "--out", tmp_path / "sel.json") == 0
+    selection = load_selection((tmp_path / "sel.json").read_text())
+    assert len(selection.scores) == 70 and {s.score for s in selection.scores} == {0.0}
+
+
+def test_ingest_manifest_skips_blank_rows(pipeline, tmp_path):
+    manifest = _relabeling_manifest(pipeline).decode()
+    outputs = []
+    for name, text in (("plain", manifest), ("blanks", "\n" + manifest.replace("\n", "\n \n,\n", 3))):
+        (tmp_path / f"{name}.csv").write_text(text)
+        assert run("ingest", pipeline / "corpus", "--manifest", tmp_path / f"{name}.csv",
+                   "--out", tmp_path / f"{name}.out.csv") == 0
+        outputs.append((tmp_path / f"{name}.out.csv").read_bytes())
+    assert outputs[1] == outputs[0]
+    assert read_csv(outputs[0]).labels.count("malware") == 20
+
+
+def test_ingest_manifest_listing_a_sample_twice_exits_2(pipeline, tmp_path, capsys):
+    (tmp_path / "m.csv").write_text("good_000,good\ngood_000,malware\n")
+    capsys.readouterr()
+    assert run("ingest", pipeline / "corpus", "--manifest", tmp_path / "m.csv", "--out", tmp_path / "out.csv") == 2
+    assert capsys.readouterr().err == "error: MalformedLine: line 2: sample id 'good_000' appears twice: 'good_000,malware'\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_determinism_full_pipeline(tmp_path):
     outputs = []
     for run_dir in ("one", "two"):
@@ -569,6 +616,8 @@ MODEL_DEFECTS = {
     "pair one class twice": (["machines", 0, "pair"], ["good", "good"]),
     "warnings not the cap warnings": (["warnings"], ["pair (good, malware) hit the iteration cap; best effort kept"]),
     "no warnings": (["warnings"], _DROP),
+    "scaling min above max": (["scaling"], lambda doc: {"min": [1.0] * len(doc["attributes"]),
+                                                        "max": [0.0] * len(doc["attributes"])}),
 }
 
 
@@ -616,7 +665,9 @@ def test_nonpositive_poly_exponent_exits_2(pipeline, tmp_path, capsys):
     ("select", "train.csv", ("--evaluator", "pca", "--pca-variance", "0")),
     ("preprocess", "full.csv", ("--iqr-report", "{tmp}/iqr.csv", "--outlier-factor", "-1")),
     ("preprocess", "full.csv", ("--iqr-report", "{tmp}/iqr.csv", "--outlier-factor", "nan")),
-], ids=["relieff k 0", "backtrack -1", "pca variance 2", "pca variance 0", "outlier factor -1", "outlier factor nan"])
+    ("select", "train.csv", ("--evaluator", "info-gain", "--bins", "1")),
+], ids=["relieff k 0", "backtrack -1", "pca variance 2", "pca variance 0", "outlier factor -1", "outlier factor nan",
+        "info-gain bins 1"])
 def test_out_of_range_selection_or_iqr_setting_exits_2(pipeline, tmp_path, capsys, command, data, flags):
     capsys.readouterr()
     flags = [f.format(tmp=tmp_path) for f in flags]
@@ -775,6 +826,9 @@ SELECTION_DEFECTS = {
     "pca stds a string": (["pca", "stds"], "none"),
     "pca without component ranges": (["pca", "component_mins"], _DROP),
     "pca component ranges too short": (["pca", "component_maxs"], [1.0]),
+    "unknown evaluator": (["evaluator"], "random"),
+    "unknown search": (["search"], "exhaustive"),
+    "retained names one attribute twice": (["retained", 1], lambda doc: doc["retained"][0]),
 }
 
 
@@ -791,6 +845,17 @@ def test_corrupt_selection_file_exits_2(pipeline, tmp_path, capsys, path, value)
     assert run("reduce", pipeline / "train.csv", bad, "--out", tmp_path / "r.csv") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: SchemaMismatch:") and "Traceback" not in err
+
+
+def test_rank_aggregate_of_a_selection_naming_an_attribute_twice_exits_2(tmp_path, capsys):
+    from opdense.featsel import AttributeScore, ranker_select, save_selection
+    selection = save_selection(ranker_select([AttributeScore("mov", 1.0)], threshold=0.0))
+    bad = tmp_path / "sel.json"
+    bad.write_text(_corrupt(json.loads(selection), ["retained"], ["mov", "mov", "mov"]))
+    capsys.readouterr()
+    assert run("rank-aggregate", *[bad] * 7, "--out", tmp_path / "ranking.txt") == 2
+    assert capsys.readouterr().err == "error: SchemaMismatch: retained names 'mov' twice\n"
+    assert not (tmp_path / "ranking.txt").exists()
 
 
 @pytest.mark.parametrize("path", [["threshold"], ["scores", 0, "score"]], ids=["threshold", "score"])
@@ -936,6 +1001,17 @@ def test_kernel_settings_past_the_float_range_exit_without_a_model(pipeline, tmp
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}") and "Traceback" not in err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_synth_refuses_a_corpus_it_cannot_generate(tmp_path, capsys):
+    from opdense.errors import UsageError
+    from opdense.synth import generate_corpus
+    with pytest.raises(UsageError, match="2 or 6 classes"):
+        generate_corpus(tmp_path / "three", classes=3)
+    capsys.readouterr()
+    assert run("synth", "--out-dir", tmp_path / "corpus", "--n-per-class", "0") == 1
+    assert capsys.readouterr().err == "error: UsageError: need at least one sample per class\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**32)])

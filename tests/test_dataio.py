@@ -114,6 +114,18 @@ def test_arff_label_outside_declared_set():
         read_arff(bad)
 
 
+def test_arff_refuses_a_nominal_attribute_other_than_the_class():
+    with pytest.raises(SchemaMismatch, match="only the class attribute may be nominal"):
+        read_arff(b"@relation r\n@attribute mov {a,b}\n@attribute class {good,malware}\n@data\n")
+
+
+def test_unknown_dataset_format_is_refused():
+    with pytest.raises(SchemaMismatch, match="unknown dataset format 'json'"):
+        read_dataset(write_csv(sample_ds()), "json")
+    with pytest.raises(SchemaMismatch, match="unknown dataset format 'json'"):
+        write_dataset(sample_ds(), "json")
+
+
 def test_arff_unknown_class_set():
     bad = (
         "@relation r\n@attribute mov numeric\n"

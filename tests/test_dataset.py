@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from opdense.dataset import (
     DENSITY_DECIMALS,
+    Dataset,
     ScalingParams,
     assemble,
     build_master_list,
@@ -128,6 +129,13 @@ def test_assemble_equal_densities_despite_total_scale():
           lh("b", {"mov": 398332}, "malware", total=1192874)]
     ds = assemble(hs, ["mov"])
     assert abs(ds.X[0, 0] - ds.X[1, 0]) < 6e-3  # both about 0.33
+
+
+def test_master_list_and_assembly_refuse_no_histograms():
+    with pytest.raises(EmptyResult):
+        build_master_list([])
+    with pytest.raises(EmptyResult):
+        assemble([], ["mov"])
 
 
 def test_assemble_unknown_mnemonic():
@@ -381,6 +389,16 @@ def test_dataset_rejects_mismatched_labels():
 def test_dataset_rejects_duplicate_attributes():
     with pytest.raises(SchemaMismatch):
         make_dataset([[0.1, 0.2]], ["good"], ("mov", "mov"))
+
+
+@pytest.mark.parametrize("X, attributes, scaling, message", [
+    ([0.1, 0.2], ("mov", "push"), None, "two dimensional"),
+    ([[0.1, 0.2]], ("mov",), None, "attribute count does not match"),
+    ([[0.1, 0.2]], ("mov", "push"), ScalingParams((0.0,), (1.0,)), "scaling width"),
+], ids=["1-D matrix", "wrong width", "wrong scaling width"])
+def test_dataset_refuses_a_matrix_or_scaling_of_the_wrong_shape(X, attributes, scaling, message):
+    with pytest.raises(SchemaMismatch, match=message):
+        Dataset(attributes=attributes, X=np.array(X), labels=("good",), scheme=LabelScheme.binary, scaling=scaling)
 
 
 @pytest.mark.parametrize("name", ["", "a b", "a,b", "mov\t", "\u3000mov", "ret\x85"])

@@ -171,6 +171,17 @@ def test_confusion_matrix_errors():
         confusion_matrix(["good"], [], ("good",))
     with pytest.raises(UnknownLabel):
         confusion_matrix(["weird"], ["good"], ("good", "malware"))
+    with pytest.raises(UnknownLabel, match="predicted label 'weird'"):
+        confusion_matrix(["good"], ["weird"], ("good", "malware"))
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([[1, 0, 0], [0, 1, 0]], "shape"),
+    ([[1, -1], [0, 1]], "non-negative"),
+], ids=["wrong shape", "negative cell"])
+def test_confusion_matrix_refuses_cells_it_cannot_hold(cells, message):
+    with pytest.raises(SchemaMismatch, match=message):
+        ConfusionMatrix(classes=("good", "malware"), cells=np.array(cells))
 
 
 # --- cross validation ------------------------------------------------------------
@@ -309,6 +320,12 @@ def test_grid_results_sorted_by_precision():
     cells = grid_search(train, test, specs)
     precisions = [c.report.weighted.precision for c in cells if c.report]
     assert precisions == sorted(precisions, reverse=True)
+
+
+def test_grid_of_no_kernel_is_refused():
+    ds = make_dataset([[0.1], [0.9]], ["good", "malware"])
+    with pytest.raises(SchemaMismatch, match="empty kernel grid"):
+        grid_search(ds, ds, [])
 
 
 def test_grid_records_failures_without_aborting():

@@ -362,6 +362,17 @@ def test_pca_needs_two_attributes():
         pca_eval(ds)
 
 
+def test_pca_refuses_an_unknown_matrix_kind():
+    ds = make_dataset([[0.1, 0.5], [0.2, 0.3]], ["good", "malware"])
+    with pytest.raises(SchemaMismatch, match="unknown matrix kind 'x'"):
+        pca_eval(ds, matrix="x")
+
+
+def test_attribute_score_refuses_nan():
+    with pytest.raises(SchemaMismatch, match="score for 'mov' is not finite"):
+        AttributeScore("mov", float("nan"))
+
+
 def test_pca_reduce_projects_and_rescales():
     rng = np.random.RandomState(8)
     ds = make_dataset(rng.rand(12, 5), ["good", "malware"] * 6)

@@ -50,6 +50,8 @@ def test_puk_zero_distance_and_half_point():
 def test_kernel_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         kernel_eval(spec_for("rbf"), [1.0], [1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match="3 vs 2"):
+        gram_matrix(spec_for("puk"), np.ones((2, 3)), np.ones((4, 2)))
 
 
 def test_invalid_family_rejected():

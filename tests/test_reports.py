@@ -193,6 +193,16 @@ def test_parse_report_agrees_with_the_line_loop(text):
     assert parse_outcome(parse_report, text) == parse_outcome(_parse_lines, text)
 
 
+@pytest.mark.parametrize("text, line_no", [
+    (EDGE_REPORTS["no-break-space"], 1),
+    ("1. 5 50.00% mov\n2. 3 30.00% ret\u00a0\n", 2),
+    ("1. 5 50.00% mov\nTOTAL\u00a09\n", 2),
+], ids=["between fields", "after the mnemonic", "in the TOTAL line"])
+def test_a_no_break_space_is_no_field_separator(text, line_no):
+    with pytest.raises(MalformedLine, match=f"^line {line_no}: does not match the report grammar"):
+        parse_report(text, "s")
+
+
 def test_formatted_report_is_parsed_without_the_line_loop(monkeypatch):
     def line_loop(text, sample_id):
         raise AssertionError("fell back to the line loop")

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from opdense.dataset import minmax_scale, project
-from opdense.errors import SchemaMismatch, SingleClass, UnknownAttribute
+from opdense.errors import NonFiniteSolution, SchemaMismatch, SingleClass, UnknownAttribute
 from opdense.kernels import KernelSpec
 from opdense.labels import LabelScheme
-from opdense.smo import TrainerConfig
+from opdense.smo import TrainerConfig, smo_solve_lockstep
 from opdense.svm import (
     BinarySvmModel,
     MulticlassSvmModel,
@@ -69,6 +69,14 @@ def test_three_separated_balls_perfect_votes():
 def test_single_class_multiclass_rejected():
     ds = make_dataset([[0.1], [0.2]], ["good", "good"])
     with pytest.raises(SingleClass):
+        train_multiclass(ds, LINEAR)
+
+
+def test_a_solution_with_a_non_finite_bias_is_refused(monkeypatch):
+    monkeypatch.setattr("opdense.svm.smo_solve_lockstep",
+                        lambda *args: [replace(s, bias=float("nan")) for s in smo_solve_lockstep(*args)])
+    ds = make_dataset([[0.0], [1.0]], ["good", "malware"])
+    with pytest.raises(NonFiniteSolution, match=r"pair \(good, malware\): the kernel or C took SMO"):
         train_multiclass(ds, LINEAR)
 
 
