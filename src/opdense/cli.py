@@ -222,6 +222,11 @@ def cmd_select(args) -> int:
     ds = _read_ds(args.train)
     evaluator = args.evaluator.replace("-", "_")
     search = args.search.replace("-", "_")
+    ranks = (search == "ranker" and evaluator != "pca") or (search == "greedy_stepwise" and args.generate_ranking)
+    cuts = [f for f, v in (("--threshold", args.threshold), ("--num-to-select", args.num_to_select)) if v is not None]
+    if cuts and not ranks:
+        raise UsageError(f"{' and '.join(cuts)} cut a ranking, and {args.evaluator} with {args.search} makes none")
+    threshold = 0.0 if args.threshold is None else args.threshold
     if evaluator == "cfs_subset":
         scorer = featsel.CfsMeritScorer(ds, bins=args.bins)
         if search == "best_first":
@@ -230,7 +235,7 @@ def cmd_select(args) -> int:
             result = featsel.search_greedy_stepwise(
                 ds.attributes, scorer,
                 num_to_select=args.num_to_select,
-                threshold=args.threshold if args.generate_ranking else None,
+                threshold=threshold,
                 generate_ranking=args.generate_ranking)
         else:
             raise UsageError("cfs-subset works with best-first or greedy-stepwise searches")
@@ -245,7 +250,7 @@ def cmd_select(args) -> int:
             ds, evaluator,
             bins=args.bins, min_bucket=args.min_bucket,
             relieff_k=args.relieff_k)
-        result = featsel.ranker_select(scores, args.threshold, args.num_to_select, evaluator=evaluator)
+        result = featsel.ranker_select(scores, threshold, args.num_to_select, evaluator=evaluator)
     Path(args.out).write_bytes(featsel.save_selection(result).encode("utf-8"))
     print(f"{args.evaluator}/{args.search}: retained {len(result.retained)} of {ds.n_attributes} attributes")
     return 0
@@ -407,10 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[e.replace("_", "-") for e in featsel.EVALUATORS])
     p.add_argument("--search", default="ranker",
                    choices=[s.replace("_", "-") for s in featsel.SEARCHES])
-    p.add_argument("--threshold", type=float, default=0.0,
-                   help="ranker: discard scores at or below it; write a negative value "
-                        "in exponent form with '=', as --threshold=-1e-3")
-    p.add_argument("--num-to-select", type=int)
+    p.add_argument("--threshold", type=float,
+                   help="ranker or --generate-ranking: discard scores at or below it (default 0); "
+                        "write a negative value in exponent form with '=', as --threshold=-1e-3")
+    p.add_argument("--num-to-select", type=int, help="ranker or --generate-ranking: keep at most this many")
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--min-bucket", type=int, default=6)
     p.add_argument("--relieff-k", type=int, default=10)

@@ -3,7 +3,8 @@
 Multiclass assembly is one-vs-one: one binary machine per unordered
 class pair, prediction by majority vote. Within a pair the class coming
 first in the scheme's canonical order takes the -1 side; a non-negative
-decision value maps to the +1 side.
+decision value maps to the +1 side. A model holds each support vector
+once, in one table as its file does, and a machine its ``rows`` of it.
 """
 
 from __future__ import annotations
@@ -27,15 +28,20 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=Fals
 
 @dataclass
 class BinarySvmModel:
-    """One pairwise machine: f(x) = sum_i coef_i K(sv_i, x) + bias, with
-    ``coef`` = alpha*y per support vector, as the model file holds it."""
-    support_vectors: np.ndarray
+    """One pairwise machine: f(x) = sum_i coef_i K(table[rows_i], x) + bias,
+    over the model's shared ``table``, with ``coef`` = alpha*y per row."""
+    table: np.ndarray
+    rows: np.ndarray  # intp indices into table, one per support vector
     coef: np.ndarray  # alpha*y per support vector, nonzero
     bias: float
     class_pair: tuple[str, str]  # (negative label, positive label)
     hit_iteration_cap: bool = False
     iterations: int = 0  # SMO steps taken
     kkt_gap: float = 0.0  # SmoSolution.kkt_gap at exit
+
+    @property
+    def support_vectors(self) -> np.ndarray:
+        return self.table[self.rows]
 
     @property
     def alphas(self) -> np.ndarray:
@@ -45,7 +51,9 @@ class BinarySvmModel:
 
 @dataclass
 class MulticlassSvmModel:
+    """Pairwise machines that share one ``support_vectors`` table, as the model file does."""
     machines: list[BinarySvmModel]
+    support_vectors: np.ndarray
     classes: tuple[str, ...]
     attributes: tuple[str, ...]
     scheme: LabelScheme
@@ -67,7 +75,8 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = Trai
     """One machine per unordered pair of the classes present in the data,
     the later class of each pair (in scheme order) on the +1 side. Each
     pair is held as its row indices into ``ds.X``, and the pairs' SMO
-    problems are solved together by ``smo_solve_lockstep``. A Gram or a
+    problems are solved together by ``smo_solve_lockstep``. The table holds
+    each kept training row once, in first-use order. A Gram or a
     solution with a value past the float range raises NonFiniteSolution,
     the Gram before SMO steps on it."""
     classes = tuple(class_order(ds.scheme, ds.labels))
@@ -89,14 +98,20 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = Trai
             yield gram
 
     solutions = smo_solve_lockstep(grams(), [y for _, y in problems], spec.C, config)
+    keeps = [solution.alphas > EPSILON for solution in solutions]
+    used = np.concatenate([index[keep] for (index, _), keep in zip(problems, keeps)])
+    order = np.array(list(dict.fromkeys(used.tolist())), dtype=np.intp)  # the kept rows, in first-use order
+    slot = np.empty(len(ds.X), dtype=np.intp)
+    slot[order] = np.arange(len(order))
+    table = ds.X[order]
     machines: list[BinarySvmModel] = []
-    for (neg, pos), (index, y), solution in zip(pairs, problems, solutions):
+    for (neg, pos), (index, y), solution, keep in zip(pairs, problems, solutions, keeps):
         if not (np.isfinite(solution.alphas).all()
                 and math.isfinite(solution.bias) and math.isfinite(solution.kkt_gap)):
             raise NonFiniteSolution(f"pair ({neg}, {pos}): the kernel or C took SMO past the float range")
-        keep = solution.alphas > EPSILON
         machines.append(BinarySvmModel(
-            support_vectors=ds.X[index[keep]],
+            table=table,
+            rows=slot[index[keep]],
             coef=solution.alphas[keep] * y[keep],
             bias=solution.bias,
             class_pair=(neg, pos),
@@ -106,6 +121,7 @@ def train_multiclass(ds: Dataset, spec: KernelSpec, config: TrainerConfig = Trai
         ))
     return MulticlassSvmModel(
         machines=machines,
+        support_vectors=table,
         classes=classes,
         attributes=ds.attributes,
         scheme=ds.scheme,
@@ -126,13 +142,14 @@ def decision_values(model: MulticlassSvmModel, ds: Dataset) -> np.ndarray:
     other columns are left out, and a missing one is an UnknownAttribute.
     A dataset that carries scaling parameters is taken to be in model
     space; a raw one gets the model's stored scaling, clipped into [0, 1].
+    One kernel block of the table serves every machine.
     """
     ds = ds if ds.attributes == model.attributes else project(ds, model.attributes)
     X = model.scaling.apply(ds.X) if ds.scaling is None and model.scaling is not None else ds.X
-    out = np.empty((len(X), len(model.machines)))
+    coef = np.zeros((len(model.support_vectors), len(model.machines)))
     for k, m in enumerate(model.machines):
-        out[:, k] = gram_matrix(model.kernel, m.support_vectors, X).T @ m.coef + m.bias
-    return out
+        np.add.at(coef[:, k], m.rows, m.coef)  # a loaded machine may list a row twice
+    return gram_matrix(model.kernel, model.support_vectors, X).T @ coef + [m.bias for m in model.machines]
 
 
 def predict_dataset(model: MulticlassSvmModel, ds: Dataset) -> list[str]:
@@ -164,32 +181,25 @@ def save_model(model: MulticlassSvmModel) -> str:
     """The model as JSON, in LIBSVM's layout (Chang & Lin 2011): one
     ``support_vectors`` table of the distinct rows at 8 decimals, and per
     machine the ``rows`` of that table it uses with one alpha*y ``coef``
-    each. Rows are told apart by their rounded values, so load -> save
-    writes the same text. Keys are sorted, and each top-level field,
-    support vector and machine takes one line."""
-    rounded: dict[bytes, tuple[float, ...]] = {}  # raw row -> its values at 8 decimals
+    each. Each row of the model's table is formatted once; rows equal at 8
+    decimals merge, so load -> save writes the same text. Keys are sorted,
+    and each top-level field, support vector and machine takes one line."""
     table: dict[tuple[float, ...], int] = {}  # rounded row -> its index in the table
     # At the CSV cells' precision, a loaded model predicts as the saved one
     # did. "%.nf" rounds as round(v, n) does: both take the correctly rounded
     # string. A comma ends each cell, so a row of no values splits to none.
     row_text = f"%.{DENSITY_DECIMALS}f," * len(model.attributes)
-    machines = []
-    for m in model.machines:
-        rows = []
-        for row in m.support_vectors:
-            key = row.tobytes()
-            if key not in rounded:
-                rounded[key] = tuple(map(float, (row_text % tuple(row.tolist())).split(",")[:-1]))
-            rows.append(table.setdefault(rounded[key], len(table)))
-        machines.append({
-            "pair": list(m.class_pair),
-            "rows": rows,
-            "coef": m.coef.tolist(),
-            "bias": float(m.bias),
-            "hit_iteration_cap": bool(m.hit_iteration_cap),
-            "iterations": int(m.iterations),
-            "kkt_gap": float(m.kkt_gap),
-        })
+    entry = np.array([table.setdefault(tuple(map(float, (row_text % tuple(row.tolist())).split(",")[:-1])), len(table))
+                      for row in model.support_vectors], dtype=np.intp)  # table row -> file entry
+    machines = [{
+        "pair": list(m.class_pair),
+        "rows": entry[m.rows].tolist(),
+        "coef": m.coef.tolist(),
+        "bias": float(m.bias),
+        "hit_iteration_cap": bool(m.hit_iteration_cap),
+        "iterations": int(m.iterations),
+        "kkt_gap": float(m.kkt_gap),
+    } for m in model.machines]
     doc = {
         "schema": MODEL_SCHEMA_VERSION,
         "scheme": model.scheme.value,
@@ -211,8 +221,8 @@ def save_model(model: MulticlassSvmModel) -> str:
 
 
 def load_model(text: str) -> MulticlassSvmModel:
-    """A model saved by ``save_model``. Each machine's support vectors are
-    its rows of the table, and its ``coef`` the file's. The ``warnings``
+    """A model saved by ``save_model``, holding the file's table, and per
+    machine its ``rows`` into that table and its ``coef``. The ``warnings``
     must be those the machines' cap flags give. Each ``KernelSpec`` field
     is read with its default's type, a float field (``FLOAT_FIELDS``) as a
     finite number."""
@@ -254,7 +264,8 @@ def load_model(text: str) -> MulticlassSvmModel:
         if iterations < 0:
             raise SchemaMismatch("model machine: 'iterations' must not be negative")
         machines.append(BinarySvmModel(
-            support_vectors=table[rows],
+            table=table,
+            rows=np.array(rows, dtype=np.intp),
             coef=coef,
             bias=json_number(m, "bias", "model machine"),
             class_pair=pair,
@@ -267,6 +278,7 @@ def load_model(text: str) -> MulticlassSvmModel:
         raise SchemaMismatch("model classes or machine pairs are not as training writes them")
     model = MulticlassSvmModel(
         machines=machines,
+        support_vectors=table,
         classes=classes,
         attributes=attributes,
         scheme=scheme,

@@ -153,6 +153,25 @@ def test_select_with_a_search_the_evaluator_cannot_use_exits_1(pipeline, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, cut", [
+    (("--evaluator", "cfs-subset", "--search", "best-first"), ("--num-to-select", "3")),
+    (("--evaluator", "cfs-subset", "--search", "best-first"), ("--threshold", "0.1")),
+    (("--evaluator", "pca"), ("--num-to-select", "3")),
+    (("--evaluator", "pca"), ("--threshold", "0.1")),
+    (("--evaluator", "cfs-subset", "--search", "greedy-stepwise"), ("--num-to-select", "3")),
+    (("--evaluator", "cfs-subset", "--search", "greedy-stepwise"), ("--threshold", "0.1")),
+], ids=["best-first count", "best-first threshold", "pca count", "pca threshold", "greedy-stepwise count",
+        "greedy-stepwise threshold"])
+def test_select_refuses_a_cut_where_it_makes_no_ranking(pipeline, tmp_path, capsys, flags, cut):
+    out = tmp_path / "sel.json"
+    capsys.readouterr()
+    assert run("select", pipeline / "train.csv", *flags, *cut, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: UsageError: {cut[0]} cut a ranking")
+    assert not out.exists()
+    # without the cut, the same run selects
+    assert run("select", pipeline / "train.csv", *flags, "--out", out) == 0
+
+
 def test_cfs_selection_has_no_scores_to_sweep(pipeline, tmp_path, capsys):
     assert run("select", pipeline / "train.csv", "--evaluator", "cfs-subset", "--search", "best-first",
                "--out", tmp_path / "cfs.json") == 0

@@ -264,10 +264,11 @@ def test_holdout_separable_puk_defaults():
 def test_holdout_majority_predictor_metrics():
     from opdense.svm import MulticlassSvmModel, BinarySvmModel
     # a machine with no support vectors and negative bias always votes "good"
+    table = np.zeros((0, 2))
     machine = BinarySvmModel(
-        support_vectors=np.zeros((0, 2)), coef=np.zeros(0),
+        table=table, rows=np.zeros(0, dtype=np.intp), coef=np.zeros(0),
         bias=-1.0, class_pair=("good", "malware"))
-    model = MulticlassSvmModel(machines=[machine], classes=("good", "malware"),
+    model = MulticlassSvmModel(machines=[machine], support_vectors=table, classes=("good", "malware"),
                                attributes=("a00", "a01"), scheme=LabelScheme.binary,
                                kernel=LINEAR)
     test = separable_dataset(n_each=5)

@@ -313,19 +313,25 @@ def _assert_machines_match_per_pair_solves(X, labels):
     spec = KernelSpec(family="puk", C=1.0)
     model = train_multiclass(make_dataset(X, labels, scheme=LabelScheme.family), spec)
     assert len(model.machines) == 15
+    assert all(machine.table is model.support_vectors for machine in model.machines)
     names = np.asarray(labels, dtype=object)
+    kept = set()
     for machine in model.machines:
         neg, pos = machine.class_pair
         mask = (names == neg) | (names == pos)
         y = np.where(names[mask] == pos, 1.0, -1.0)
         want = smo_solve(gram_matrix(spec, X[mask]), y, spec.C)
         keep = want.alphas > EPSILON
+        kept.update(np.flatnonzero(mask)[keep].tolist())
         assert np.array_equal(machine.alphas, want.alphas[keep])
         assert np.array_equal(machine.support_vectors, X[mask][keep])
         assert np.array_equal(np.sign(machine.coef), y[keep])
         assert machine.bias == want.bias
         assert machine.hit_iteration_cap == want.hit_iteration_cap
         assert (machine.iterations, machine.kkt_gap) == (want.iterations, want.kkt_gap)
+    # the table holds each kept training row once
+    assert len(model.support_vectors) == len(kept)
+    assert np.array_equal(np.unique(model.support_vectors, axis=0), np.unique(X[sorted(kept)], axis=0))
 
 
 def _count_stacks(monkeypatch) -> list[int]:

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
+from opdense import svm
 from opdense.dataset import minmax_scale, project
 from opdense.errors import NonFiniteSolution, SchemaMismatch, SingleClass, UnknownAttribute
-from opdense.kernels import KernelSpec
-from opdense.labels import LabelScheme
+from opdense.kernels import KernelSpec, gram_matrix
+from opdense.labels import FAMILY_LABELS, LabelScheme
 from opdense.smo import TrainerConfig, smo_solve_lockstep
 from opdense.svm import (
     BinarySvmModel,
@@ -139,13 +140,62 @@ def test_model_round_trip_predictions_bit_identical():
     assert predict_dataset(m1, ds) == predict_dataset(m2, ds)
 
 
+def _six_class_model(rng):
+    """A PUK model of six overlapping classes, whose machines share many rows."""
+    labels = [FAMILY_LABELS[i % 6] for i in range(90)]
+    return train_multiclass(make_dataset(rng.rand(90, 3), labels, scheme=LabelScheme.family),
+                            KernelSpec(family="puk", C=10.0))
+
+
+def _per_machine_values(model, X):
+    return np.column_stack([gram_matrix(model.kernel, m.support_vectors, X).T @ m.coef + m.bias
+                            for m in model.machines])
+
+
+def test_one_kernel_block_gives_each_machine_its_own_decision_values(monkeypatch):
+    rng = np.random.RandomState(37)
+    model = _six_class_model(rng)
+    probe = make_dataset(rng.rand(40, 3), ["good"] * 40)
+    got, want = decision_values(model, probe), _per_machine_values(model, probe.X)
+    assert np.abs(got - want).max() <= 1e-12
+    labels = predict_dataset(model, probe)
+    monkeypatch.setattr(svm, "decision_values", lambda model, ds: want)
+    assert predict_dataset(model, probe) == labels
+    # a binary model's table is its one machine's support vectors, in order
+    binary = train_multiclass(gaussian_balls(rng, [(0.3, 0.3), (0.6, 0.6)], 20, ("good", "malware"),
+                                             LabelScheme.binary), KernelSpec(family="puk", C=10.0))
+    assert np.array_equal(binary.machines[0].rows, np.arange(len(binary.support_vectors)))
+    probe = make_dataset(rng.rand(40, 2), ["good"] * 40)
+    assert np.array_equal(decision_values(binary, probe), _per_machine_values(binary, probe.X))
+
+
+def test_a_loaded_model_keeps_the_file_table_and_each_machine_rows():
+    model = _six_class_model(np.random.RandomState(41))
+    text = save_model(model)
+    loaded = load_model(text)
+    again = load_model(save_model(loaded))
+    # the table is in first-use order, machine by machine, in memory as in the file
+    doc = json.loads(text)
+    for rows, size in (([m.rows.tolist() for m in model.machines], len(model.support_vectors)),
+                       ([m["rows"] for m in doc["machines"]], len(doc["support_vectors"]))):
+        assert list(dict.fromkeys(r for machine in rows for r in machine)) == list(range(size))
+    assert loaded.support_vectors.tolist() == [[round(v, 8) for v in row] for row in model.support_vectors.tolist()]
+    for m in (model, loaded, again):
+        assert all(machine.table is m.support_vectors for machine in m.machines)
+    assert np.array_equal(again.support_vectors, loaded.support_vectors)
+    for trained, first, second in zip(model.machines, loaded.machines, again.machines, strict=True):
+        assert np.array_equal(first.rows, trained.rows) and np.array_equal(second.rows, trained.rows)
+        assert first.rows.dtype == second.rows.dtype == np.intp
+
+
 def test_rows_equal_at_8_decimals_are_stored_once():
     a, b = [0.25, 0.5], [0.75, 0.125]
     nudged = [0.25 + 1e-12, 0.5]  # another raw row, the same as a at 8 decimals
     pairs = [("good", "Locky"), ("good", "Cerber"), ("Locky", "Cerber")]
-    machines = [BinarySvmModel(np.array(sv), np.array([-0.5, 0.25]), 0.1, pair)
-                for sv, pair in zip([[a, b], [nudged, b], [b, nudged]], pairs)]
-    model = MulticlassSvmModel(machines, ("good", "Locky", "Cerber"), ("mov", "ret"),
+    table = np.array([a, b, nudged])
+    machines = [BinarySvmModel(table, np.array(rows), np.array([-0.5, 0.25]), 0.1, pair)
+                for rows, pair in zip([[0, 1], [2, 1], [1, 2]], pairs)]
+    model = MulticlassSvmModel(machines, table, ("good", "Locky", "Cerber"), ("mov", "ret"),
                                LabelScheme.family, KernelSpec())
     text = save_model(model)
     doc = json.loads(text)
@@ -157,6 +207,18 @@ def test_rows_equal_at_8_decimals_are_stored_once():
     assert save_model(loaded) == text
 
 
+def test_a_machine_that_lists_a_row_twice_scores_both_entries():
+    a, nudged = [0.25, 0.5], [0.25 + 1e-12, 0.5]  # one row at 8 decimals
+    table = np.array([a, nudged])
+    machine = BinarySvmModel(table, np.array([0, 1]), np.array([-0.5, 2.0]), 0.1, ("good", "malware"))
+    model = MulticlassSvmModel([machine], table, ("good", "malware"), ("mov", "ret"), LabelScheme.binary, KernelSpec())
+    loaded = load_model(save_model(model))
+    assert loaded.machines[0].rows.tolist() == [0, 0]
+    probe = make_dataset([[0.0, 0.0], [0.25, 0.5], [1.0, 0.75]], ["good"] * 3, ("mov", "ret"))
+    assert np.allclose(decision_values(loaded, probe), decision_values(model, probe), rtol=0, atol=1e-9)
+    assert decision_values(loaded, probe)[1, 0] == pytest.approx(1.5 + 0.1)
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-9, -5e-9, 1.5e-8, 2.5e-8, 0.123456785, 1e-300, 1e300, -1e300])
 
@@ -166,9 +228,9 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 @settings(max_examples=200, deadline=None)
 def test_support_vectors_are_stored_as_round_to_8_decimals_gives_them(rows):
     sv = np.array(rows).reshape(len(rows), -1 if rows[0] else 0)
-    machine = BinarySvmModel(sv, np.full(len(rows), 0.5), 0.0, ("good", "malware"))
+    machine = BinarySvmModel(sv, np.arange(len(rows)), np.full(len(rows), 0.5), 0.0, ("good", "malware"))
     attributes = tuple(f"a{j}" for j in range(sv.shape[1]))
-    doc = json.loads(save_model(MulticlassSvmModel([machine], ("good", "malware"), attributes,
+    doc = json.loads(save_model(MulticlassSvmModel([machine], sv, ("good", "malware"), attributes,
                                                    LabelScheme.binary, KernelSpec())))
     expected = list(dict.fromkeys(tuple(round(v, 8) for v in row) for row in sv.tolist()))
     assert [[v.hex() for v in row] for row in doc["support_vectors"]] == \
