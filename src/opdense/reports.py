@@ -134,15 +134,15 @@ def _count(digits: str, line_no: int, line: str) -> int:
 
 def format_report(histogram: OpcodeHistogram) -> str:
     """Serialize back to the report grammar: rows ranked by descending
-    count (ties alphabetical), densities at two decimals, explicit TOTAL."""
+    count (ties alphabetical), densities at two decimals, explicit TOTAL;
+    one template, with the mnemonics only ever its ``%s`` arguments."""
     rows = sorted(histogram.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     width = max(4, len(str(len(rows))))
     pcts = round_half_up_fractions([100 * count for _, count in rows], histogram.total, 2)
-    out = []
-    for rank, ((mnemonic, count), pct) in enumerate(zip(rows, pcts), start=1):
-        out.append(f"{rank:0{width}d}.\t{count:06d}\t{pct:.2f}%\t{mnemonic}")
-    out.append(f"TOTAL\t{histogram.total}")
-    return "\n".join(out) + "\n"
+    line = f"%0{width}d.\t%06d\t%.2f%%\t%s\n"
+    cells = [cell for rank, ((mnemonic, count), pct) in enumerate(zip(rows, pcts), start=1)
+             for cell in (rank, count, pct, mnemonic)]
+    return (line * len(rows) + "TOTAL\t%d\n") % (*cells, histogram.total)
 
 
 @dataclass

@@ -14,6 +14,7 @@ is frozen).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,19 +75,25 @@ def generate_corpus(
         raise UsageError("need at least one sample per class")
     if not 0 <= seed < 2**32:  # the range numpy's RandomState takes
         raise UsageError("seed must be in 0..2**32-1")
+    # one walk, before anything is written: a report this run would not
+    # write would be read back by ingest as one of this corpus's samples
+    out_dir = Path(out_dir)
+    ours = {os.path.join(out_dir, label, f"{label}_{i:03d}.txt") for label in labels for i in range(n_per_class)}
+    strays = {os.path.join(folder, name) for folder, _, found in os.walk(out_dir)
+              for name in found if name.endswith(".txt")} - ours
+    if strays:
+        raise UsageError(f"{min(strays)} is no report of this corpus; give an out-dir that holds no other .txt report")
     rs = np.random.RandomState(seed)
-    pool = np.array(MNEMONIC_POOL, dtype=object)
 
     # steep base mixture: the tail opcodes are mostly absent per sample,
     # which keeps pure-noise columns from dominating distances
-    base = 1.0 / (np.arange(len(pool)) + 2.0) ** 1.6
+    base = 1.0 / (np.arange(len(MNEMONIC_POOL)) + 2.0) ** 1.6
     base /= base.sum()
 
     # informative opcodes come from the rare half of the pool
-    rare = np.argsort(base)[: len(pool) // 2]
+    rare = np.argsort(base)[: len(MNEMONIC_POOL) // 2]
     informative_idx = np.array(sorted(rs.choice(rare, size=informative, replace=False)))
 
-    out_dir = Path(out_dir)
     files: list[Path] = []
     for c, label in enumerate(labels):
         class_dir = out_dir / label
@@ -96,15 +103,16 @@ def generate_corpus(
         for j, idx in enumerate(informative_idx):
             profile[idx] *= 12.0 if signature[j] else 0.05
         profile /= profile.sum()
+        concentration = profile * 6000.0
         for i in range(n_per_class):
-            jitter = rs.dirichlet(profile * 6000.0)
+            jitter = rs.dirichlet(concentration)
             total = int(rs.randint(8_000, 60_001))
-            counts = rs.multinomial(total, jitter)
-            present = {str(pool[k]): int(counts[k]) for k in range(len(pool)) if counts[k] > 0}
+            counts = rs.multinomial(total, jitter)  # they sum to total
+            present = {name: n for name, n in zip(MNEMONIC_POOL, counts.tolist()) if n}
             histogram = OpcodeHistogram(
                 sample_id=f"{label}_{i:03d}",
                 counts=present,
-                total=int(counts.sum()),
+                total=total,
                 source="report",
             )
             path = class_dir / f"{label}_{i:03d}.txt"
@@ -113,6 +121,6 @@ def generate_corpus(
     return SynthCorpus(
         root=out_dir,
         classes=labels,
-        informative=tuple(str(pool[k]) for k in informative_idx),
+        informative=tuple(MNEMONIC_POOL[k] for k in informative_idx),
         files=tuple(files),
     )

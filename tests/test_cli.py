@@ -280,6 +280,29 @@ def test_pinned_pipeline_output(pipeline):
     assert digests == PINNED_PIPELINE_OUTPUTS
 
 
+# sha256 prefixes of written reports, recorded before the report writer
+# went to one format call per report: the seed-42 6x30 synth corpus with
+# its files concatenated in sorted path order, and the disasm report of
+# one fixed image
+PINNED_CORPUS_DIGEST = "e0a8c975daa3239f"
+PINNED_DISASM_DIGEST = "91e642c978429bc9"
+
+
+def test_pinned_synth_corpus(selection_outputs):
+    corpus = sorted((selection_outputs / "corpus").rglob("*.txt"))
+    assert len(corpus) == 180
+    digest = hashlib.sha256(b"".join(path.read_bytes() for path in corpus)).hexdigest()[:16]
+    assert digest == PINNED_CORPUS_DIGEST
+
+
+def test_pinned_disasm_report(tmp_path):
+    # every byte value, so the report holds tied counts and many mnemonics
+    (tmp_path / "image.exe").write_bytes(text_only_pe(bytes(i * 7 % 256 for i in range(2048)) + b"\xC3"))
+    assert run("disasm", tmp_path / "image.exe", "--out-dir", tmp_path / "reports") == 0
+    report = (tmp_path / "reports" / "image.txt").read_bytes()
+    assert hashlib.sha256(report).hexdigest()[:16] == PINNED_DISASM_DIGEST
+
+
 def test_tune_kernel_command(pipeline):
     assert run("tune-kernel", pipeline / "train.csv", pipeline / "test.csv",
                "--kernels", "puk", "--out", pipeline / "grid.txt") == 0
@@ -1031,6 +1054,28 @@ def test_synth_refuses_a_corpus_it_cannot_generate(tmp_path, capsys):
     assert run("synth", "--out-dir", tmp_path / "corpus", "--n-per-class", "0") == 1
     assert capsys.readouterr().err == "error: UsageError: need at least one sample per class\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_refuses_an_out_dir_holding_reports_it_would_not_write(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--out-dir", corpus, "--n-per-class", "50", "--seed", "1") == 0
+    first = {path: path.read_bytes() for path in corpus.rglob("*.txt")}
+    capsys.readouterr()
+    # ten per class would leave 80 reports of seed 1 for ingest to read back
+    assert run("synth", "--out-dir", corpus, "--n-per-class", "10", "--seed", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: UsageError: {corpus / 'good' / 'good_010.txt'} is no report of this corpus; "
+                            "give an out-dir that holds no other .txt report\n")
+    assert {path: path.read_bytes() for path in corpus.rglob("*.txt")} == first
+    # the same names are rewritten, and a file that is no report is left alone
+    (corpus / "notes.md").write_text("kept\n")
+    assert run("synth", "--out-dir", corpus, "--n-per-class", "50", "--seed", "2") == 0
+    assert "wrote 100 report files" in capsys.readouterr().out
+    assert len(list(corpus.rglob("*.txt"))) == 100 and (corpus / "notes.md").read_text() == "kept\n"
+    assert (corpus / "good" / "good_000.txt").read_bytes() != first[corpus / "good" / "good_000.txt"]
+    assert run("ingest", corpus, "--out", tmp_path / "full.csv") == 0
+    assert read_csv((tmp_path / "full.csv").read_bytes()).n_instances == 100
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**32)])

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opdense.errors import (
@@ -12,6 +12,7 @@ from opdense.errors import (
 )
 from opdense.labels import LabelScheme
 from conftest import parse_outcome
+from report_oracle import format_report_rows
 from opdense.reports import (
     OpcodeHistogram,
     _parse_lines,
@@ -138,6 +139,32 @@ def test_round_trip_property(counts, extra_total):
     again = parse_report(format_report(h), "x")
     assert again.counts == counts
     assert again.total == total
+
+
+# a name may hold "%", which the writer must pass as an argument, never
+# put into its template
+MNEMONICS = st.text(alphabet="abcmovz09%.-_\u00df", min_size=1, max_size=6)
+WIDE = {f"m{i:05d}": i % 7 for i in range(10_000)}  # the rank column widens to 5 digits
+
+
+@given(st.dictionaries(
+    keys=MNEMONICS,
+    # small counts tie, and ties come out in name order
+    values=st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**9)),
+    min_size=1, max_size=40,
+), st.integers(min_value=0, max_value=10**7))
+@example({"mov": 1, "push": 799}, 0)  # 1 of 800 is 0.125 %, an exact half-up tie: 0.13%
+@example({"a%s": 1, "%d%%": 1, "%": 2}, 1)
+@example({"mov": 10**6, "push": 10**12, "ret": 10**6}, 3)  # wider than %06d
+@example(WIDE, 0)
+@example({**WIDE, "%": 5}, 10**6)
+@settings(max_examples=200, deadline=None)
+def test_format_report_agrees_with_the_row_oracle(counts, extra_total):
+    total = sum(counts.values()) + extra_total or 1
+    h = OpcodeHistogram(sample_id="x", counts=counts, total=total, source="report")
+    # as lines, so that a failure names the first differing line of a
+    # 10,000-row report instead of diffing the two texts
+    assert format_report(h).splitlines(keepends=True) == format_report_rows(h).splitlines(keepends=True)
 
 
 @given(st.text(max_size=200))
